@@ -18,7 +18,7 @@ class MalformedSetError(PortraitsError, ValueError):
 
 
 class CapacityError(PortraitsError):
-    """An enumeration would scan more angles than the configured ceiling."""
+    """An enumeration would try more candidate rotation sets than the ceiling."""
 
 
 class InvariantViolationError(PortraitsError):

@@ -8,8 +8,10 @@ forward through the germs of their bounding edges; sectors fixed by that map
 carry the d-1 fixed rays and are labelled in walk order starting from the
 marked sector, which anchors ray 0.  A rotating vertex is then pinned down
 by its sector count, its sector shift, and where its sectors fall between
-the fixed rays along the walk - data that determines a rotation set
-uniquely, so the uniqueness oracle reconstructs its angles from scratch.
+the fixed rays along the walk.  These are the set's cardinality, shift and
+deployment, which determine a rotation set, and Goldberg's closed form
+(*Fixed points of polynomial maps I*, 1992; see ``rotation``) writes its
+angles down directly.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     """Read the portrait back off the tree.
 
     Recovery never consults the construction's arc anchors: the fixed rays
-    come from the walk order alone, and rotating sets are rebuilt by the
-    uniqueness oracle from (sector count, sector shift, walk positions
-    between the fixed rays).
+    come from the walk order alone, and each rotating set is rebuilt by
+    Goldberg's closed form (``generate_rotation_set``) from its sector count,
+    sector shift and walk positions between the fixed rays.
     """
     t = ct.tree
     d = t.total_degree()

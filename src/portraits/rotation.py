@@ -5,22 +5,33 @@ like a rigid rotation: in the increasing indexing, every element moves
 forward by the same shift m.  The residue m/n is its rotation number; m and
 n need not be coprime, so the pair (shift, cardinality) is kept verbatim
 rather than reduced.
+
+The shift m, the cardinality n and the deployment determine a rotation set,
+and Goldberg (*Fixed points of polynomial maps I: rotation subsets of the
+circles*, 1992) writes its angles down directly.  With b_i the deployment
+block of the i-th smallest angle, let k_i = b_i + [i + m >= n] and
+p = n / gcd(m, n); then
+
+    theta_i = sum_{j<p} k_{(i+jm) mod n} * d**(p-1-j) / (d**p - 1).
+
+Here k_i is the integer d*theta_i - theta_{(i+m) mod n}; it exceeds the
+block floor((d-1)*theta_i) by one exactly when the index wraps past n.
+Generation and enumeration both rest on this formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .angles import Angle, as_angle_tuple, check_degree, map_angle
-from .errors import CapacityError, InvariantViolationError
+from .errors import CapacityError
 
-# Largest d**p the orbit scan will walk before refusing; keeps an accidental
-# huge max_period from silently consuming hours.
-_SCAN_CEILING = 4_000_000
+# Most (cardinality, shift, deployment) candidates one enumeration may try;
+# larger requests fail at once instead of silently consuming hours.
+_CANDIDATE_CEILING = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -97,57 +108,41 @@ def deployment_vector(rs: RotationSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _orbit_classes(degree: int, max_period: int) -> dict[tuple[int, int], list[tuple[Angle, ...]]]:
-    """Single covering-map orbits of each exact period p <= max_period that
-    are rotation sets on their own, grouped by (period, shift).
+def _shapes(d: int, max_cardinality: int, max_period: int):
+    """Each (n, m) with n <= max_cardinality, g = gcd(m, n) <= d-1 and
+    n/g <= max_period, walked as (period, g, reduced shift)."""
+    for p in range(1, min(max_period, max_cardinality) + 1):
+        for g in range(1, min(d - 1, max_cardinality // p) + 1):
+            for r in range(p):
+                if gcd(r, p) == 1:
+                    yield g * p, g * r
 
-    Elements of period p have denominator dividing d**p - 1, so scanning
-    the grid k/(d**p - 1) is exhaustive.
-    """
-    classes: dict[tuple[int, int], list[tuple[Angle, ...]]] = {}
-    for p in range(1, max_period + 1):
-        if degree ** p > _SCAN_CEILING:
-            raise CapacityError(
-                f"orbit scan for degree {degree}, period {p} needs "
-                f"{degree ** p - 1} grid points, above the ceiling {_SCAN_CEILING}")
-        q = degree ** p - 1
-        seen: set[Angle] = set()
-        for k in range(q):
-            a = Fraction(k, q)
-            if a in seen:
-                continue
-            orbit = [a]
-            seen.add(a)
-            b = map_angle(a, degree)
-            while b != a:
-                orbit.append(b)
-                seen.add(b)
-                b = map_angle(b, degree)
-            if len(orbit) != p:
-                continue  # lower exact period; handled in its own pass
-            th = tuple(sorted(orbit))
-            found = classify_rotation_set(th, degree)
-            if found is None:
-                continue
-            classes.setdefault((p, found[0]), []).append(th)
-    for orbits in classes.values():
-        orbits.sort()
-    return classes
+
+def _deployments(n: int, blocks: int):
+    """Every blocks-tuple of non-negative integers summing to n, by an
+    odometer rather than recursion, so a large degree cannot exhaust the stack."""
+    counts = [0] * (blocks - 1) + [n]
+    while True:
+        yield tuple(counts)
+        i = blocks - 2
+        while i >= 0 and counts[-1] == 0:
+            counts[-1], counts[i] = counts[i], 0
+            i -= 1
+        if i < 0:
+            return
+        counts[i], counts[-1] = counts[i] + 1, counts[-1] - 1
 
 
 def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) -> list[RotationSet]:
     """Every degree-d rotation set with cardinality and element period bounded.
 
-    Strategy: a rotation set splits under the covering map into g = gcd(m, n)
-    orbits of equal exact period p = n/g, each of which is itself a rotation
-    set with the same reduced rotation number.  So it suffices to collect the
-    single-orbit rotation sets per (period, reduced shift) class and test
-    unions of g of them for the rigid-shift condition.  g never exceeds d-1:
-    around one orbit of gaps the d-fold stretch accumulates a whole number of
-    extra turns, at least one per orbit, and there are d-1 extra turns in
-    total around the circle.
+    A rotation set of shift m and cardinality n is a union of g = gcd(m, n)
+    orbits of exact period n/g, and g <= d-1 (Goldberg, Part I).  Every such
+    (n, m) is tried with every deployment through Goldberg's closed form
+    (``generate_rotation_set``).  The candidate triples are counted first;
+    more than the ceiling raise CapacityError before any set is built.
 
-    The result is deduplicated and sorted lexicographically by angle tuple.
+    The result is sorted lexicographically by angle tuple.
     """
     d = check_degree(degree)
     if max_cardinality < 1:
@@ -155,28 +150,28 @@ def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) 
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
 
-    classes = _orbit_classes(d, max_period)
-    found: list[RotationSet] = []
-    for (p, _), orbits in sorted(classes.items()):
-        g_max = min(d - 1, max_cardinality // p, len(orbits))
-        for g in range(1, g_max + 1):
-            for combo in combinations(orbits, g):
-                merged = tuple(sorted(a for orbit in combo for a in orbit))
-                result = classify_rotation_set(merged, d)
-                if result is not None:
-                    found.append(RotationSet(d, merged, result[0]))
-    found.sort(key=lambda rs: rs.angles)
-    return found
+    candidates = 0
+    for n, _ in _shapes(d, max_cardinality, max_period):
+        candidates += comb(n + d - 2, d - 2)
+        if candidates > _CANDIDATE_CEILING:
+            raise CapacityError(
+                f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
+                f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
+    found = (generate_rotation_set(d, n, m, dep)
+             for n, m in _shapes(d, max_cardinality, max_period)
+             for dep in _deployments(n, d - 1))
+    return sorted((rs for rs in found if rs is not None), key=lambda rs: rs.angles)
 
 
 def generate_rotation_set(degree: int, cardinality: int, shift: int,
                           deployment: Sequence[int]) -> Optional[RotationSet]:
     """The unique rotation set with the given shift, cardinality and deployment.
 
-    Returns None when no rotation set matches (in particular whenever the
-    deployment does not sum to the cardinality).  A rotation set is uniquely
-    determined by these three data; finding two matches would falsify that
-    and raises InvariantViolationError.
+    Goldberg's closed form (module docstring) gives the only candidate in
+    O(n * p) steps.  It is returned if it is strictly increasing in [0, 1),
+    rotates by ``shift`` and has ``deployment``; otherwise no rotation set has
+    these data and the result is None (so whenever the deployment does not
+    sum to the cardinality).
     """
     d = check_degree(degree)
     n = cardinality
@@ -192,12 +187,16 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
     if sum(dep) != n:
         return None
 
-    period = n // gcd(shift, n)
-    matches = [rs for rs in enumerate_rotation_sets(d, n, period)
-               if rs.cardinality == n and rs.shift == shift
-               and deployment_vector(rs) == dep]
-    if len(matches) > 1:
-        raise InvariantViolationError(
-            f"distinct rotation sets share shift={shift} cardinality={n} "
-            f"deployment={dep}: {matches[0].angles} and {matches[1].angles}")
-    return matches[0] if matches else None
+    blocks = [b for b, c in enumerate(dep) for _ in range(c)]
+    digits = [blocks[i] + (i + shift >= n) for i in range(n)]
+    p = n // gcd(shift, n)
+    q = d ** p - 1
+    powers = [d ** (p - 1 - j) for j in range(p)]
+    numerators = [sum(digits[(i + j * shift) % n] * w for j, w in enumerate(powers))
+                  for i in range(n)]
+    if numerators[-1] >= q or any(a >= b for a, b in zip(numerators, numerators[1:])):
+        return None
+    rs = RotationSet(d, tuple(Fraction(x, q) for x in numerators), shift)
+    if classify_rotation_set(rs.angles, d) != (shift, n) or deployment_vector(rs) != dep:
+        return None
+    return rs

@@ -102,6 +102,10 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert "n=2 m=1 deployment=2 angles 1/3 2/3" in out
 
+    def test_oversized_request_is_an_error(self, capsys):
+        assert main(["enumerate", "--degree", "10", "--max-period", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_portraits_reparse(self, capsys):
         assert main(["enumerate", "--degree", "2", "--max-period", "3",
                      "--portraits"]) == 0

@@ -1,8 +1,19 @@
 from fractions import Fraction as F
 
-from portraits import (Portrait, Sector, boundary_walk, construct_tree,
+import pytest
+
+from portraits import (Portrait, RotationSet, Sector, analyze, boundary_walk,
+                       classify_rotation_set, construct_tree, deployment_vector,
                        enumerate_portraits, fixed_angles, recover_portrait,
                        sector_map)
+
+
+def orbit(seed, degree):
+    """The sorted forward orbit of a periodic angle."""
+    out = [seed]
+    while (nxt := degree * out[-1] % 1) != seed:
+        out.append(nxt)
+    return tuple(sorted(out))
 
 
 class TestBoundaryWalk:
@@ -111,3 +122,27 @@ class TestRecovery:
         rec = recover_portrait(ct)
         assert set(fixed_angles(5)) == {a for s in rec.sets for a in s
                                         if a in fixed_angles(5)}
+
+
+class TestValidInputsAccepted:
+    """Valid portraits whose rotating sets lie far beyond any grid scan."""
+
+    @pytest.mark.parametrize("n", [22, 40, 64])
+    def test_degree2_rotation_number_one_over_n(self, n):
+        angles = orbit(F(1, 2 ** n - 1), 2)     # {2^i / (2^n - 1)}
+        assert classify_rotation_set(angles, 2) == (1, n)
+        p = Portrait.create(2, [[F(0)], angles])
+        an = analyze(p)
+        assert an.all_ok
+        assert an.recovered == p
+
+    def test_degree46_period4(self):
+        d = 46
+        # the 46-adic expansion 0.(0 1 2 4) repeated
+        angles = orbit(F(d ** 2 + 2 * d + 4, d ** 4 - 1), d)
+        assert classify_rotation_set(angles, d) == (1, 4)
+        assert deployment_vector(RotationSet(d, angles, 1)) == (1, 1, 1, 1) + (0,) * 41
+        p = Portrait.create(d, [[F(i, d - 1)] for i in range(d - 1)] + [angles])
+        an = analyze(p)
+        assert an.all_ok
+        assert an.recovered == p

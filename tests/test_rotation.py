@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from portraits import (MalformedSetError, RotationSet,
+from portraits import (CapacityError, MalformedSetError, RotationSet,
                        classify_rotation_set, deployment_vector,
                        enumerate_rotation_sets, fixed_angles,
                        generate_rotation_set, map_angle)
@@ -25,6 +25,47 @@ def brute_force_rotation_sets(degree, period, max_size):
             result = classify_rotation_set(combo, degree)
             if result is not None:
                 found.append((combo, result[0]))
+    return sorted(found)
+
+
+def orbit_union_rotation_sets(degree, max_period, max_size):
+    """Second oracle: unions of whole orbits found by scanning the grid.
+
+    Every angle of exact period p lies on the grid k/(d**p - 1), so scanning
+    it finds every periodic orbit.  A rotation set splits into orbits of one
+    period that are rotation sets on their own with a common shift, so the
+    orbits that are rotation sets are grouped by (period, shift) and every
+    union of at most max_size // p orbits of one group is classified.  Far
+    wider reach than the subset search, with no closed form involved.
+    """
+    classes = {}
+    for p in range(1, max_period + 1):
+        q = degree ** p - 1
+        seen = set()
+        for k in range(q):
+            a = F(k, q)
+            if a in seen:
+                continue
+            orbit = [a]
+            b = map_angle(a, degree)
+            while b != a:
+                orbit.append(b)
+                b = map_angle(b, degree)
+            seen.update(orbit)
+            if len(orbit) != p:
+                continue  # lower exact period; found in its own pass
+            th = tuple(sorted(orbit))
+            found = classify_rotation_set(th, degree)
+            if found is not None:
+                classes.setdefault((p, found[0]), []).append(th)
+    found = []
+    for (p, _), orbits in classes.items():
+        for g in range(1, min(max_size // p, len(orbits)) + 1):
+            for combo in combinations(orbits, g):
+                merged = tuple(sorted(a for orbit in combo for a in orbit))
+                result = classify_rotation_set(merged, degree)
+                if result is not None:
+                    found.append((merged, result[0]))
     return sorted(found)
 
 
@@ -85,6 +126,12 @@ class TestEnumerate:
                       for rs in enumerate_rotation_sets(3, 5, 2))
         assert ours == oracle
 
+    @pytest.mark.parametrize("d,p", [(2, 10), (3, 6), (4, 4), (5, 3), (6, 2)])
+    def test_matches_orbit_union_scan(self, d, p):
+        ours = sorted((rs.angles, rs.shift)
+                      for rs in enumerate_rotation_sets(d, (d - 1) * p, p))
+        assert ours == orbit_union_rotation_sets(d, p, (d - 1) * p)
+
     def test_rotation_half_d2(self):
         sets = [rs for rs in enumerate_rotation_sets(2, 2, 2)
                 if rs.rotation_number == F(1, 2)]
@@ -124,6 +171,17 @@ class TestEnumerate:
         b = enumerate_rotation_sets(3, 6, 3)
         assert a == b
         assert a == sorted(a, key=lambda rs: rs.angles)
+
+    def test_oversized_request_fails_fast(self):
+        # about 2e11 candidate triples: refused before any set is built
+        with pytest.raises(CapacityError):
+            enumerate_rotation_sets(10, 90, 10)
+
+    def test_large_cardinality_bound_stays_cheap(self):
+        # degree 2 has one set per (period, shift), however large the bound
+        sets = [rs.angles for rs in enumerate_rotation_sets(2, 1000, 3)]
+        assert sets == [(F(0),), (F(1, 7), F(2, 7), F(4, 7)), (F(1, 3), F(2, 3)),
+                        (F(3, 7), F(5, 7), F(6, 7))]
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
