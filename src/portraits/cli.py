@@ -6,7 +6,7 @@ Subcommands::
     build <file> [--svg P] [--report P] [--json P]
                                           construct, check, round-trip
     roundtrip <file>                      print the recovered portrait
-    enumerate --degree D --max-period P [--max-cardinality N] [--portraits]
+    enumerate --degree D --max-period P [--max-cardinality N | --portraits]
 
 Exit status: 0 pass, 1 validation or check failure, 2 parse/usage error.
 """
@@ -140,9 +140,10 @@ def main(argv=None) -> int:
     e = sub.add_parser("enumerate", help="list rotation sets or valid portraits")
     e.add_argument("--degree", type=int, required=True)
     e.add_argument("--max-period", type=int, required=True)
-    e.add_argument("--max-cardinality", type=int, default=None)
-    e.add_argument("--portraits", action="store_true",
-                   help="assemble and list every valid portrait instead")
+    listing = e.add_mutually_exclusive_group()
+    listing.add_argument("--max-cardinality", type=int, default=None)
+    listing.add_argument("--portraits", action="store_true",
+                         help="assemble and list every valid portrait instead")
     e.set_defaults(func=_cmd_enumerate)
 
     args = parser.parse_args(argv)

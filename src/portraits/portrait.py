@@ -19,7 +19,7 @@ of stopping at the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
@@ -89,8 +89,12 @@ def unlinked(first: Sequence[Angle], second: Sequence[Angle]) -> bool:
     whole circle minus a point, so it is unlinked with anything disjoint
     from it.
     """
-    a = as_angle_tuple(sorted(first))
-    b = as_angle_tuple(sorted(second))
+    return _unlinked_sorted(as_angle_tuple(sorted(first)),
+                            as_angle_tuple(sorted(second)))
+
+
+def _unlinked_sorted(a: Sequence, b: Sequence) -> bool:
+    """``unlinked`` on two strictly increasing tuples of any ordered values."""
     if set(a) & set(b):
         return False
     if len(a) == 1:
@@ -226,42 +230,47 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     """Every valid portrait whose sets have element period <= max_period.
 
     The family of fixed sets is an exact, pairwise-unlinked cover of the
-    fixed angles, i.e. an unlinked set partition of them; rotating sets are
-    then added by backtracking under the disjoint/unlinked and separation
-    constraints.  Output order is deterministic.
+    fixed angles, i.e. an unlinked set partition of them.  Output is sorted
+    by (number of sets, sets).
+
+    Given a cover, P4 is a test of gap signatures.  A block separates two
+    sets unlinked with it exactly when they lie in different gaps of it (a
+    singleton block has one gap and never separates).  Call the tuple of a
+    set's gap indices in the cover's blocks its signature: two rotating
+    sets are separated by some block exactly when their signatures differ.
+    Separation also implies P2 between them: sets in different gaps of a
+    block lie in disjoint arcs, so each fits in one gap of the other.  The
+    rotating sets that may join a cover are the pool sets unlinked with
+    every block, and a valid portrait takes at most one of them per
+    signature.  Angles are replaced by their ranks among all the angles
+    involved, which keeps their order, so the gap tests and the final sort
+    compare integers.
     """
     d = check_degree(degree)
-    pool = enumerate_rotation_sets(d, (d - 1) * max_period, max_period)
-    rotating_pool = [rs for rs in pool if not rs.is_fixed]
+    pool = [rs.angles for rs in enumerate_rotation_sets(
+        d, (d - 1) * max_period, max_period) if not rs.is_fixed]
+    fixed = fixed_angles(d)
+    values = sorted(set(fixed).union(*pool))
+    rank = {a: r for r, a in enumerate(values)}
+    sets = [tuple(rank[a] for a in s) for s in pool]
 
-    covers: list[list[tuple[Angle, ...]]] = []
-    for partition in _set_partitions(list(fixed_angles(d))):
-        blocks = sorted(tuple(sorted(b)) for b in partition)
-        if all(unlinked(x, y) for x, y in combinations(blocks, 2)):
-            covers.append(blocks)
-    covers.sort()
+    found: list[tuple[tuple[int, ...], ...]] = []
+    for partition in _set_partitions([rank[a] for a in fixed]):
+        cover = [tuple(sorted(b)) for b in partition]
+        if not all(_unlinked_sorted(x, y) for x, y in combinations(cover, 2)):
+            continue
+        # per signature: take none of its sets (None) or one of them
+        by_signature: dict[tuple[int, ...], list] = {}
+        for s in sets:
+            if all(_unlinked_sorted(b, s) for b in cover):
+                sig = tuple(gap_index(b, s[0]) for b in cover)
+                by_signature.setdefault(sig, [None]).append(s)
+        for choice in product(*by_signature.values()):
+            found.append(tuple(sorted(
+                cover + [s for s in choice if s is not None])))
 
-    portraits: list[Portrait] = []
-    for cover in covers:
-        chosen: list[RotationSet] = []
-
-        def extend(start: int) -> None:
-            portraits.append(Portrait.create(
-                d, list(cover) + [rs.angles for rs in chosen]))
-            for idx in range(start, len(rotating_pool)):
-                cand = rotating_pool[idx]
-                if not all(unlinked(cand.angles, b) for b in cover):
-                    continue
-                if not all(unlinked(cand.angles, c.angles) for c in chosen):
-                    continue
-                if not all(any(separates(b, cand.angles, c.angles) for b in cover)
-                           for c in chosen):
-                    continue
-                chosen.append(cand)
-                extend(idx + 1)
-                chosen.pop()
-
-        extend(0)
-
-    portraits.sort(key=lambda q: (q.k, q.sets))
-    return portraits
+    found.sort(key=lambda f: (len(f), f))
+    # each family is already canonical, so Portrait.create would only
+    # re-sort and re-validate it
+    return [Portrait(d, tuple(tuple(values[r] for r in s) for s in f))
+            for f in found]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InvariantViolationError
 
@@ -43,14 +43,25 @@ class AngledTree:
 
     def angle_between(self, v: str, a: str, b: str) -> Fraction:
         """Angle at v from the edge toward a to the edge toward b, mod 1."""
-        order = self.circular_order[v]
-        i, j = order.index(a), order.index(b)
-        total = Fraction(0)
-        t = i
-        while t != j:
-            total += self.gap_angles[v][t]
-            t = (t + 1) % len(order)
-        return total % 1
+        return self.angles_at(v)(a, b)
+
+    def angles_at(self, v: str) -> Callable[[str, str], Fraction]:
+        """``angle_between`` at v for every pair: O(degree) once, O(1) a pair.
+
+        The gaps walked counterclockwise from edge i to edge j sum to
+        prefix[j] - prefix[i], plus the gap total when the walk wraps.
+        """
+        pos = {u: i for i, u in enumerate(self.circular_order[v])}
+        prefix = [Fraction(0)]
+        for g in self.gap_angles[v]:
+            prefix.append(prefix[-1] + g)
+        total = prefix[-1]
+
+        def angle(a: str, b: str) -> Fraction:
+            i, j = pos[a], pos[b]
+            return (prefix[j] - prefix[i] + (total if j < i else 0)) % 1
+
+        return angle
 
     def total_degree(self) -> int:
         """1 + sum of (delta(v) - 1) over all vertices."""
@@ -229,7 +240,7 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
         nbrs = t.circular_order[v]
         if len(nbrs) < 2:
             continue
-        tv = t.tau[v]
+        at_v, at_image = t.angles_at(v), t.angles_at(t.tau[v])
         germs = [initial_image_edge(t, v, u) for u in nbrs]
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
@@ -238,14 +249,14 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
                 if germs[i] == germs[j]:
                     lhs = Fraction(0)
                 else:
-                    lhs = t.angle_between(tv, germs[i], germs[j])
-                rhs = (t.delta[v] * t.angle_between(v, nbrs[i], nbrs[j])) % 1
+                    lhs = at_image(germs[i], germs[j])
+                ang = at_v(nbrs[i], nbrs[j])
+                rhs = (t.delta[v] * ang) % 1
                 if lhs != rhs:
                     out.append(TreeViolation(
                         "degree-angle",
-                        f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend "
-                        f"{t.angle_between(v, nbrs[i], nbrs[j])}, images subtend "
-                        f"{lhs} != delta*angle = {rhs}"))
+                        f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend {ang}, "
+                        f"images subtend {lhs} != delta*angle = {rhs}"))
     return tuple(out)
 
 
@@ -327,9 +338,10 @@ def check_julia_normalization(t: AngledTree,
             continue
         nbrs = t.circular_order[v]
         m = len(nbrs)
+        at_v = t.angles_at(v)
         for i in range(m):
             for j in range(i + 1, m):
-                ang = t.angle_between(v, nbrs[i], nbrs[j])
+                ang = at_v(nbrs[i], nbrs[j])
                 if (ang * m).denominator != 1:
                     out.append(TreeViolation(
                         "julia-angle",

@@ -106,6 +106,16 @@ class TestEnumerate:
         assert main(["enumerate", "--degree", "10", "--max-period", "10"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_max_cardinality_with_portraits_is_a_usage_error(self, capsys):
+        # --max-cardinality bounds rotation sets only; with --portraits it
+        # would be ignored, so the combination is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--degree", "2", "--max-period", "3",
+                  "--portraits", "--max-cardinality", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "not allowed with" in err
+
     def test_portraits_reparse(self, capsys):
         assert main(["enumerate", "--degree", "2", "--max-period", "3",
                      "--portraits"]) == 0

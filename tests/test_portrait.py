@@ -6,8 +6,54 @@ import pytest
 from portraits import (InvalidPortraitError, Portrait, classified_sets,
                        enumerate_portraits, enumerate_rotation_sets,
                        separates, unlinked, validate_portrait)
+from portraits.angles import Angle, check_degree, fixed_angles
+from portraits.portrait import _set_partitions
+from portraits.rotation import RotationSet
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
+
+
+def fraction_backtracking(degree: int, max_period: int) -> list[Portrait]:
+    """Oracle: the per-node Fraction search enumerate_portraits replaced.
+
+    Every backtracking node re-tests unlinkedness and separation against
+    the cover and the chosen sets with ``unlinked`` and ``separates``.
+    """
+    d = check_degree(degree)
+    pool = enumerate_rotation_sets(d, (d - 1) * max_period, max_period)
+    rotating_pool = [rs for rs in pool if not rs.is_fixed]
+
+    covers: list[list[tuple[Angle, ...]]] = []
+    for partition in _set_partitions(list(fixed_angles(d))):
+        blocks = sorted(tuple(sorted(b)) for b in partition)
+        if all(unlinked(x, y) for x, y in combinations(blocks, 2)):
+            covers.append(blocks)
+    covers.sort()
+
+    portraits: list[Portrait] = []
+    for cover in covers:
+        chosen: list[RotationSet] = []
+
+        def extend(start: int) -> None:
+            portraits.append(Portrait.create(
+                d, list(cover) + [rs.angles for rs in chosen]))
+            for idx in range(start, len(rotating_pool)):
+                cand = rotating_pool[idx]
+                if not all(unlinked(cand.angles, b) for b in cover):
+                    continue
+                if not all(unlinked(cand.angles, c.angles) for c in chosen):
+                    continue
+                if not all(any(separates(b, cand.angles, c.angles) for b in cover)
+                           for c in chosen):
+                    continue
+                chosen.append(cand)
+                extend(idx + 1)
+                chosen.pop()
+
+        extend(0)
+
+    portraits.sort(key=lambda q: (q.k, q.sets))
+    return portraits
 
 
 class TestUnlinked:
@@ -118,6 +164,52 @@ class TestEnumeratePortraits:
                 sets = classified_sets(p)
                 total = sum(rs.cardinality for rs in sets if rs.is_fixed)
                 assert total == d - 1
+
+    @pytest.mark.parametrize("degree, max_period, pool_size",
+                             [(2, 4, 6), (3, 2, 8)])
+    def test_every_valid_subset_of_the_pool_is_emitted(self, degree,
+                                                       max_period, pool_size):
+        pool = [rs.angles for rs in enumerate_rotation_sets(
+            degree, (degree - 1) * max_period, max_period)]
+        assert len(pool) == pool_size
+        valid = set()
+        for size in range(1, len(pool) + 1):
+            for family in combinations(pool, size):
+                p = Portrait.create(degree, family)
+                if validate_portrait(p).ok:
+                    valid.add(p)
+        emitted = enumerate_portraits(degree, max_period)
+        assert len(emitted) == len(set(emitted))
+        assert set(emitted) == valid
+
+    @pytest.mark.parametrize("degree, max_period", [(3, 4), (4, 3)])
+    def test_separated_sets_are_unlinked(self, degree, max_period):
+        # why enumerate_portraits never tests two rotating sets against
+        # each other: sets in different gaps of a block are unlinked
+        pool = [rs.angles for rs in enumerate_rotation_sets(
+            degree, (degree - 1) * max_period, max_period) if not rs.is_fixed]
+        fixed = fixed_angles(degree)
+        separated = 0
+        for size in range(2, len(fixed) + 1):
+            for block in combinations(fixed, size):
+                inside = [s for s in pool if unlinked(block, s)]
+                for a, b in combinations(inside, 2):
+                    if separates(block, a, b):
+                        assert unlinked(a, b)
+                        separated += 1
+        assert separated
+
+    @pytest.mark.parametrize("degree, max_period",
+                             [(2, 6), (3, 4), (4, 2), (5, 2)])
+    def test_matches_fraction_backtracking(self, degree, max_period):
+        assert (enumerate_portraits(degree, max_period)
+                == fraction_backtracking(degree, max_period))
+
+    def test_degree6_period2_count(self):
+        ports = enumerate_portraits(6, 2)
+        assert len(ports) == 3544
+        assert validate_portrait(ports[0]).ok
+        assert validate_portrait(ports[-1]).ok
 
     def test_mutations_are_rejected(self):
         for p in enumerate_portraits(3, 2):

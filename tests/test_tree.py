@@ -14,6 +14,18 @@ def make_tree(vertices, edges, order, gaps, tau, delta):
                       dict(delta))
 
 
+def walked_angle(t, v, a, b):
+    """Oracle: sum the gaps at v one by one from the edge toward a to b."""
+    order = t.circular_order[v]
+    i, j = order.index(a), order.index(b)
+    total = F(0)
+    k = i
+    while k != j:
+        total += t.gap_angles[v][k]
+        k = (k + 1) % len(order)
+    return total % 1
+
+
 def two_vertex_tree(tau_collapses=False, critical=True):
     tau = {"a": "a", "b": "a"} if tau_collapses else {"a": "a", "b": "b"}
     delta = {"a": 2 if critical else 1, "b": 1}
@@ -89,6 +101,32 @@ class TestImagePaths:
                 assert len(edge_image_path(t, e)) >= 2
 
 
+class TestAngleBetween:
+    def test_prefix_sums_match_gap_walk_over_census(self):
+        pairs = 0
+        for d in (2, 3):
+            for p in enumerate_portraits(d, 3):
+                t = construct_tree(p).tree
+                for v in t.vertices:
+                    nbrs = t.circular_order[v]
+                    for a in nbrs:
+                        for b in nbrs:
+                            assert t.angle_between(v, a, b) == walked_angle(t, v, a, b)
+                            pairs += 1
+        assert pairs > 1000
+
+    def test_wrapping_walk_adds_the_whole_total(self):
+        # a non-integral total (an axiom violation) must still match the walk
+        t = make_tree(["c", "p", "q", "r"], [("c", "p"), ("c", "q"), ("c", "r")],
+                      {"c": ["p", "q", "r"], "p": ["c"], "q": ["c"], "r": ["c"]},
+                      {"c": [F(1, 5), F(1, 3), F(3, 4)], "p": [F(1)], "q": [F(1)],
+                       "r": [F(1)]},
+                      {v: v for v in "cpqr"}, {"c": 2, "p": 1, "q": 1, "r": 1})
+        for a in "pqr":
+            for b in "pqr":
+                assert t.angle_between("c", a, b) == walked_angle(t, "c", a, b)
+
+
 class TestDegreeAngle:
     def test_constructed_trees_pass(self):
         for d in (2, 3):
@@ -115,6 +153,9 @@ class TestDegreeAngle:
         assert check_tree_axioms(t) == ()
         violations = check_degree_angle(t)
         assert violations and all(v.code == "degree-angle" for v in violations)
+        assert [v.detail for v in violations] == [
+            "at c: edges to p,q subtend 1/4, images subtend 1/4 != delta*angle = 1/2",
+            "at c: edges to q,p subtend 3/4, images subtend 3/4 != delta*angle = 1/2"]
 
 
 class TestClassification:
@@ -179,6 +220,8 @@ class TestJuliaNormalization:
             {"j": 1, "a": 2, "b": 1})
         violations = check_julia_normalization(t)
         assert violations and violations[0].code == "julia-angle"
+        assert [v.detail for v in violations] == [
+            "angle 1/3 at j between edges to a and b is not a multiple of 1/2"]
 
     def test_single_edge_vacuous(self):
         t = two_vertex_tree()
