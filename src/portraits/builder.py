@@ -64,7 +64,9 @@ class ConstructedTree:
     ``arc_anchor[v]`` lists, for a set vertex v, the circle angle sitting in
     each of its edge sectors (sector i lies between circular edges i-1 and
     i, which is where the spoke to that angle leaves the barycenter).  The
-    marked sector is the one spanning circle point 0.
+    marked sector is the one spanning circle point 0.  ``regions`` are the
+    disk regions the tree was built from, indexed as in
+    ``fatou_vertex_of_region``.
     """
 
     tree: AngledTree
@@ -73,6 +75,7 @@ class ConstructedTree:
     arc_anchor: dict[str, tuple[Angle, ...]]
     marked_sector: tuple[str, int]
     degree: int
+    regions: tuple[Region, ...]
 
 
 def _arcs_of(sets: Sequence[RotationSet]) -> list[ElementaryArc]:
@@ -138,14 +141,13 @@ def elementary_arcs(p: Portrait) -> list[ElementaryArc]:
     return _arcs_of(classified_sets(p))
 
 
-def build_regions(p: Portrait) -> list[Region]:
-    """Regions of a valid portrait, ordered by least arc start.
+def _regions(p: Portrait, sets: Sequence[RotationSet]) -> tuple[Region, ...]:
+    """Partition the disk once and check the result.
 
     The region count is checked against both closed forms: l + d - k (l the
     total size of the rotating sets, k the number of sets) and
-    1 + sum(|T| - 1).
+    1 + sum(|T| - 1); the capacities must sum to d - 1.
     """
-    sets = classified_sets(p)
     regions = _partition(sets, _arcs_of(sets))
 
     d, k = p.degree, p.k
@@ -158,7 +160,29 @@ def build_regions(p: Portrait) -> list[Region]:
     if len(regions) != by_rotating:
         raise InternalContradictionError(
             f"found {len(regions)} regions where the count formula gives {by_rotating}")
-    return regions
+    critical_capacities(regions, d)
+    return tuple(regions)
+
+
+def _region_of_arc(regions: Sequence[Region]) -> tuple[dict[Angle, int], dict[Angle, int]]:
+    """Region index of the arc starting at each support angle, and of the
+    arc ending at it."""
+    after: dict[Angle, int] = {}
+    before: dict[Angle, int] = {}
+    for r in regions:
+        for arc in r.arcs:
+            after[arc.start] = r.index
+            before[arc.end] = r.index
+    return after, before
+
+
+def build_regions(p: Portrait) -> list[Region]:
+    """Regions of a valid portrait, ordered by least arc start.
+
+    The region count is checked against both closed forms, l + d - k and
+    1 + sum(|T| - 1), and the critical capacities against d - 1.
+    """
+    return list(_regions(p, classified_sets(p)))
 
 
 def critical_capacities(regions: Sequence[Region], degree: int) -> tuple[int, ...]:
@@ -181,17 +205,13 @@ def assemble_tree(p: Portrait) -> ConstructedTree:
     and 1 at set vertices, which makes the total degree come out at d.
     """
     sets = classified_sets(p)
-    arcs = _arcs_of(sets)
-    regions = _partition(sets, arcs)
-    critical_capacities(regions, p.degree)
+    regions = _regions(p, sets)
+    return _assemble(p, sets, regions, *_region_of_arc(regions))
 
-    arc_index_by_start = {arc.start: i for i, arc in enumerate(arcs)}
-    arc_index_by_end = {arc.end: i for i, arc in enumerate(arcs)}
-    region_of_arc: dict[int, int] = {}
-    for r in regions:
-        for arc in r.arcs:
-            region_of_arc[arc_index_by_start[arc.start]] = r.index
 
+def _assemble(p: Portrait, sets: Sequence[RotationSet],
+              regions: tuple[Region, ...], after: dict[Angle, int],
+              before: dict[Angle, int]) -> ConstructedTree:
     v_label = {j: f"v{j}" for j in range(1, len(sets) + 1)}
     w_label = {r.index: f"w{r.index}" for r in regions}
 
@@ -204,8 +224,8 @@ def assemble_tree(p: Portrait) -> ConstructedTree:
         gap_regions = []
         for i in range(n):
             theta, theta_next = rs.angles[i], rs.angles[(i + 1) % n]
-            r_after = region_of_arc[arc_index_by_start[theta]]
-            r_before = region_of_arc[arc_index_by_end[theta_next]]
+            r_after = after[theta]
+            r_before = before[theta_next]
             if r_after != r_before:
                 raise InternalContradictionError(
                     f"gap ({theta}, {theta_next}) of set {j} touches regions "
@@ -260,7 +280,7 @@ def assemble_tree(p: Portrait) -> ConstructedTree:
     marked_vertex = v_label[owner[zero]]
     marked_index = arc_anchor[marked_vertex].index(zero)
     return ConstructedTree(tree, dict(v_label), dict(w_label), arc_anchor,
-                           (marked_vertex, marked_index), p.degree)
+                           (marked_vertex, marked_index), p.degree, regions)
 
 
 def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
@@ -273,17 +293,11 @@ def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
     counterclockwise of d*theta and the one just clockwise of d*theta',
     which must be a single region.  Every other vertex stays put.
     """
-    sets = classified_sets(p)
-    arcs = _arcs_of(sets)
-    regions = _partition(sets, arcs)
+    return _dynamics(p, classified_sets(p), ct, *_region_of_arc(ct.regions))
 
-    arc_index_by_start = {arc.start: i for i, arc in enumerate(arcs)}
-    arc_index_by_end = {arc.end: i for i, arc in enumerate(arcs)}
-    region_of_arc: dict[int, int] = {}
-    for r in regions:
-        for arc in r.arcs:
-            region_of_arc[arc_index_by_start[arc.start]] = r.index
 
+def _dynamics(p: Portrait, sets: Sequence[RotationSet], ct: ConstructedTree,
+              after: dict[Angle, int], before: dict[Angle, int]) -> dict[str, str]:
     tau = {v: v for v in ct.tree.vertices}
     moving: dict[str, int] = {}
     for j, rs in enumerate(sets, start=1):
@@ -294,8 +308,8 @@ def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
         for i in range(n):
             theta, theta_next = rs.angles[i], rs.angles[(i + 1) % n]
             w = ct.tree.circular_order[v][i]   # region vertex across gap i
-            img_ccw = region_of_arc[arc_index_by_start[map_angle(theta, p.degree)]]
-            img_cw = region_of_arc[arc_index_by_end[map_angle(theta_next, p.degree)]]
+            img_ccw = after[map_angle(theta, p.degree)]
+            img_cw = before[map_angle(theta_next, p.degree)]
             if img_ccw != img_cw:
                 raise InvariantViolationError(
                     f"images of the flanks of gap ({theta}, {theta_next}) land "
@@ -317,6 +331,17 @@ def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
 
 def construct_tree(p: Portrait) -> ConstructedTree:
     """Assemble the tree of a valid portrait and install its dynamics."""
-    ct = assemble_tree(p)
-    tau = vertex_dynamics(p, ct)
+    return _construct(p, classified_sets(p))
+
+
+def _construct(p: Portrait, sets: Sequence[RotationSet]) -> ConstructedTree:
+    """``construct_tree`` for a caller that already holds the classified sets.
+
+    The disk is partitioned once; assembly and dynamics share the regions
+    and the arc-to-region maps.
+    """
+    regions = _regions(p, sets)
+    after, before = _region_of_arc(regions)
+    ct = _assemble(p, sets, regions, after, before)
+    tau = _dynamics(p, sets, ct, after, before)
     return replace(ct, tree=replace(ct.tree, tau=tau))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .angles import format_angle
 from .builder import construct_tree
-from .errors import PortraitParseError, PortraitsError
+from .errors import InvalidPortraitError, PortraitParseError, PortraitsError
 from .fileio import format_portrait, parse_portrait
 from .portrait import enumerate_portraits, validate_portrait
 from .recovery import recover_portrait
@@ -55,15 +55,18 @@ def _cmd_validate(args) -> int:
     return 1
 
 
+def _print_violations(exc: InvalidPortraitError) -> int:
+    for v in exc.violations:
+        print(f"{v.code}: {v.message}")
+    return 1
+
+
 def _cmd_build(args) -> int:
     p = _read_portrait(args.file)
-    result = validate_portrait(p)
-    if not result.ok:
-        for v in result.violations:
-            print(f"{v.code}: {v.message}")
-        return 1
     try:
         an = analyze(p)
+    except InvalidPortraitError as exc:
+        return _print_violations(exc)
     except PortraitsError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
@@ -82,13 +85,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     p = _read_portrait(args.file)
-    result = validate_portrait(p)
-    if not result.ok:
-        for v in result.violations:
-            print(f"{v.code}: {v.message}")
-        return 1
     try:
         recovered = recover_portrait(construct_tree(p))
+    except InvalidPortraitError as exc:
+        return _print_violations(exc)
     except PortraitsError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ of stopping at the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -69,8 +70,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """The validator's findings, plus the member sets it classified.
+
+    ``sets`` holds one ``RotationSet`` per member set, in the portrait's
+    order, and is None while P1 fails.
+    """
+
     violations: tuple[Violation, ...]
     notes: tuple[str, ...] = ()
+    sets: Optional[tuple[RotationSet, ...]] = None
 
     @property
     def ok(self) -> bool:
@@ -79,6 +87,14 @@ class ValidationResult:
     @property
     def codes(self) -> tuple[str, ...]:
         return tuple(v.code for v in self.violations)
+
+    def valid_sets(self) -> tuple[RotationSet, ...]:
+        """The classified sets; raises InvalidPortraitError unless ok."""
+        if not self.ok:
+            raise InvalidPortraitError(
+                "portrait fails validation: " + ", ".join(self.codes),
+                self.violations)
+        return self.sets
 
 
 def unlinked(first: Sequence[Angle], second: Sequence[Angle]) -> bool:
@@ -193,45 +209,45 @@ def validate_portrait(p: Portrait) -> ValidationResult:
                     f"rotating sets {i} and {j} are separated by no "
                     f"rotation-number-zero set"))
 
-    return ValidationResult(tuple(violations), tuple(notes))
+    return ValidationResult(tuple(violations), tuple(notes), tuple(classified))
 
 
 def classified_sets(p: Portrait) -> tuple[RotationSet, ...]:
     """The portrait's sets as RotationSet values; requires a valid portrait."""
-    result = validate_portrait(p)
-    if not result.ok:
-        raise InvalidPortraitError(
-            "portrait fails validation: " + ", ".join(result.codes),
-            result.violations)
-    out = []
-    for s in p.sets:
-        rs = RotationSet.from_angles(s, p.degree)
-        assert rs is not None
-        out.append(rs)
-    return tuple(out)
+    return validate_portrait(p).valid_sets()
 
 
-def _set_partitions(items: list) -> list[list[list]]:
-    """All partitions of ``items`` into non-empty blocks."""
-    if not items:
-        return [[]]
-    head, rest = items[0], items[1:]
-    out = []
-    for partial in _set_partitions(rest):
-        out.append([[head]] + [list(b) for b in partial])
-        for t in range(len(partial)):
-            grown = [list(b) for b in partial]
-            grown[t] = [head] + grown[t]
-            out.append(grown)
-    return out
+def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
+    """Partitions of increasing ``items`` into blocks that do not cross.
+
+    Read around the circle, these are the pairwise unlinked covers; there
+    are Catalan(len(items)) of them.  The block of the first item either
+    holds it alone, or continues at some items[j]: the items in between
+    then form a noncrossing partition of their own, and the first item
+    joins the block of items[j] in one of items[j:].  Blocks come out
+    increasing, the first item's block first.
+    """
+    @cache
+    def over(lo: int, hi: int) -> list[tuple[tuple, ...]]:
+        if lo == hi:
+            return [()]
+        head = (items[lo],)
+        out = [(head,) + rest for rest in over(lo + 1, hi)]
+        for j in range(lo + 1, hi):
+            for outer in over(j, hi):
+                joined = (head + outer[0],)
+                out.extend(joined + inner + outer[1:] for inner in over(lo + 1, j))
+        return out
+
+    return over(0, len(items))
 
 
 def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     """Every valid portrait whose sets have element period <= max_period.
 
     The family of fixed sets is an exact, pairwise-unlinked cover of the
-    fixed angles, i.e. an unlinked set partition of them.  Output is sorted
-    by (number of sets, sets).
+    fixed angles, i.e. a noncrossing set partition of them, and those are
+    generated directly.  Output is sorted by (number of sets, sets).
 
     Given a cover, P4 is a test of gap signatures.  A block separates two
     sets unlinked with it exactly when they lie in different gaps of it (a
@@ -255,10 +271,7 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     sets = [tuple(rank[a] for a in s) for s in pool]
 
     found: list[tuple[tuple[int, ...], ...]] = []
-    for partition in _set_partitions([rank[a] for a in fixed]):
-        cover = [tuple(sorted(b)) for b in partition]
-        if not all(_unlinked_sorted(x, y) for x, y in combinations(cover, 2)):
-            continue
+    for cover in _noncrossing_partitions([rank[a] for a in fixed]):
         # per signature: take none of its sets (None) or one of them
         by_signature: dict[tuple[int, ...], list] = {}
         for s in sets:
@@ -267,7 +280,7 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
                 by_signature.setdefault(sig, [None]).append(s)
         for choice in product(*by_signature.values()):
             found.append(tuple(sorted(
-                cover + [s for s in choice if s is not None])))
+                cover + tuple(s for s in choice if s is not None))))
 
     found.sort(key=lambda f: (len(f), f))
     # each family is already canonical, so Portrait.create would only

@@ -40,7 +40,6 @@ class BoundaryWalk:
     """Sectors visited by the counterclockwise traversal, marked sector first."""
 
     sectors: tuple[Sector, ...]
-    marked_index: int = 0
 
 
 def boundary_walk(ct: ConstructedTree) -> BoundaryWalk:

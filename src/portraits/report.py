@@ -3,7 +3,8 @@
 ``analyze`` runs the whole pipeline - validation, regions, tree assembly,
 dynamics, every tree check, and the recovery round trip - and keeps each
 result, so the report and the CLI's exit status are pure functions of the
-portrait.
+portrait.  It validates once and partitions the disk once; the reports read
+the classified sets and the regions from the ``Analysis``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .angles import format_angle
-from .builder import ConstructedTree, Region, build_regions, construct_tree
+from .builder import ConstructedTree, Region, _construct
 from .fileio import format_portrait
-from .portrait import Portrait, ValidationResult, classified_sets, validate_portrait
+from .portrait import Portrait, ValidationResult, validate_portrait
 from .recovery import recover_portrait
+from .rotation import RotationSet
 from .tree import (TreeViolation, VertexClass, check_degree_angle,
                    check_expanding, check_julia_normalization,
                    check_tree_axioms, classify_vertices, count_fixed_points)
@@ -25,7 +27,6 @@ from .tree import (TreeViolation, VertexClass, check_degree_angle,
 class Analysis:
     portrait: Portrait
     validation: ValidationResult
-    regions: tuple[Region, ...]
     ct: ConstructedTree
     classes: dict[str, VertexClass]
     axiom_violations: tuple[TreeViolation, ...]
@@ -38,6 +39,14 @@ class Analysis:
     round_trip_ok: bool
 
     @property
+    def sets(self) -> tuple[RotationSet, ...]:
+        return self.validation.sets
+
+    @property
+    def regions(self) -> tuple[Region, ...]:
+        return self.ct.regions
+
+    @property
     def all_ok(self) -> bool:
         return (self.validation.ok and not self.axiom_violations
                 and not self.degree_angle_violations
@@ -46,10 +55,13 @@ class Analysis:
 
 
 def analyze(p: Portrait) -> Analysis:
-    """Run construction, checks and recovery on a valid portrait."""
+    """Run construction, checks and recovery on a valid portrait.
+
+    Raises InvalidPortraitError, carrying the violations, when the portrait
+    fails validation.
+    """
     validation = validate_portrait(p)
-    regions = tuple(build_regions(p))
-    ct = construct_tree(p)
+    ct = _construct(p, validation.valid_sets())
     t = ct.tree
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)
@@ -57,7 +69,6 @@ def analyze(p: Portrait) -> Analysis:
     return Analysis(
         portrait=p,
         validation=validation,
-        regions=regions,
         ct=ct,
         classes=classes,
         axiom_violations=check_tree_axioms(t),
@@ -79,9 +90,8 @@ def render_report(an: Analysis) -> str:
     """Human-readable report; line-oriented with stable ordering."""
     p = an.portrait
     t = an.ct.tree
-    sets = classified_sets(p)
     lines = [f"degree: {p.degree}", f"sets: {p.k}"]
-    for j, rs in enumerate(sets, start=1):
+    for j, rs in enumerate(an.sets, start=1):
         angles = " ".join(format_angle(a) for a in rs.angles)
         lines.append(f"  T{j}: {angles} | rotation {rs.shift}/{rs.cardinality}")
     lines.append("validation: ok")
@@ -136,7 +146,6 @@ def report_data(an: Analysis) -> dict:
     """The same content as the text report, as JSON-ready data."""
     p = an.portrait
     t = an.ct.tree
-    sets = classified_sets(p)
     return {
         "degree": p.degree,
         "sets": [{
@@ -144,7 +153,7 @@ def report_data(an: Analysis) -> dict:
             "angles": [format_angle(a) for a in rs.angles],
             "shift": rs.shift,
             "cardinality": rs.cardinality,
-        } for j, rs in enumerate(sets, start=1)],
+        } for j, rs in enumerate(an.sets, start=1)],
         "validation": {"ok": an.validation.ok,
                        "codes": list(an.validation.codes)},
         "regions": [{

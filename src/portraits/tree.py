@@ -38,9 +38,6 @@ class AngledTree:
     def degree_of(self, v: str) -> int:
         return len(self.circular_order[v])
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return self.circular_order[v]
-
     def angle_between(self, v: str, a: str, b: str) -> Fraction:
         """Angle at v from the edge toward a to the edge toward b, mod 1."""
         return self.angles_at(v)(a, b)

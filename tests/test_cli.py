@@ -9,6 +9,8 @@ BAD_P4 = "degree 3\nset 0\nset 1/2\nset 1/8 3/8\nset 5/8 7/8\n"
 BAD_P3 = "degree 5\nset 1/8 5/8\n"
 BAD_P2 = "degree 5\nset 0 1/2\nset 1/4 3/4\n"
 BAD_P1 = "degree 5\nset 1/8 1/4\n"
+# the degree-5 example with one angle of its rotating pair moved
+P1_MUTATED = "degree 5\nset 0 3/4\nset 1/8 7/8\nset 1/4\nset 1/2\n"
 
 
 @pytest.fixture
@@ -81,6 +83,34 @@ class TestBuild:
         assert payload["fixed_points"] == 5
         assert payload["round_trip_ok"] is True
         assert payload["total_degree"] == 5
+
+
+class TestFailingInput:
+    """build and roundtrip print each violation as "{code}: {message}" on
+    stdout, nothing on stderr, write no files and exit 1."""
+
+    CASES = [
+        (P1_MUTATED,
+         "P1: set 2 {1/8 7/8} is not a degree-5 rotation set\n"
+         "P2-linked: sets 1 and 2 cross (neither lies in one gap of the other)\n"),
+        (BAD_P4,
+         "P4: rotating sets 2 and 4 are separated by no rotation-number-zero set\n"),
+    ]
+
+    @pytest.mark.parametrize("text, expected", CASES)
+    def test_build(self, tmp_path, capsys, text, expected):
+        outputs = [tmp_path / name for name in ("r.txt", "r.json", "t.svg")]
+        args = ["build", write(tmp_path, "bad.txt", text)]
+        for flag, path in zip(("--report", "--json", "--svg"), outputs):
+            args += [flag, str(path)]
+        assert main(args) == 1
+        assert capsys.readouterr() == (expected, "")
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("text, expected", CASES)
+    def test_roundtrip(self, tmp_path, capsys, text, expected):
+        assert main(["roundtrip", write(tmp_path, "bad.txt", text)]) == 1
+        assert capsys.readouterr() == (expected, "")
 
 
 class TestRoundtrip:

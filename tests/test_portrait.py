@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -7,10 +8,25 @@ from portraits import (InvalidPortraitError, Portrait, classified_sets,
                        enumerate_portraits, enumerate_rotation_sets,
                        separates, unlinked, validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
-from portraits.portrait import _set_partitions
+from portraits.portrait import _noncrossing_partitions, _unlinked_sorted
 from portraits.rotation import RotationSet
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
+
+
+def set_partitions(items: list) -> list[list[list]]:
+    """Oracle: all Bell(len(items)) partitions of ``items`` into blocks."""
+    if not items:
+        return [[]]
+    head, rest = items[0], items[1:]
+    out = []
+    for partial in set_partitions(rest):
+        out.append([[head]] + [list(b) for b in partial])
+        for t in range(len(partial)):
+            grown = [list(b) for b in partial]
+            grown[t] = [head] + grown[t]
+            out.append(grown)
+    return out
 
 
 def fraction_backtracking(degree: int, max_period: int) -> list[Portrait]:
@@ -24,7 +40,7 @@ def fraction_backtracking(degree: int, max_period: int) -> list[Portrait]:
     rotating_pool = [rs for rs in pool if not rs.is_fixed]
 
     covers: list[list[tuple[Angle, ...]]] = []
-    for partition in _set_partitions(list(fixed_angles(d))):
+    for partition in set_partitions(list(fixed_angles(d))):
         blocks = sorted(tuple(sorted(b)) for b in partition)
         if all(unlinked(x, y) for x, y in combinations(blocks, 2)):
             covers.append(blocks)
@@ -143,6 +159,26 @@ class TestPortraitType:
         p = Portrait.create(5, [[F(1, 8), F(5, 8)]])
         with pytest.raises(InvalidPortraitError):
             classified_sets(p)
+
+
+class TestNoncrossingPartitions:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_filtered_set_partitions(self, m):
+        # the unlinked covers, found by filtering every set partition
+        items = list(range(m))
+        expected = set()
+        for partition in set_partitions(items):
+            blocks = sorted(tuple(sorted(b)) for b in partition)
+            if all(_unlinked_sorted(x, y) for x, y in combinations(blocks, 2)):
+                expected.add(tuple(blocks))
+        found = [tuple(sorted(p)) for p in _noncrossing_partitions(items)]
+        assert len(found) == comb(2 * m, m) // (m + 1)   # Catalan(m)
+        assert set(found) == expected
+
+    def test_blocks_increasing_first_item_first(self):
+        for p in _noncrossing_partitions(list(range(6))):
+            assert p[0][0] == 0
+            assert all(list(b) == sorted(b) for b in p)
 
 
 class TestEnumeratePortraits:
