@@ -3,12 +3,21 @@
 An angle is a ``fractions.Fraction`` reduced into ``[0, 1)``.  All circle
 arithmetic is exact; Python integers never overflow, so denominators can
 grow as far as an enumeration needs them to.
+
+``Fraction`` is the public angle type, but the hot loops (rotation-set
+classification, the validator's P2 and P4, the region partition, the vertex
+dynamics and the tree checks) run on integers: ``_scaled`` writes a tuple of
+angles as numerators over their least common denominator q, on which order,
+sums and the covering map are plain integer operations (x/q < y/q iff
+x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Fractions are built again only
+where a value is reported.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DegenerateArcError, MalformedAngleError, MalformedSetError
@@ -46,6 +55,13 @@ def fixed_angles(degree: int) -> tuple[Angle, ...]:
     """
     d = check_degree(degree)
     return tuple(Fraction(i, d - 1) for i in range(d - 1))
+
+
+def _scaled(angles: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(q, numerators): the least common denominator of ``angles`` and each
+    angle as a numerator over it, in the given order."""
+    q = lcm(*(a.denominator for a in angles))
+    return q, [a.numerator * (q // a.denominator) for a in angles]
 
 
 def in_open_arc(theta: Angle, a: Angle, b: Angle) -> bool:

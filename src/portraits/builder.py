@@ -11,15 +11,22 @@ degrees, and vertex dynamics.
 
 Naming is deterministic: sets are numbered in the portrait's canonical
 order (v1, v2, ...), regions by their least arc start (w1, w2, ...).
+
+The input is validated, so every angle's denominator divides d**n - 1 for
+its set's size n, and the sets' common denominator q is bounded by the
+input.  The partition, the arc-to-region maps and the dynamics work on the
+angles' numerators over q (the covering map is x |-> d*x mod q); arcs and
+regions keep their ``Fraction`` endpoints for the reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
-from .angles import Angle, arc_start_gap, map_angle
+from .angles import Angle, _scaled, arc_start_gap
 from .errors import InternalContradictionError, InvariantViolationError
 from .portrait import Portrait, classified_sets
 from .rotation import RotationSet
@@ -78,51 +85,59 @@ class ConstructedTree:
     regions: tuple[Region, ...]
 
 
-def _arcs_of(sets: Sequence[RotationSet]) -> list[ElementaryArc]:
-    support = sorted(a for rs in sets for a in rs.angles)
-    if len(support) == 1:
-        return [ElementaryArc(support[0], support[0])]
-    return [ElementaryArc(s, support[(i + 1) % len(support)])
-            for i, s in enumerate(support)]
+def _scaled_sets(sets: Sequence[RotationSet]) -> tuple[int, list[tuple[int, ...]]]:
+    """The sets' common denominator q and each set's angles as numerators over q."""
+    q, xs = _scaled([a for rs in sets for a in rs.angles])
+    flat = iter(xs)
+    return q, [tuple(islice(flat, rs.cardinality)) for rs in sets]
 
 
-def _owner_map(sets: Sequence[RotationSet]) -> dict[Angle, int]:
-    owner: dict[Angle, int] = {}
-    for j, rs in enumerate(sets, start=1):
-        for a in rs.angles:
-            owner[a] = j
-    return owner
+def _support(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
+             ) -> list[tuple[int, int, Angle]]:
+    """Every angle of the sets in circle order, as (numerator, set index, angle)."""
+    return sorted((x, j, a) for j, (rs, xs) in enumerate(zip(sets, xsets), start=1)
+                  for x, a in zip(xs, rs.angles))
+
+
+def _arcs_of(support: Sequence[tuple[int, int, Angle]]) -> list[ElementaryArc]:
+    angles = [a for _, _, a in support]
+    if len(angles) == 1:
+        return [ElementaryArc(angles[0], angles[0])]
+    return [ElementaryArc(a, angles[(i + 1) % len(angles)])
+            for i, a in enumerate(angles)]
 
 
 def _partition(sets: Sequence[RotationSet],
-               arcs: Sequence[ElementaryArc]) -> list[Region]:
+               xsets: Sequence[tuple[int, ...]]) -> list[Region]:
     """Group arcs into regions and compute boundary data.
 
     Two arcs bound the same region iff they lie in the same gap of every
     set; singletons have a single gap and never split anything, so only
-    sets with at least two points contribute to the signature.
+    sets with at least two points contribute to the signature.  Arc k runs
+    from support point k to point k+1.
     """
-    splitters = [rs.angles for rs in sets if rs.cardinality >= 2]
-    owner = _owner_map(sets)
+    splitters = [xs for xs in xsets if len(xs) >= 2]
+    support = _support(sets, xsets)
+    arcs = _arcs_of(support)
+    owner = [j for _, j, _ in support]
 
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, arc in enumerate(arcs):
-        sig = tuple(arc_start_gap(s, arc.start) for s in splitters)
-        groups.setdefault(sig, []).append(i)
+    for k, (x, _, _) in enumerate(support):
+        sig = tuple(arc_start_gap(s, x) for s in splitters)
+        groups.setdefault(sig, []).append(k)
 
-    classes = sorted(groups.values(), key=lambda idxs: arcs[idxs[0]].start)
+    # groups open in circle order, so they are already sorted by least arc start
     regions: list[Region] = []
-    for pos, idxs in enumerate(classes, start=1):
-        cls = [arcs[i] for i in idxs]          # ascending by start already
+    for pos, idxs in enumerate(groups.values(), start=1):
         cycle = []
-        for i, arc in enumerate(cls):
-            nxt = cls[(i + 1) % len(cls)]
-            crossed = owner[arc.end]
-            if owner[nxt.start] != crossed:
+        for i, k in enumerate(idxs):
+            nxt = idxs[(i + 1) % len(idxs)]
+            crossed = owner[(k + 1) % len(owner)]
+            if owner[nxt] != crossed:
                 raise InternalContradictionError(
-                    f"region {pos}: arc ending at {arc.end} (set {crossed}) is "
-                    f"followed by an arc starting at {nxt.start} of set "
-                    f"{owner[nxt.start]}")
+                    f"region {pos}: arc ending at {arcs[k].end} (set {crossed}) is "
+                    f"followed by an arc starting at {arcs[nxt].start} of set "
+                    f"{owner[nxt]}")
             cycle.append(crossed)
         if len(set(cycle)) != len(cycle):
             raise InternalContradictionError(
@@ -132,23 +147,25 @@ def _partition(sets: Sequence[RotationSet],
             raise InvariantViolationError(
                 f"region {pos} has two rotating sets {rotating} on its boundary")
         cc = sum(1 for j in set(cycle) if sets[j - 1].is_fixed)
-        regions.append(Region(pos, tuple(cls), tuple(cycle), cc))
+        regions.append(Region(pos, tuple(arcs[k] for k in idxs), tuple(cycle), cc))
     return regions
 
 
 def elementary_arcs(p: Portrait) -> list[ElementaryArc]:
     """Sorted open arcs between consecutive support points of a valid portrait."""
-    return _arcs_of(classified_sets(p))
+    sets = classified_sets(p)
+    return _arcs_of(_support(sets, _scaled_sets(sets)[1]))
 
 
-def _regions(p: Portrait, sets: Sequence[RotationSet]) -> tuple[Region, ...]:
+def _regions(p: Portrait, sets: Sequence[RotationSet],
+             xsets: Sequence[tuple[int, ...]]) -> tuple[Region, ...]:
     """Partition the disk once and check the result.
 
     The region count is checked against both closed forms: l + d - k (l the
     total size of the rotating sets, k the number of sets) and
     1 + sum(|T| - 1); the capacities must sum to d - 1.
     """
-    regions = _partition(sets, _arcs_of(sets))
+    regions = _partition(sets, xsets)
 
     d, k = p.degree, p.k
     ell = sum(rs.cardinality for rs in sets if not rs.is_fixed)
@@ -164,15 +181,15 @@ def _regions(p: Portrait, sets: Sequence[RotationSet]) -> tuple[Region, ...]:
     return tuple(regions)
 
 
-def _region_of_arc(regions: Sequence[Region]) -> tuple[dict[Angle, int], dict[Angle, int]]:
+def _region_of_arc(regions: Sequence[Region], q: int) -> tuple[dict[int, int], dict[int, int]]:
     """Region index of the arc starting at each support angle, and of the
-    arc ending at it."""
-    after: dict[Angle, int] = {}
-    before: dict[Angle, int] = {}
+    arc ending at it, keyed by the angle's numerator over q."""
+    after: dict[int, int] = {}
+    before: dict[int, int] = {}
     for r in regions:
         for arc in r.arcs:
-            after[arc.start] = r.index
-            before[arc.end] = r.index
+            after[arc.start.numerator * q // arc.start.denominator] = r.index
+            before[arc.end.numerator * q // arc.end.denominator] = r.index
     return after, before
 
 
@@ -182,7 +199,8 @@ def build_regions(p: Portrait) -> list[Region]:
     The region count is checked against both closed forms, l + d - k and
     1 + sum(|T| - 1), and the critical capacities against d - 1.
     """
-    return list(_regions(p, classified_sets(p)))
+    sets = classified_sets(p)
+    return list(_regions(p, sets, _scaled_sets(sets)[1]))
 
 
 def critical_capacities(regions: Sequence[Region], degree: int) -> tuple[int, ...]:
@@ -205,13 +223,14 @@ def assemble_tree(p: Portrait) -> ConstructedTree:
     and 1 at set vertices, which makes the total degree come out at d.
     """
     sets = classified_sets(p)
-    regions = _regions(p, sets)
-    return _assemble(p, sets, regions, *_region_of_arc(regions))
+    q, xsets = _scaled_sets(sets)
+    regions = _regions(p, sets, xsets)
+    return _assemble(p, sets, xsets, regions, *_region_of_arc(regions, q))
 
 
 def _assemble(p: Portrait, sets: Sequence[RotationSet],
-              regions: tuple[Region, ...], after: dict[Angle, int],
-              before: dict[Angle, int]) -> ConstructedTree:
+              xsets: Sequence[tuple[int, ...]], regions: tuple[Region, ...],
+              after: dict[int, int], before: dict[int, int]) -> ConstructedTree:
     v_label = {j: f"v{j}" for j in range(1, len(sets) + 1)}
     w_label = {r.index: f"w{r.index}" for r in regions}
 
@@ -219,17 +238,16 @@ def _assemble(p: Portrait, sets: Sequence[RotationSet],
     # the region, and distinct gaps must see distinct regions
     order_at_v: dict[str, list[str]] = {}
     edges_from_gaps: set[tuple[str, str]] = set()
-    for j, rs in enumerate(sets, start=1):
+    for j, (rs, xs) in enumerate(zip(sets, xsets), start=1):
         n = rs.cardinality
         gap_regions = []
         for i in range(n):
-            theta, theta_next = rs.angles[i], rs.angles[(i + 1) % n]
-            r_after = after[theta]
-            r_before = before[theta_next]
+            r_after = after[xs[i]]
+            r_before = before[xs[(i + 1) % n]]
             if r_after != r_before:
                 raise InternalContradictionError(
-                    f"gap ({theta}, {theta_next}) of set {j} touches regions "
-                    f"{r_after} and {r_before}")
+                    f"gap ({rs.angles[i]}, {rs.angles[(i + 1) % n]}) of set {j} "
+                    f"touches regions {r_after} and {r_before}")
             gap_regions.append(r_after)
         if len(set(gap_regions)) != n:
             raise InternalContradictionError(
@@ -275,12 +293,10 @@ def _assemble(p: Portrait, sets: Sequence[RotationSet],
             f"total degree {tree.total_degree()} differs from portrait degree {p.degree}")
 
     arc_anchor = {v_label[j]: rs.angles for j, rs in enumerate(sets, start=1)}
-    zero = Fraction(0)
-    owner = _owner_map(sets)
-    marked_vertex = v_label[owner[zero]]
-    marked_index = arc_anchor[marked_vertex].index(zero)
+    # angle 0 is the least angle of the set holding it
+    marked = next(j for j, xs in enumerate(xsets, start=1) if xs[0] == 0)
     return ConstructedTree(tree, dict(v_label), dict(w_label), arc_anchor,
-                           (marked_vertex, marked_index), p.degree, regions)
+                           (v_label[marked], 0), p.degree, regions)
 
 
 def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
@@ -293,27 +309,30 @@ def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
     counterclockwise of d*theta and the one just clockwise of d*theta',
     which must be a single region.  Every other vertex stays put.
     """
-    return _dynamics(p, classified_sets(p), ct, *_region_of_arc(ct.regions))
+    sets = classified_sets(p)
+    q, xsets = _scaled_sets(sets)
+    return _dynamics(p, sets, q, xsets, ct, *_region_of_arc(ct.regions, q))
 
 
-def _dynamics(p: Portrait, sets: Sequence[RotationSet], ct: ConstructedTree,
-              after: dict[Angle, int], before: dict[Angle, int]) -> dict[str, str]:
+def _dynamics(p: Portrait, sets: Sequence[RotationSet], q: int,
+              xsets: Sequence[tuple[int, ...]], ct: ConstructedTree,
+              after: dict[int, int], before: dict[int, int]) -> dict[str, str]:
+    d = p.degree
     tau = {v: v for v in ct.tree.vertices}
     moving: dict[str, int] = {}
-    for j, rs in enumerate(sets, start=1):
+    for j, (rs, xs) in enumerate(zip(sets, xsets), start=1):
         if rs.is_fixed:
             continue
         v = ct.julia_vertex_of_set[j]
         n = rs.cardinality
         for i in range(n):
-            theta, theta_next = rs.angles[i], rs.angles[(i + 1) % n]
             w = ct.tree.circular_order[v][i]   # region vertex across gap i
-            img_ccw = after[map_angle(theta, p.degree)]
-            img_cw = before[map_angle(theta_next, p.degree)]
+            img_ccw = after[d * xs[i] % q]
+            img_cw = before[d * xs[(i + 1) % n] % q]
             if img_ccw != img_cw:
                 raise InvariantViolationError(
-                    f"images of the flanks of gap ({theta}, {theta_next}) land "
-                    f"in regions {img_ccw} and {img_cw}")
+                    f"images of the flanks of gap ({rs.angles[i]}, "
+                    f"{rs.angles[(i + 1) % n]}) land in regions {img_ccw} and {img_cw}")
             tau[w] = ct.fatou_vertex_of_region[img_ccw]
             moving[w] = rs.period
 
@@ -340,8 +359,9 @@ def _construct(p: Portrait, sets: Sequence[RotationSet]) -> ConstructedTree:
     The disk is partitioned once; assembly and dynamics share the regions
     and the arc-to-region maps.
     """
-    regions = _regions(p, sets)
-    after, before = _region_of_arc(regions)
-    ct = _assemble(p, sets, regions, after, before)
-    tau = _dynamics(p, sets, ct, after, before)
+    q, xsets = _scaled_sets(sets)
+    regions = _regions(p, sets, xsets)
+    after, before = _region_of_arc(regions, q)
+    ct = _assemble(p, sets, xsets, regions, after, before)
+    tau = _dynamics(p, sets, q, xsets, ct, after, before)
     return replace(ct, tree=replace(ct.tree, tau=tau))

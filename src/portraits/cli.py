@@ -105,7 +105,8 @@ def _cmd_enumerate(args) -> int:
             print(format_portrait(p))
         print(f"# total: {len(portraits)} portraits")
         return 0
-    max_card = args.max_cardinality or (degree - 1) * period
+    max_card = (args.max_cardinality if args.max_cardinality is not None
+                else (degree - 1) * period)
     sets = enumerate_rotation_sets(degree, max_card, period)
     for rs in sets:
         angles = " ".join(format_angle(a) for a in rs.angles)

@@ -16,6 +16,11 @@ from .angles import format_angle, parse_angle
 from .errors import MalformedAngleError, PortraitParseError
 from .portrait import Portrait
 
+# A valid degree-d portrait lists all d-1 fixed angles.  A file listing
+# fewer is refused outright once d-1 also exceeds this bound, before
+# validation would materialise d-1 fixed angles.
+_DEGREE_CEILING = 2 ** 16
+
 
 def parse_portrait(text: str) -> Portrait:
     """Parse portrait text; raises PortraitParseError with a line number."""
@@ -62,6 +67,11 @@ def parse_portrait(text: str) -> Portrait:
         raise PortraitParseError(1, "missing degree line")
     if not sets:
         raise PortraitParseError(1, "portrait has no set lines")
+    listed = sum(len(s) for s in sets)
+    if degree - 1 > max(listed, _DEGREE_CEILING):
+        raise PortraitParseError(
+            degree_line, f"degree {degree} has {degree - 1} fixed angles, more "
+            f"than the {listed} angles listed")
     return Portrait.create(degree, sets)
 
 

@@ -148,6 +148,12 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     Later conditions that cannot be evaluated after an earlier failure
     (rotation numbers while P1 fails, separation while P2 fails) are
     skipped and recorded in ``notes``.
+
+    The portrait's sets are canonical, so P2 and P4 run on the ranks of its
+    angles, as ``enumerate_portraits`` does.  Once P2 holds, a fixed set
+    separates two rotating sets exactly when they lie in different gaps of
+    it, so P4 compares each rotating set's gap signature (its gap in every
+    fixed set) instead of testing separation pair by pair.
     """
     d = p.degree
     violations: list[Violation] = []
@@ -162,13 +168,18 @@ def validate_portrait(p: Portrait) -> ValidationResult:
                 f"set {idx} {_angles_text(p.sets[idx - 1])} is not a "
                 f"degree-{d} rotation set"))
 
-    for (i, a), (j, b) in combinations(enumerate(p.sets, start=1), 2):
-        shared = sorted(set(a) & set(b))
+    values = sorted(set().union(*p.sets))
+    rank = {a: r for r, a in enumerate(values)}
+    ranked = [tuple(rank[a] for a in s) for s in p.sets]
+    for (i, a), (j, b) in combinations(enumerate(ranked, start=1), 2):
+        if _unlinked_sorted(a, b):
+            continue
+        shared = tuple(values[r] for r in sorted(set(a) & set(b)))
         if shared:
             violations.append(Violation(
-                "P2-not-disjoint", (i, j, tuple(shared)),
+                "P2-not-disjoint", (i, j, shared),
                 f"sets {i} and {j} share angles {_angles_text(shared)}"))
-        elif not unlinked(a, b):
+        else:
             violations.append(Violation(
                 "P2-linked", (i, j),
                 f"sets {i} and {j} cross (neither lies in one gap of the other)"))
@@ -199,11 +210,11 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     if any(v.code.startswith("P2") for v in violations):
         notes.append("P4 skipped: separation is ill-defined while P2 fails")
     else:
-        rotating = [(i, rs) for i, rs in enumerate(classified, start=1)
-                    if rs is not None and not rs.is_fixed]
-        for (i, ri), (j, rj) in combinations(rotating, 2):
-            if not any(separates(rl.angles, ri.angles, rj.angles)
-                       for _, rl in fixed_members):
+        blocks = [ranked[i - 1] for i, _ in fixed_members]
+        signature = {i: tuple(gap_index(b, ranked[i - 1][0]) for b in blocks)
+                     for i, rs in enumerate(classified, start=1) if not rs.is_fixed}
+        for i, j in combinations(signature, 2):
+            if signature[i] == signature[j]:
                 violations.append(Violation(
                     "P4", (i, j),
                     f"rotating sets {i} and {j} are separated by no "

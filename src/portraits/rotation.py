@@ -17,6 +17,12 @@ p = n / gcd(m, n); then
 Here k_i is the integer d*theta_i - theta_{(i+m) mod n}; it exceeds the
 block floor((d-1)*theta_i) by one exactly when the index wraps past n.
 Generation and enumeration both rest on this formula.
+
+Classification runs on integers.  The covering map's n-th iterate fixes
+every angle of an n-element rotation set, so every denominator divides
+d**n - 1; a set failing that is refused before anything is multiplied out.
+The angles are then numerators x over their common denominator q, and the
+image of x/q is (d*x mod q)/q.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from .angles import Angle, as_angle_tuple, check_degree, map_angle
+from .angles import Angle, _scaled, as_angle_tuple, check_degree
 from .errors import CapacityError
 
 # Most (cardinality, shift, deployment) candidates one enumeration may try;
@@ -38,7 +44,7 @@ _CANDIDATE_CEILING = 4_000_000
 class RotationSet:
     """A degree-d rotation set with its shift recorded.
 
-    ``angles`` is strictly increasing in [0, 1) and ``map_angle`` sends
+    ``angles`` is strictly increasing in [0, 1) and the covering map sends
     angles[i] to angles[(i + shift) % n] for every i.
     """
 
@@ -84,14 +90,17 @@ def classify_rotation_set(angles: Sequence[Angle], degree: int) -> Optional[tupl
     d = check_degree(degree)
     th = as_angle_tuple(angles)
     n = len(th)
-    index = {a: i for i, a in enumerate(th)}
-    first = index.get(map_angle(th[0], d))
-    if first is None:
+    # f**n fixes every angle of a rotation set, so each denominator divides
+    # d**n - 1; testing that first bounds the common denominator below
+    if any((pow(d, n, a.denominator) - 1) % a.denominator for a in th):
         return None
-    m = first
-    for i, a in enumerate(th):
-        j = index.get(map_angle(a, d))
-        if j is None or j != (i + m) % n:
+    q, xs = _scaled(th)
+    index = {x: i for i, x in enumerate(xs)}
+    m = index.get(d * xs[0] % q)
+    if m is None:
+        return None
+    for i, x in enumerate(xs):
+        if index.get(d * x % q) != (i + m) % n:
             return None
     return m, n
 

@@ -5,6 +5,12 @@ with the consecutive gap angles; the pairwise angle between two incident
 edges is the sum of the gaps walked counterclockwise from one to the other.
 Additivity then holds by construction, and skew-symmetry reduces to the gap
 total being a whole number of turns.
+
+The checks run on integers: a vertex's gaps are written as numerators over
+the least common denominator L of their denominators (``angles_at``), so
+angles are residues mod L, and angles over different denominators L and M
+are compared by cross-multiplying.  A ``Fraction`` is built only for the
+detail string of a violation.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
+from .angles import _scaled
 from .errors import InvariantViolationError
 
 
@@ -40,25 +48,28 @@ class AngledTree:
 
     def angle_between(self, v: str, a: str, b: str) -> Fraction:
         """Angle at v from the edge toward a to the edge toward b, mod 1."""
-        return self.angles_at(v)(a, b)
+        denominator, angle = self.angles_at(v)
+        return Fraction(angle(a, b), denominator)
 
-    def angles_at(self, v: str) -> Callable[[str, str], Fraction]:
+    def angles_at(self, v: str) -> tuple[int, Callable[[str, str], int]]:
         """``angle_between`` at v for every pair: O(degree) once, O(1) a pair.
 
-        The gaps walked counterclockwise from edge i to edge j sum to
-        prefix[j] - prefix[i], plus the gap total when the walk wraps.
+        Returns (L, angle): L is the least common denominator of v's gap
+        angles and angle(a, b) / L is ``angle_between(v, a, b)``, with
+        0 <= angle(a, b) < L.  The gaps walked counterclockwise from edge i
+        to edge j sum to prefix[j] - prefix[i], plus the gap total when the
+        walk wraps.
         """
         pos = {u: i for i, u in enumerate(self.circular_order[v])}
-        prefix = [Fraction(0)]
-        for g in self.gap_angles[v]:
-            prefix.append(prefix[-1] + g)
+        denominator, gaps = _scaled(self.gap_angles[v])
+        prefix = list(accumulate(gaps, initial=0))
         total = prefix[-1]
 
-        def angle(a: str, b: str) -> Fraction:
+        def angle(a: str, b: str) -> int:
             i, j = pos[a], pos[b]
-            return (prefix[j] - prefix[i] + (total if j < i else 0)) % 1
+            return (prefix[j] - prefix[i] + (total if j < i else 0)) % denominator
 
-        return angle
+        return denominator, angle
 
     def total_degree(self) -> int:
         """1 + sum of (delta(v) - 1) over all vertices."""
@@ -152,20 +163,22 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
 
     for v in t.vertices:
         gaps = t.gap_angles[v]
-        for i, g in enumerate(gaps):
-            if g <= 0:
+        L, nums = _scaled(gaps)
+        for i, (g, x) in enumerate(zip(gaps, nums)):
+            if x <= 0:
                 out.append(TreeViolation("angle-gap", f"gap {i} at {v} is {g} <= 0"))
-        total = sum(gaps)
-        if total.denominator != 1 or total < 1:
+        total = sum(nums)
+        if total % L or total < L:
             out.append(TreeViolation(
-                "angle-total", f"gaps at {v} sum to {total}, not a positive whole turn"))
+                "angle-total",
+                f"gaps at {v} sum to {Fraction(total, L)}, not a positive whole turn"))
             continue
         # the angle between edges i and j is (prefix[j] - prefix[i]) mod 1,
         # so it vanishes on a distinct pair iff two prefixes agree mod 1
-        prefix = Fraction(0)
+        prefix = 0
         residues = {prefix: 0}
-        for i, g in enumerate(gaps[:-1]):
-            prefix = (prefix + g) % 1
+        for i, x in enumerate(nums[:-1]):
+            prefix = (prefix + x) % L
             if prefix in residues:
                 out.append(TreeViolation(
                     "angle-zero",
@@ -230,30 +243,30 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
 
     The angle between two image edges is measured at tau(v) between the
     initial edges of the image paths; distinct edges may share their initial
-    image edge, in which case that angle is zero.
+    image edge, in which case that angle is zero.  With L and M the
+    denominators at v and at tau(v), the image angle lhs/M must equal
+    (delta * ang mod L)/L.
     """
     out: list[TreeViolation] = []
     for v in t.vertices:
         nbrs = t.circular_order[v]
         if len(nbrs) < 2:
             continue
-        at_v, at_image = t.angles_at(v), t.angles_at(t.tau[v])
+        (L, at_v), (M, at_image) = t.angles_at(v), t.angles_at(t.tau[v])
         germs = [initial_image_edge(t, v, u) for u in nbrs]
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
                 if i == j:
                     continue
-                if germs[i] == germs[j]:
-                    lhs = Fraction(0)
-                else:
-                    lhs = at_image(germs[i], germs[j])
+                lhs = 0 if germs[i] == germs[j] else at_image(germs[i], germs[j])
                 ang = at_v(nbrs[i], nbrs[j])
-                rhs = (t.delta[v] * ang) % 1
-                if lhs != rhs:
+                rhs = t.delta[v] * ang % L
+                if lhs * L != rhs * M:
                     out.append(TreeViolation(
                         "degree-angle",
-                        f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend {ang}, "
-                        f"images subtend {lhs} != delta*angle = {rhs}"))
+                        f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend "
+                        f"{Fraction(ang, L)}, images subtend {Fraction(lhs, M)} "
+                        f"!= delta*angle = {Fraction(rhs, L)}"))
     return tuple(out)
 
 
@@ -335,15 +348,15 @@ def check_julia_normalization(t: AngledTree,
             continue
         nbrs = t.circular_order[v]
         m = len(nbrs)
-        at_v = t.angles_at(v)
+        L, at_v = t.angles_at(v)
         for i in range(m):
             for j in range(i + 1, m):
                 ang = at_v(nbrs[i], nbrs[j])
-                if (ang * m).denominator != 1:
+                if ang * m % L:
                     out.append(TreeViolation(
                         "julia-angle",
-                        f"angle {ang} at {v} between edges to {nbrs[i]} and "
-                        f"{nbrs[j]} is not a multiple of 1/{m}"))
+                        f"angle {Fraction(ang, L)} at {v} between edges to "
+                        f"{nbrs[i]} and {nbrs[j]} is not a multiple of 1/{m}"))
     return tuple(out)
 
 

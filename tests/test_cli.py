@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,19 @@ class TestValidate:
             main(["validate", path])
         assert exc.value.code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_degree_beyond_the_listed_angles_exits_2(self, tmp_path, capsys):
+        # validation would materialise 10**11 - 1 fixed angles; the parser
+        # refuses a file that lists far fewer
+        path = write(tmp_path, "huge.txt", "degree 100000000000\nset 0\n")
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", path])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: degree 100000000000 has 99999999999 fixed "
+            f"angles, more than the 1 angles listed\n")
 
     def test_missing_file_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -145,6 +159,14 @@ class TestEnumerate:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "not allowed with" in err
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_nonpositive_max_cardinality_is_a_usage_error(self, capsys, bound):
+        assert main(["enumerate", "--degree", "2", "--max-period", "2",
+                     "--max-cardinality", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: max_cardinality must be >= 1, got {bound}\n"
 
     def test_portraits_reparse(self, capsys):
         assert main(["enumerate", "--degree", "2", "--max-period", "3",

@@ -63,6 +63,14 @@ class TestParse:
         with pytest.raises(PortraitParseError):
             parse_portrait("degree 2\n")
 
+    def test_degree_ceiling(self):
+        # refused only when d - 1 exceeds both the angles listed and 2**16
+        with pytest.raises(PortraitParseError) as exc:
+            parse_portrait("# huge\ndegree 65538\nset 0\n")
+        assert exc.value.line == 2 and "65537 fixed angles" in str(exc.value)
+        assert parse_portrait("degree 65537\nset 0\n").degree == 65537
+        assert parse_portrait("degree 5\nset 1/8 5/8\n").degree == 5
+
     def test_unknown_directive(self):
         with pytest.raises(PortraitParseError) as exc:
             parse_portrait("degree 2\nangles 0\n")

@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
-from portraits import (InvalidPortraitError, Portrait, classified_sets,
-                       enumerate_portraits, enumerate_rotation_sets,
-                       separates, unlinked, validate_portrait)
+from portraits import (InvalidPortraitError, Portrait, Violation,
+                       classified_sets, enumerate_portraits,
+                       enumerate_rotation_sets, format_angle, separates,
+                       unlinked, validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
 from portraits.portrait import _noncrossing_partitions, _unlinked_sorted
 from portraits.rotation import RotationSet
@@ -70,6 +71,66 @@ def fraction_backtracking(degree: int, max_period: int) -> list[Portrait]:
 
     portraits.sort(key=lambda q: (q.k, q.sets))
     return portraits
+
+
+def fraction_p2_p4(p: Portrait) -> list[Violation]:
+    """Oracle: P2 and P4 as ``validate_portrait`` tested them before it
+    ranked the angles, pair by pair with ``unlinked`` and ``separates``."""
+    out = []
+    for (i, a), (j, b) in combinations(enumerate(p.sets, start=1), 2):
+        shared = tuple(sorted(set(a) & set(b)))
+        if shared:
+            text = "{" + " ".join(format_angle(x) for x in shared) + "}"
+            out.append(Violation("P2-not-disjoint", (i, j, shared),
+                                 f"sets {i} and {j} share angles {text}"))
+        elif not unlinked(a, b):
+            out.append(Violation(
+                "P2-linked", (i, j),
+                f"sets {i} and {j} cross (neither lies in one gap of the other)"))
+    classified = [RotationSet.from_angles(s, p.degree) for s in p.sets]
+    if out or any(rs is None for rs in classified):
+        return out
+    fixed = [rs.angles for rs in classified if rs.is_fixed]
+    rotating = [(i, rs.angles) for i, rs in enumerate(classified, start=1)
+                if not rs.is_fixed]
+    for (i, ri), (j, rj) in combinations(rotating, 2):
+        if not any(separates(block, ri, rj) for block in fixed):
+            out.append(Violation(
+                "P4", (i, j),
+                f"rotating sets {i} and {j} are separated by no "
+                f"rotation-number-zero set"))
+    return out
+
+
+def p2_p4(p: Portrait) -> list[Violation]:
+    return [v for v in validate_portrait(p).violations if v.code[:2] in ("P2", "P4")]
+
+
+class TestP2P4Oracle:
+    def test_census(self):
+        for d in (2, 3, 4):
+            for p in enumerate_portraits(d, 3):
+                assert p2_p4(p) == fraction_p2_p4(p) == []
+
+    @pytest.mark.parametrize("degree,max_period,seen", [
+        (2, 3, {"P2-not-disjoint", "P2-linked"}),
+        (3, 3, {"P2-not-disjoint", "P2-linked", "P4"}),
+        (4, 2, {"P2-not-disjoint", "P2-linked", "P4"})])
+    def test_census_plus_one_pool_set(self, degree, max_period, seen):
+        # every valid portrait with each pool set added, and with its last
+        # set's first angle nudged off its orbit: disjointness, linking,
+        # separation and P1 failures in every combination
+        codes = set()
+        pool = enumerate_rotation_sets(degree, (degree - 1) * max_period, max_period)
+        for p in enumerate_portraits(degree, max_period):
+            nudged = ((p.sets[-1][0] + F(1, 97)) % 1,) + p.sets[-1][1:]
+            variants = [Portrait.create(degree, p.sets[:-1] + (sorted(nudged),))]
+            variants += [Portrait.create(degree, p.sets + (rs.angles,)) for rs in pool]
+            for q in variants:
+                expected = fraction_p2_p4(q)
+                assert p2_p4(q) == expected
+                codes.update(v.code for v in expected)
+        assert codes == seen
 
 
 class TestUnlinked:

@@ -1,12 +1,30 @@
+import math
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from portraits import (CapacityError, MalformedSetError, RotationSet,
-                       classify_rotation_set, deployment_vector,
-                       enumerate_rotation_sets, fixed_angles,
-                       generate_rotation_set, map_angle)
+from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
+                       as_angle_tuple, classify_rotation_set, deployment_vector,
+                       enumerate_portraits, enumerate_rotation_sets,
+                       fixed_angles, generate_rotation_set, map_angle,
+                       validate_portrait)
+
+
+def fraction_classify(angles, degree):
+    """Oracle: the shift search on Fractions, one ``map_angle`` per angle,
+    that ``classify_rotation_set`` ran before it moved to integers."""
+    th = as_angle_tuple(angles)
+    n = len(th)
+    index = {a: i for i, a in enumerate(th)}
+    m = index.get(map_angle(th[0], degree))
+    if m is None:
+        return None
+    for i, a in enumerate(th):
+        if index.get(map_angle(a, degree)) != (i + m) % n:
+            return None
+    return m, n
 
 
 def brute_force_rotation_sets(degree, period, max_size):
@@ -95,6 +113,54 @@ class TestClassify:
         for rs in enumerate_rotation_sets(3, 6, 3):
             q = rs.degree ** rs.period - 1
             assert all(q % a.denominator == 0 for a in rs.angles)
+
+
+class TestClassifyOracle:
+    def test_census_sets(self):
+        checked = 0
+        for d in (2, 3, 4):
+            sets = {s for p in enumerate_portraits(d, 3) for s in p.sets}
+            sets.update(rs.angles for rs in enumerate_rotation_sets(d, (d - 1) * 3, 3))
+            for s in sets:
+                assert classify_rotation_set(s, d) == fraction_classify(s, d) is not None
+                checked += 1
+        assert checked > 100
+
+    def test_mixed_denominators(self):
+        cases = [((F(1, 8), F(1, 4), F(3, 8), F(3, 4)), 3, (2, 4)),
+                 ((F(0), F(1, 4), F(1, 2), F(3, 4)), 5, (0, 4)),
+                 ((F(0), F(1, 2)), 3, (0, 2)),
+                 ((F(1, 8), F(1, 4), F(3, 8), F(3, 4)), 5, None),
+                 ((F(1, 7), F(1, 3), F(2, 3)), 2, None)]
+        for angles, d, expected in cases:
+            angles = tuple(sorted(angles))
+            assert classify_rotation_set(angles, d) == expected
+            assert fraction_classify(angles, d) == expected
+
+    def test_every_small_subset_of_a_farey_grid(self):
+        # rotation sets and non-rotation sets alike, denominators mixed
+        grid = sorted({F(k, q) for q in range(1, 10) for k in range(q)})
+        outcomes = set()
+        for size in (1, 2, 3):
+            for combo in combinations(grid, size):
+                for d in (2, 3, 4):
+                    result = classify_rotation_set(combo, d)
+                    assert result == fraction_classify(combo, d)
+                    outcomes.add(result is None)
+        assert outcomes == {True, False}
+
+    def test_hostile_denominators_fail_fast(self):
+        # about 2000 angles over powers of distinct primes with about 100
+        # digits each: pairwise coprime, so their common denominator would
+        # run to some 200000 digits
+        primes = [n for n in range(2, 17400)
+                  if all(n % k for k in range(2, math.isqrt(n) + 1))][:2000]
+        angles = sorted(F(1, p ** math.ceil(99 / math.log10(p))) for p in primes)
+        portrait = Portrait.create(2, [angles])
+        start = time.perf_counter()
+        assert classify_rotation_set(angles, 2) is None
+        assert validate_portrait(portrait).codes == ("P1",)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeployment:

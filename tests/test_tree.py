@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction as F
 
-from portraits import (AngledTree, Portrait,
+from portraits import (AngledTree, Portrait, TreeViolation,
                        check_degree_angle, check_expanding,
                        check_julia_normalization, check_tree_axioms,
                        classify_vertices, construct_tree, count_fixed_points,
                        edge_image_path, enumerate_portraits)
+from portraits.tree import initial_image_edge
 
 
 def make_tree(vertices, edges, order, gaps, tau, delta):
@@ -24,6 +26,117 @@ def walked_angle(t, v, a, b):
         total += t.gap_angles[v][k]
         k = (k + 1) % len(order)
     return total % 1
+
+
+def fraction_angle_axioms(t):
+    """Oracle: the angle-gap, angle-total and angle-zero checks of
+    ``check_tree_axioms`` on Fractions, as they ran before integer residues."""
+    out = []
+    for v in t.vertices:
+        gaps = t.gap_angles[v]
+        for i, g in enumerate(gaps):
+            if g <= 0:
+                out.append(TreeViolation("angle-gap", f"gap {i} at {v} is {g} <= 0"))
+        total = sum(gaps)
+        if total.denominator != 1 or total < 1:
+            out.append(TreeViolation(
+                "angle-total", f"gaps at {v} sum to {total}, not a positive whole turn"))
+            continue
+        prefix = F(0)
+        residues = {prefix: 0}
+        for i, g in enumerate(gaps[:-1]):
+            prefix = (prefix + g) % 1
+            if prefix in residues:
+                out.append(TreeViolation(
+                    "angle-zero",
+                    f"distinct edges {residues[prefix]} and {i + 1} at {v} "
+                    f"subtend angle 0"))
+            else:
+                residues[prefix] = i + 1
+    return tuple(out)
+
+
+def fraction_degree_angle(t):
+    """Oracle: ``check_degree_angle`` on Fractions, every angle walked gap by gap."""
+    out = []
+    for v in t.vertices:
+        nbrs = t.circular_order[v]
+        if len(nbrs) < 2:
+            continue
+        germs = [initial_image_edge(t, v, u) for u in nbrs]
+        for i in range(len(nbrs)):
+            for j in range(len(nbrs)):
+                if i == j:
+                    continue
+                lhs = (F(0) if germs[i] == germs[j]
+                       else walked_angle(t, t.tau[v], germs[i], germs[j]))
+                ang = walked_angle(t, v, nbrs[i], nbrs[j])
+                rhs = (t.delta[v] * ang) % 1
+                if lhs != rhs:
+                    out.append(TreeViolation(
+                        "degree-angle",
+                        f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend {ang}, "
+                        f"images subtend {lhs} != delta*angle = {rhs}"))
+    return tuple(out)
+
+
+def fraction_julia_normalization(t, classes):
+    """Oracle: ``check_julia_normalization`` on Fractions."""
+    out = []
+    for v in t.vertices:
+        if classes[v].kind != "julia" or not classes[v].is_periodic:
+            continue
+        nbrs = t.circular_order[v]
+        m = len(nbrs)
+        for i in range(m):
+            for j in range(i + 1, m):
+                ang = walked_angle(t, v, nbrs[i], nbrs[j])
+                if (ang * m).denominator != 1:
+                    out.append(TreeViolation(
+                        "julia-angle",
+                        f"angle {ang} at {v} between edges to {nbrs[i]} and "
+                        f"{nbrs[j]} is not a multiple of 1/{m}"))
+    return tuple(out)
+
+
+def random_tree(rng):
+    """A small tree with random circular orders, non-uniform gap angles
+    (summing to one turn, two turns, or a non-whole amount, some gaps zero),
+    random local degrees and a random tau that collapses no edge."""
+    n = rng.randint(2, 7)
+    vertices = [f"x{i}" for i in range(n)]
+    edges = [(vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)]
+    order = {v: [] for v in vertices}
+    for a, b in edges:
+        order[a].append(b)
+        order[b].append(a)
+    gaps = {}
+    for v in vertices:
+        rng.shuffle(order[v])
+        raw = [F(rng.randint(0, 6), rng.randint(1, 12)) for _ in order[v]]
+        if sum(raw) == 0:
+            raw[0] = F(1, 5)
+        target = rng.choice([F(1), F(1), F(2), sum(raw)])
+        gaps[v] = [g * target / sum(raw) for g in raw]
+    delta = {v: rng.choice([1, 1, 2, 3]) for v in vertices}
+    tau = {v: v for v in vertices}
+    for _ in range(50):
+        guess = {v: rng.choice(vertices) for v in vertices}
+        if all(guess[a] != guess[b] for a, b in edges):
+            tau = guess
+            break
+    return make_tree(vertices, [tuple(sorted(e)) for e in edges], order, gaps,
+                     tau, delta)
+
+
+def check_against_fraction_oracles(t):
+    """Every integer angle check equals its Fraction oracle, details included."""
+    classes = classify_vertices(t)
+    angle_axioms = tuple(v for v in check_tree_axioms(t) if v.code.startswith("angle-"))
+    assert angle_axioms == fraction_angle_axioms(t)
+    assert check_degree_angle(t) == fraction_degree_angle(t)
+    assert check_julia_normalization(t, classes) == fraction_julia_normalization(t, classes)
+    return angle_axioms + check_degree_angle(t) + check_julia_normalization(t, classes)
 
 
 def two_vertex_tree(tau_collapses=False, critical=True):
@@ -125,6 +238,36 @@ class TestAngleBetween:
         for a in "pqr":
             for b in "pqr":
                 assert t.angle_between("c", a, b) == walked_angle(t, "c", a, b)
+
+
+class TestFractionOracles:
+    def test_census_trees(self):
+        for d in (2, 3, 4):
+            for p in enumerate_portraits(d, 3):
+                assert check_against_fraction_oracles(construct_tree(p).tree) == ()
+
+    def test_random_trees(self):
+        rng = random.Random(20261018)
+        codes = set()
+        for _ in range(400):
+            codes.update(v.code for v in check_against_fraction_oracles(random_tree(rng)))
+        assert codes == {"angle-gap", "angle-total", "angle-zero", "degree-angle",
+                         "julia-angle"}
+
+    def test_mixed_denominators_at_one_vertex(self):
+        # gaps over 5, 3 and 15 at c: L = 15 at c, M = 1 at the leaves
+        t = make_tree(["c", "p", "q", "r"], [("c", "p"), ("c", "q"), ("c", "r")],
+                      {"c": ["p", "q", "r"], "p": ["c"], "q": ["c"], "r": ["c"]},
+                      {"c": [F(1, 5), F(1, 3), F(7, 15)], "p": [F(1)], "q": [F(1)],
+                       "r": [F(1)]},
+                      {"c": "c", "p": "q", "q": "r", "r": "p"},
+                      {"c": 1, "p": 1, "q": 1, "r": 2})
+        found = check_against_fraction_oracles(t)
+        assert [v.detail for v in found if v.code == "julia-angle"] == [
+            "angle 1/5 at c between edges to p and q is not a multiple of 1/3",
+            "angle 8/15 at c between edges to p and r is not a multiple of 1/3"]
+        assert found[1].detail == ("at c: edges to p,r subtend 8/15, images "
+                                   "subtend 4/5 != delta*angle = 8/15")
 
 
 class TestDegreeAngle:
