@@ -10,13 +10,13 @@ from fractions import Fraction as F
 
 from portraits import (classify_rotation_set, deployment_vector,
                        enumerate_rotation_sets, format_angle,
-                       generate_rotation_set, map_angle)
+                       generate_rotation_set)
 
 # --- classification ---------------------------------------------------------
 # {1/8, 5/8} under multiplication by 5: 1/8 -> 5/8 -> 25/8 = 1/8, so the two
 # angles trade places: shift 1 of 2, rotation number 1/2.
-print("f_5 on 1/8:", map_angle(F(1, 8), 5))
-print("f_5 on 5/8:", map_angle(F(5, 8), 5))
+print("f_5 on 1/8:", 5 * F(1, 8) % 1)
+print("f_5 on 5/8:", 5 * F(5, 8) % 1)
 print("classify {1/8, 5/8} at degree 5:",
       classify_rotation_set((F(1, 8), F(5, 8)), 5))
 

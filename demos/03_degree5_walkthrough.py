@@ -10,23 +10,26 @@ with the fixed angles, and rebuild each rotating set from its sector data.
 
 from fractions import Fraction as F
 
-from portraits import (Portrait, boundary_walk, build_regions,
-                       check_degree_angle, check_expanding, check_tree_axioms,
-                       classify_vertices, construct_tree, count_fixed_points,
-                       elementary_arcs, format_angle, recover_portrait)
+from portraits import (Portrait, boundary_walk, check_degree_angle,
+                       check_expanding, check_tree_axioms, classify_vertices,
+                       construct_tree, count_fixed_points, format_angle,
+                       recover_portrait)
 
 portrait = Portrait.create(5, [[F(0), F(3, 4)], [F(1, 8), F(5, 8)],
                                [F(1, 4)], [F(1, 2)]])
 print("portrait: degree 5 with sets", [
     "{" + " ".join(format_angle(a) for a in s) + "}" for s in portrait.sets])
 
+# one call validates the portrait and builds everything below
+ct = construct_tree(portrait)
+
 # step 1: the six support angles cut the circle into six arcs
-arcs = elementary_arcs(portrait)
+arcs = sorted((a for r in ct.regions for a in r.arcs), key=lambda a: a.start)
 print("\nelementary arcs:",
       [f"({format_angle(a.start)},{format_angle(a.end)})" for a in arcs])
 
 # step 2: arcs that no chord system separates merge into regions
-for r in build_regions(portrait):
+for r in ct.regions:
     pieces = " ".join(f"({format_angle(a.start)},{format_angle(a.end)})"
                       for a in r.arcs)
     print(f"region R{r.index}: arcs {pieces} | boundary sets "
@@ -34,7 +37,6 @@ for r in build_regions(portrait):
 
 # step 3: the tree; local degree at a region vertex is capacity + 1, which
 # makes the total degree come out at 5
-ct = construct_tree(portrait)
 t = ct.tree
 print("\nvertices:", t.vertices)
 print("edges:", t.edges)
@@ -54,7 +56,7 @@ print("expanding:", "ok" if check_expanding(t, classes)[0] else "FAIL")
 # step 5: the boundary walk visits all 12 sectors, the set-vertex sectors in
 # the circle order of their rays
 walk = boundary_walk(ct)
-print("\nwalk:", " -> ".join(f"{s.vertex}[{s.index}]" for s in walk.sectors))
+print("\nwalk:", " -> ".join(f"{s.vertex}[{s.index}]" for s in walk))
 
 # step 6: recovery uses only the tree and the marked sector
 recovered = recover_portrait(ct)

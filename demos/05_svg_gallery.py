@@ -8,7 +8,7 @@ vertices the dynamics moves.
 from fractions import Fraction as F
 from pathlib import Path
 
-from portraits import Portrait, build_regions, construct_tree, render_svg
+from portraits import Portrait, construct_tree, render_svg
 
 GALLERY = {
     "degree5_example": Portrait.create(
@@ -24,7 +24,8 @@ GALLERY = {
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 for name, portrait in GALLERY.items():
-    svg = render_svg(construct_tree(portrait), build_regions(portrait))
+    ct = construct_tree(portrait)
+    svg = render_svg(ct, ct.regions)
     path = out_dir / f"{name}.svg"
     path.write_text(svg, encoding="utf-8")
     print(f"wrote {path} ({len(svg)} bytes)")

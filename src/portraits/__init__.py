@@ -8,20 +8,18 @@ trip.  All circle arithmetic is exact rational arithmetic.
 """
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
-                     format_angle, in_open_arc, map_angle, normalize_angle,
-                     parse_angle)
-from .builder import (ConstructedTree, ElementaryArc, Region, assemble_tree,
-                      build_regions, construct_tree, critical_capacities,
-                      elementary_arcs, vertex_dynamics)
-from .errors import (CapacityError, DegenerateArcError,
-                     InternalContradictionError, InvalidPortraitError,
-                     InvariantViolationError, MalformedAngleError,
-                     MalformedSetError, PortraitParseError, PortraitsError)
+                     format_angle, normalize_angle, parse_angle)
+from .builder import (ConstructedTree, ElementaryArc, Region, construct_tree,
+                      critical_capacities)
+from .errors import (CapacityError, InternalContradictionError,
+                     InvalidPortraitError, InvariantViolationError,
+                     MalformedAngleError, MalformedSetError,
+                     PortraitParseError, PortraitsError)
 from .fileio import format_portrait, parse_portrait
-from .portrait import (Portrait, ValidationResult, Violation, classified_sets,
+from .portrait import (Portrait, ValidationResult, Violation,
                        enumerate_portraits, separates, unlinked,
                        validate_portrait)
-from .recovery import BoundaryWalk, Sector, boundary_walk, recover_portrait, sector_map
+from .recovery import Sector, boundary_walk, recover_portrait, sector_map
 from .render import render_svg
 from .report import Analysis, analyze, render_report, report_data
 from .rotation import (RotationSet, classify_rotation_set, deployment_vector,
@@ -34,22 +32,20 @@ from .tree import (AngledTree, TreeViolation, VertexClass, check_degree_angle,
 __version__ = "1.0.0"
 
 __all__ = [
-    "Angle", "AngledTree", "Analysis", "BoundaryWalk", "CapacityError",
-    "ConstructedTree", "DegenerateArcError", "ElementaryArc",
-    "InternalContradictionError", "InvalidPortraitError",
+    "Angle", "AngledTree", "Analysis", "CapacityError", "ConstructedTree",
+    "ElementaryArc", "InternalContradictionError", "InvalidPortraitError",
     "InvariantViolationError", "MalformedAngleError", "MalformedSetError",
     "Portrait", "PortraitParseError", "PortraitsError", "Region",
     "RotationSet", "Sector", "TreeViolation", "ValidationResult",
     "VertexClass", "Violation",
-    "analyze", "as_angle_tuple", "assemble_tree", "boundary_walk",
-    "build_regions", "check_degree", "check_degree_angle", "check_expanding",
-    "check_julia_normalization", "check_tree_axioms", "classified_sets",
-    "classify_rotation_set", "classify_vertices", "construct_tree",
-    "count_fixed_points", "critical_capacities", "deployment_vector",
-    "edge_image_path", "elementary_arcs", "enumerate_portraits",
+    "analyze", "as_angle_tuple", "boundary_walk", "check_degree",
+    "check_degree_angle", "check_expanding", "check_julia_normalization",
+    "check_tree_axioms", "classify_rotation_set", "classify_vertices",
+    "construct_tree", "count_fixed_points", "critical_capacities",
+    "deployment_vector", "edge_image_path", "enumerate_portraits",
     "enumerate_rotation_sets", "fixed_angles", "format_angle",
-    "format_portrait", "generate_rotation_set", "in_open_arc", "map_angle",
-    "normalize_angle", "parse_angle", "parse_portrait", "recover_portrait",
-    "render_report", "render_svg", "report_data", "sector_map", "separates",
-    "unlinked", "validate_portrait", "vertex_dynamics",
+    "format_portrait", "generate_rotation_set", "normalize_angle",
+    "parse_angle", "parse_portrait", "recover_portrait", "render_report",
+    "render_svg", "report_data", "sector_map", "separates", "unlinked",
+    "validate_portrait",
 ]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DegenerateArcError, MalformedAngleError, MalformedSetError
+from .errors import MalformedAngleError, MalformedSetError
 
 Angle = Fraction
 
@@ -41,12 +41,6 @@ def normalize_angle(p: int, q: int) -> Angle:
     return Fraction(p, q) % 1
 
 
-def map_angle(theta: Angle, degree: int) -> Angle:
-    """Apply the d-fold covering map: theta |-> d*theta (mod 1)."""
-    check_degree(degree)
-    return (theta * degree) % 1
-
-
 def fixed_angles(degree: int) -> tuple[Angle, ...]:
     """The d-1 angles fixed by the degree-d covering map, in increasing order.
 
@@ -62,15 +56,6 @@ def _scaled(angles: Sequence[Fraction]) -> tuple[int, list[int]]:
     angle as a numerator over it, in the given order."""
     q = lcm(*(a.denominator for a in angles))
     return q, [a.numerator * (q // a.denominator) for a in angles]
-
-
-def in_open_arc(theta: Angle, a: Angle, b: Angle) -> bool:
-    """True iff theta lies strictly inside the counterclockwise arc from a to b."""
-    if a == b:
-        raise DegenerateArcError(f"arc endpoints coincide at {a}")
-    if a < b:
-        return a < theta < b
-    return theta > a or theta < b
 
 
 def gap_index(points: Sequence[Angle], theta: Angle) -> int:

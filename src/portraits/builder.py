@@ -12,6 +12,12 @@ degrees, and vertex dynamics.
 Naming is deterministic: sets are numbered in the portrait's canonical
 order (v1, v2, ...), regions by their least arc start (w1, w2, ...).
 
+``construct_tree`` is the one public way in.  It validates once, partitions
+the disk once, and reads the tree and its dynamics off the regions in one
+pass over each set's gaps; ``report.analyze``, which already holds the
+validated sets, calls ``_construct`` directly.  The regions travel on in
+``ConstructedTree.regions``, and their arcs are the elementary arcs.
+
 The input is validated, so every angle's denominator divides d**n - 1 for
 its set's size n, and the sets' common denominator q is bounded by the
 input.  The partition, the arc-to-region maps and the dynamics work on the
@@ -21,16 +27,16 @@ regions keep their ``Fraction`` endpoints for the reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
 from .angles import Angle, _scaled, arc_start_gap
 from .errors import InternalContradictionError, InvariantViolationError
-from .portrait import Portrait, classified_sets
+from .portrait import Portrait, validate_portrait
 from .rotation import RotationSet
-from .tree import AngledTree, edge_key
+from .tree import AngledTree, _connected, edge_key
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,6 @@ class ConstructedTree:
     fatou_vertex_of_region: dict[int, str]
     arc_anchor: dict[str, tuple[Angle, ...]]
     marked_sector: tuple[str, int]
-    degree: int
     regions: tuple[Region, ...]
 
 
@@ -92,34 +97,27 @@ def _scaled_sets(sets: Sequence[RotationSet]) -> tuple[int, list[tuple[int, ...]
     return q, [tuple(islice(flat, rs.cardinality)) for rs in sets]
 
 
-def _support(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
-             ) -> list[tuple[int, int, Angle]]:
-    """Every angle of the sets in circle order, as (numerator, set index, angle)."""
-    return sorted((x, j, a) for j, (rs, xs) in enumerate(zip(sets, xsets), start=1)
-                  for x, a in zip(xs, rs.angles))
+def _partition(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
+               ) -> tuple[tuple[Region, ...], dict[int, int], dict[int, int]]:
+    """Partition the disk once and check the result.
 
+    Arc k runs from support point k to point k+1 in circle order.  Two arcs
+    bound the same region iff they lie in the same gap of every set;
+    singletons have a single gap and never split anything, so only sets
+    with at least two points contribute to the signature.  The region count
+    is checked against both closed forms, l + d - k (l the total size of
+    the rotating sets, k the number of sets) and 1 + sum(|T| - 1), and the
+    capacities must sum to d - 1.
 
-def _arcs_of(support: Sequence[tuple[int, int, Angle]]) -> list[ElementaryArc]:
-    angles = [a for _, _, a in support]
-    if len(angles) == 1:
-        return [ElementaryArc(angles[0], angles[0])]
-    return [ElementaryArc(a, angles[(i + 1) % len(angles)])
-            for i, a in enumerate(angles)]
-
-
-def _partition(sets: Sequence[RotationSet],
-               xsets: Sequence[tuple[int, ...]]) -> list[Region]:
-    """Group arcs into regions and compute boundary data.
-
-    Two arcs bound the same region iff they lie in the same gap of every
-    set; singletons have a single gap and never split anything, so only
-    sets with at least two points contribute to the signature.  Arc k runs
-    from support point k to point k+1.
+    Returns the regions and, keyed by numerator over q, the region of the
+    arc starting at each support angle and of the arc ending at it.
     """
-    splitters = [xs for xs in xsets if len(xs) >= 2]
-    support = _support(sets, xsets)
-    arcs = _arcs_of(support)
+    support = sorted((x, j, a) for j, (rs, xs) in enumerate(zip(sets, xsets), start=1)
+                     for x, a in zip(xs, rs.angles))
+    arcs = [ElementaryArc(a, support[(k + 1) % len(support)][2])
+            for k, (_, _, a) in enumerate(support)]
     owner = [j for _, j, _ in support]
+    splitters = [xs for xs in xsets if len(xs) >= 2]
 
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, (x, _, _) in enumerate(support):
@@ -128,6 +126,8 @@ def _partition(sets: Sequence[RotationSet],
 
     # groups open in circle order, so they are already sorted by least arc start
     regions: list[Region] = []
+    after: dict[int, int] = {}
+    before: dict[int, int] = {}
     for pos, idxs in enumerate(groups.values(), start=1):
         cycle = []
         for i, k in enumerate(idxs):
@@ -139,6 +139,8 @@ def _partition(sets: Sequence[RotationSet],
                     f"followed by an arc starting at {arcs[nxt].start} of set "
                     f"{owner[nxt]}")
             cycle.append(crossed)
+            after[support[k][0]] = pos
+            before[support[(k + 1) % len(support)][0]] = pos
         if len(set(cycle)) != len(cycle):
             raise InternalContradictionError(
                 f"region {pos} crosses a set twice: {cycle}")
@@ -148,28 +150,10 @@ def _partition(sets: Sequence[RotationSet],
                 f"region {pos} has two rotating sets {rotating} on its boundary")
         cc = sum(1 for j in set(cycle) if sets[j - 1].is_fixed)
         regions.append(Region(pos, tuple(arcs[k] for k in idxs), tuple(cycle), cc))
-    return regions
 
-
-def elementary_arcs(p: Portrait) -> list[ElementaryArc]:
-    """Sorted open arcs between consecutive support points of a valid portrait."""
-    sets = classified_sets(p)
-    return _arcs_of(_support(sets, _scaled_sets(sets)[1]))
-
-
-def _regions(p: Portrait, sets: Sequence[RotationSet],
-             xsets: Sequence[tuple[int, ...]]) -> tuple[Region, ...]:
-    """Partition the disk once and check the result.
-
-    The region count is checked against both closed forms: l + d - k (l the
-    total size of the rotating sets, k the number of sets) and
-    1 + sum(|T| - 1); the capacities must sum to d - 1.
-    """
-    regions = _partition(sets, xsets)
-
-    d, k = p.degree, p.k
+    d = sets[0].degree
     ell = sum(rs.cardinality for rs in sets if not rs.is_fixed)
-    by_rotating = ell + d - k
+    by_rotating = ell + d - len(sets)
     by_sizes = 1 + sum(rs.cardinality - 1 for rs in sets)
     if by_rotating != by_sizes:
         raise InternalContradictionError(
@@ -178,29 +162,7 @@ def _regions(p: Portrait, sets: Sequence[RotationSet],
         raise InternalContradictionError(
             f"found {len(regions)} regions where the count formula gives {by_rotating}")
     critical_capacities(regions, d)
-    return tuple(regions)
-
-
-def _region_of_arc(regions: Sequence[Region], q: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Region index of the arc starting at each support angle, and of the
-    arc ending at it, keyed by the angle's numerator over q."""
-    after: dict[int, int] = {}
-    before: dict[int, int] = {}
-    for r in regions:
-        for arc in r.arcs:
-            after[arc.start.numerator * q // arc.start.denominator] = r.index
-            before[arc.end.numerator * q // arc.end.denominator] = r.index
-    return after, before
-
-
-def build_regions(p: Portrait) -> list[Region]:
-    """Regions of a valid portrait, ordered by least arc start.
-
-    The region count is checked against both closed forms, l + d - k and
-    1 + sum(|T| - 1), and the critical capacities against d - 1.
-    """
-    sets = classified_sets(p)
-    return list(_regions(p, sets, _scaled_sets(sets)[1]))
+    return tuple(regions), after, before
 
 
 def critical_capacities(regions: Sequence[Region], degree: int) -> tuple[int, ...]:
@@ -212,8 +174,11 @@ def critical_capacities(regions: Sequence[Region], degree: int) -> tuple[int, ..
     return caps
 
 
-def assemble_tree(p: Portrait) -> ConstructedTree:
-    """Build the angled tree of a valid portrait (dynamics still identity).
+def construct_tree(p: Portrait) -> ConstructedTree:
+    """The angled tree of a portrait, with its dynamics.
+
+    Raises InvalidPortraitError, carrying the violations, when the portrait
+    fails validation.
 
     Vertices are one per set and one per region; a set vertex and a region
     vertex are joined when the set lies on the region's boundary.  The
@@ -221,16 +186,26 @@ def assemble_tree(p: Portrait) -> ConstructedTree:
     set vertex it follows the set's gaps.  Consecutive edges subtend 1/m at
     a vertex with m edges.  Local degree is capacity + 1 at region vertices
     and 1 at set vertices, which makes the total degree come out at d.
+
+    A region across gap (theta, theta') of the (unique) rotating set on its
+    boundary holds the arc just counterclockwise of theta and the arc just
+    clockwise of theta'.  tau sends it where those flanks go: to the region
+    holding the arc just counterclockwise of d*theta and the one just
+    clockwise of d*theta', which must be a single region.  Every other
+    vertex stays put.
     """
-    sets = classified_sets(p)
+    return _construct(p, validate_portrait(p).valid_sets())
+
+
+def _construct(p: Portrait, sets: Sequence[RotationSet]) -> ConstructedTree:
+    """``construct_tree`` for a caller that already holds the classified sets.
+
+    The disk is partitioned once, and one pass over each set's gaps yields
+    both its edges and, for a rotating set, the images of its regions.
+    """
+    d = p.degree
     q, xsets = _scaled_sets(sets)
-    regions = _regions(p, sets, xsets)
-    return _assemble(p, sets, xsets, regions, *_region_of_arc(regions, q))
-
-
-def _assemble(p: Portrait, sets: Sequence[RotationSet],
-              xsets: Sequence[tuple[int, ...]], regions: tuple[Region, ...],
-              after: dict[int, int], before: dict[int, int]) -> ConstructedTree:
+    regions, after, before = _partition(sets, xsets)
     v_label = {j: f"v{j}" for j in range(1, len(sets) + 1)}
     w_label = {r.index: f"w{r.index}" for r in regions}
 
@@ -238,6 +213,8 @@ def _assemble(p: Portrait, sets: Sequence[RotationSet],
     # the region, and distinct gaps must see distinct regions
     order_at_v: dict[str, list[str]] = {}
     edges_from_gaps: set[tuple[str, str]] = set()
+    moved: dict[str, str] = {}
+    period: dict[str, int] = {}
     for j, (rs, xs) in enumerate(zip(sets, xsets), start=1):
         n = rs.cardinality
         gap_regions = []
@@ -249,6 +226,16 @@ def _assemble(p: Portrait, sets: Sequence[RotationSet],
                     f"gap ({rs.angles[i]}, {rs.angles[(i + 1) % n]}) of set {j} "
                     f"touches regions {r_after} and {r_before}")
             gap_regions.append(r_after)
+            if rs.is_fixed:
+                continue
+            img_ccw = after[d * xs[i] % q]
+            img_cw = before[d * xs[(i + 1) % n] % q]
+            if img_ccw != img_cw:
+                raise InvariantViolationError(
+                    f"images of the flanks of gap ({rs.angles[i]}, "
+                    f"{rs.angles[(i + 1) % n]}) land in regions {img_ccw} and {img_cw}")
+            moved[w_label[r_after]] = w_label[img_ccw]
+            period[w_label[r_after]] = rs.period
         if len(set(gap_regions)) != n:
             raise InternalContradictionError(
                 f"set {j}: gaps map onto regions {gap_regions} with repeats")
@@ -272,71 +259,18 @@ def _assemble(p: Portrait, sets: Sequence[RotationSet],
                   for v, nbrs in circular_order.items()}
     delta = {v_label[j]: 1 for j in v_label}
     delta.update({w_label[r.index]: r.cc + 1 for r in regions})
-    tau = {v: v for v in vertices}
+    tau = {v: moved.get(v, v) for v in vertices}
 
     tree = AngledTree(vertices, edges, circular_order, gap_angles, tau, delta)
     if len(edges) != len(vertices) - 1:
         raise InvariantViolationError(
             f"{len(vertices)} vertices with {len(edges)} edges is not a tree")
-    reach = {vertices[0]}
-    frontier = [vertices[0]]
-    while frontier:
-        v = frontier.pop()
-        for u in circular_order[v]:
-            if u not in reach:
-                reach.add(u)
-                frontier.append(u)
-    if len(reach) != len(vertices):
+    if not _connected(tree):
         raise InvariantViolationError("constructed graph is disconnected")
     if tree.total_degree() != p.degree:
         raise InvariantViolationError(
             f"total degree {tree.total_degree()} differs from portrait degree {p.degree}")
-
-    arc_anchor = {v_label[j]: rs.angles for j, rs in enumerate(sets, start=1)}
-    # angle 0 is the least angle of the set holding it
-    marked = next(j for j, xs in enumerate(xsets, start=1) if xs[0] == 0)
-    return ConstructedTree(tree, dict(v_label), dict(w_label), arc_anchor,
-                           (v_label[marked], 0), p.degree, regions)
-
-
-def vertex_dynamics(p: Portrait, ct: ConstructedTree) -> dict[str, str]:
-    """Vertex dynamics for an assembled tree.
-
-    A region whose boundary holds the (unique) rotating set vertex spans one
-    gap (theta, theta') of that set: the arc just counterclockwise of theta
-    and the arc just clockwise of theta' are both on its boundary.  The
-    region is sent where those flanks go: to the region holding the arc just
-    counterclockwise of d*theta and the one just clockwise of d*theta',
-    which must be a single region.  Every other vertex stays put.
-    """
-    sets = classified_sets(p)
-    q, xsets = _scaled_sets(sets)
-    return _dynamics(p, sets, q, xsets, ct, *_region_of_arc(ct.regions, q))
-
-
-def _dynamics(p: Portrait, sets: Sequence[RotationSet], q: int,
-              xsets: Sequence[tuple[int, ...]], ct: ConstructedTree,
-              after: dict[int, int], before: dict[int, int]) -> dict[str, str]:
-    d = p.degree
-    tau = {v: v for v in ct.tree.vertices}
-    moving: dict[str, int] = {}
-    for j, (rs, xs) in enumerate(zip(sets, xsets), start=1):
-        if rs.is_fixed:
-            continue
-        v = ct.julia_vertex_of_set[j]
-        n = rs.cardinality
-        for i in range(n):
-            w = ct.tree.circular_order[v][i]   # region vertex across gap i
-            img_ccw = after[d * xs[i] % q]
-            img_cw = before[d * xs[(i + 1) % n] % q]
-            if img_ccw != img_cw:
-                raise InvariantViolationError(
-                    f"images of the flanks of gap ({rs.angles[i]}, "
-                    f"{rs.angles[(i + 1) % n]}) land in regions {img_ccw} and {img_cw}")
-            tau[w] = ct.fatou_vertex_of_region[img_ccw]
-            moving[w] = rs.period
-
-    for w, expected in moving.items():
+    for w, expected in period.items():
         steps, x = 1, tau[w]
         while x != w:
             x = tau[x]
@@ -345,23 +279,9 @@ def _dynamics(p: Portrait, sets: Sequence[RotationSet], q: int,
             raise InvariantViolationError(
                 f"{w} has period {steps} under tau but its driving angle has "
                 f"period {expected}")
-    return tau
 
-
-def construct_tree(p: Portrait) -> ConstructedTree:
-    """Assemble the tree of a valid portrait and install its dynamics."""
-    return _construct(p, classified_sets(p))
-
-
-def _construct(p: Portrait, sets: Sequence[RotationSet]) -> ConstructedTree:
-    """``construct_tree`` for a caller that already holds the classified sets.
-
-    The disk is partitioned once; assembly and dynamics share the regions
-    and the arc-to-region maps.
-    """
-    q, xsets = _scaled_sets(sets)
-    regions = _regions(p, sets, xsets)
-    after, before = _region_of_arc(regions, q)
-    ct = _assemble(p, sets, xsets, regions, after, before)
-    tau = _dynamics(p, sets, q, xsets, ct, after, before)
-    return replace(ct, tree=replace(ct.tree, tau=tau))
+    arc_anchor = {v_label[j]: rs.angles for j, rs in enumerate(sets, start=1)}
+    # angle 0 is the least angle of the set holding it
+    marked = next(j for j, xs in enumerate(xsets, start=1) if xs[0] == 0)
+    return ConstructedTree(tree, dict(v_label), dict(w_label), arc_anchor,
+                           (v_label[marked], 0), regions)

@@ -9,10 +9,6 @@ class MalformedAngleError(PortraitsError, ValueError):
     """An angle was built from a zero denominator or unparseable text."""
 
 
-class DegenerateArcError(PortraitsError, ValueError):
-    """An open-arc query was made with coincident endpoints."""
-
-
 class MalformedSetError(PortraitsError, ValueError):
     """An angle set was empty, out of range, or not strictly increasing."""
 

@@ -19,6 +19,7 @@ of stopping at the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
@@ -188,14 +189,15 @@ def validate_portrait(p: Portrait) -> ValidationResult:
         notes.append("P3 and P4 skipped: rotation numbers unavailable while P1 fails")
         return ValidationResult(tuple(violations), tuple(notes))
 
+    # the fixed angles are i/(d-1): a is one exactly when its denominator
+    # divides d-1, and then i = a*(d-1)
     fixed_members = [(i, rs) for i, rs in enumerate(classified, start=1)
-                     if rs is not None and rs.is_fixed]
-    union = set()
-    for _, rs in fixed_members:
-        union.update(rs.angles)
-    target = set(fixed_angles(d))
-    missing = tuple(sorted(target - union))
-    extra = tuple(sorted(union - target))
+                     if rs.is_fixed]
+    union = {a for _, rs in fixed_members for a in rs.angles}
+    covered = {a.numerator * ((d - 1) // a.denominator) for a in union
+               if (d - 1) % a.denominator == 0}
+    missing = tuple(Fraction(i, d - 1) for i in range(d - 1) if i not in covered)
+    extra = tuple(sorted(a for a in union if (d - 1) % a.denominator))
     if missing:
         violations.append(Violation(
             "P3-missing", missing,
@@ -221,11 +223,6 @@ def validate_portrait(p: Portrait) -> ValidationResult:
                     f"rotation-number-zero set"))
 
     return ValidationResult(tuple(violations), tuple(notes), tuple(classified))
-
-
-def classified_sets(p: Portrait) -> tuple[RotationSet, ...]:
-    """The portrait's sets as RotationSet values; requires a valid portrait."""
-    return validate_portrait(p).valid_sets()
 
 
 def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:

@@ -12,6 +12,11 @@ the fixed rays along the walk.  These are the set's cardinality, shift and
 deployment, which determine a rotation set, and Goldberg's closed form
 (*Fixed points of polynomial maps I*, 1992; see ``rotation``) writes its
 angles down directly.
+
+The input is the ``ConstructedTree`` of ``builder.construct_tree``.  Only
+its tree (with ``tau``) and its marked sector are read; the regions and arc
+anchors it also carries are for the reports and the SVG.  The boundary walk
+is a plain tuple of sectors, marked sector first.
 """
 
 from __future__ import annotations
@@ -35,15 +40,9 @@ class Sector:
     index: int
 
 
-@dataclass(frozen=True)
-class BoundaryWalk:
-    """Sectors visited by the counterclockwise traversal, marked sector first."""
-
-    sectors: tuple[Sector, ...]
-
-
-def boundary_walk(ct: ConstructedTree) -> BoundaryWalk:
-    """Trace the face of the embedded tree, one sector per step.
+def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
+    """Trace the face of the embedded tree, one sector per step, starting
+    at the marked sector.
 
     Arriving at a vertex along an edge, the walk sweeps the sector that
     follows that edge in the circular order and leaves along the sector's
@@ -67,7 +66,7 @@ def boundary_walk(ct: ConstructedTree) -> BoundaryWalk:
     if len(walk) != 2 * len(t.edges):
         raise InvariantViolationError(
             f"boundary walk has {len(walk)} steps, expected {2 * len(t.edges)}")
-    return BoundaryWalk(tuple(walk))
+    return tuple(walk)
 
 
 def sector_map(ct: ConstructedTree, s: Sector) -> Sector:
@@ -150,13 +149,13 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
             f"{fixed_sector_count} fixed sectors found, expected {d - 1}")
 
     walk = boundary_walk(ct)
-    if walk.sectors[0].vertex not in fixed_vertices:
+    if walk[0].vertex not in fixed_vertices:
         raise InvariantViolationError("the marked sector is not a fixed sector")
 
     assigned: dict[str, list[Fraction]] = {v: [] for v in fixed_vertices}
     buckets: dict[str, list[int]] = {v: [0] * (d - 1) for v in rotating}
     counter = 0
-    for s in walk.sectors:
+    for s in walk:
         if s.vertex in assigned:
             assigned[s.vertex].append(Fraction(counter, d - 1))
             counter += 1

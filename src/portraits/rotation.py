@@ -127,6 +127,32 @@ def _shapes(d: int, max_cardinality: int, max_period: int):
                     yield g * p, g * r
 
 
+def _totient(n: int) -> int:
+    """Euler's phi: how many r in range(n) have gcd(r, n) == 1."""
+    phi, rest, f = n, n, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            phi -= phi // f
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
+def _candidate_count(d: int, max_cardinality: int, max_period: int) -> int:
+    """How many (n, m, deployment) triples ``_shapes`` leads to, counted per
+    (period p, g) as phi(p) reduced shifts times C(gp+d-2, d-2) deployments.
+    Counting stops as soon as the total passes the ceiling."""
+    count = 0
+    for p in range(1, min(max_period, max_cardinality) + 1):
+        phi = _totient(p)
+        for g in range(1, min(d - 1, max_cardinality // p) + 1):
+            count += phi * comb(g * p + d - 2, d - 2)
+            if count > _CANDIDATE_CEILING:
+                return count
+    return count
+
+
 def _deployments(n: int, blocks: int):
     """Every blocks-tuple of non-negative integers summing to n, by an
     odometer rather than recursion, so a large degree cannot exhaust the stack."""
@@ -148,8 +174,9 @@ def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) 
     A rotation set of shift m and cardinality n is a union of g = gcd(m, n)
     orbits of exact period n/g, and g <= d-1 (Goldberg, Part I).  Every such
     (n, m) is tried with every deployment through Goldberg's closed form
-    (``generate_rotation_set``).  The candidate triples are counted first;
-    more than the ceiling raise CapacityError before any set is built.
+    (``generate_rotation_set``).  The candidate triples are counted first,
+    by Euler's phi rather than by walking the shifts; more than the ceiling
+    raise CapacityError before any set is built.
 
     The result is sorted lexicographically by angle tuple.
     """
@@ -159,13 +186,10 @@ def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) 
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
 
-    candidates = 0
-    for n, _ in _shapes(d, max_cardinality, max_period):
-        candidates += comb(n + d - 2, d - 2)
-        if candidates > _CANDIDATE_CEILING:
-            raise CapacityError(
-                f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
-                f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
+    if _candidate_count(d, max_cardinality, max_period) > _CANDIDATE_CEILING:
+        raise CapacityError(
+            f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
+            f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
     found = (generate_rotation_set(d, n, m, dep)
              for n, m in _shapes(d, max_cardinality, max_period)
              for dep in _deployments(n, d - 1))

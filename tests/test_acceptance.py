@@ -7,10 +7,9 @@ import time
 from fractions import Fraction as F
 
 import portraits
-from portraits import (Portrait, build_regions, check_degree_angle,
-                       check_expanding, check_julia_normalization,
-                       check_tree_axioms, classified_sets, classify_vertices,
-                       construct_tree, count_fixed_points, deployment_vector,
+from portraits import (Portrait, check_degree_angle, check_expanding,
+                       check_julia_normalization, check_tree_axioms,
+                       classify_vertices, construct_tree, count_fixed_points, deployment_vector,
                        enumerate_portraits, enumerate_rotation_sets,
                        recover_portrait, validate_portrait)
 
@@ -27,14 +26,14 @@ def test_c1_degree5_golden_fixture():
     started = time.monotonic()
     p = Portrait.create(5, DEGREE5_SETS)
     assert validate_portrait(p).ok
-    sets = classified_sets(p)
+    sets = validate_portrait(p).valid_sets()
     assert [rs.rotation_number for rs in sets] == [F(0), F(1, 2), F(0), F(0)]
 
-    regions = build_regions(p)
+    ct = construct_tree(p)
+    regions = ct.regions
     assert len(regions) == 3
     assert sum(r.cc for r in regions) == 4 == p.degree - 1
 
-    ct = construct_tree(p)
     t = ct.tree
     classes = classify_vertices(t)
     julia = [v for v in t.vertices if classes[v].kind == "julia"]
@@ -63,15 +62,15 @@ def test_c2_exhaustive_small_scale_suite():
     for d in (2, 3):
         for p in enumerate_portraits(d, 3):
             total += 1
-            sets = classified_sets(p)
+            sets = validate_portrait(p).valid_sets()
             k = p.k
             ell = sum(rs.cardinality for rs in sets if not rs.is_fixed)
-            regions = build_regions(p)
+            ct = construct_tree(p)
+            regions = ct.regions
             assert len(regions) == ell + d - k, p
             assert len(regions) == 1 + sum(rs.cardinality - 1 for rs in sets), p
             assert sum(r.cc for r in regions) == d - 1, p
 
-            ct = construct_tree(p)
             t = ct.tree
             classes = classify_vertices(t)
             assert count_fixed_points(t) == d, p
@@ -131,11 +130,11 @@ def test_c4_negative_validator_suite():
 
 def test_c5_basilica_fixture():
     p = Portrait.create(2, BASILICA_SETS)
-    regions = build_regions(p)
+    ct = construct_tree(p)
+    regions = ct.regions
     assert len(regions) == 2
     assert tuple(r.cc for r in regions) == (1, 0)
 
-    ct = construct_tree(p)
     t = ct.tree
     assert len(t.vertices) == 4 and len(t.edges) == 3
     classes = classify_vertices(t)

@@ -1,13 +1,13 @@
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from portraits import (DegenerateArcError, MalformedAngleError, fixed_angles,
-                       format_angle, in_open_arc, map_angle, normalize_angle,
-                       parse_angle)
+from portraits import (MalformedAngleError, fixed_angles, format_angle,
+                       normalize_angle, parse_angle)
+
+from test_rotation import map_angle
 
 
 def small_angles(max_den=12):
@@ -46,14 +46,12 @@ class TestNormalize:
 
 
 class TestMapAngle:
+    """The Fraction covering map that the test oracles use."""
+
     def test_examples(self):
         assert map_angle(F(1, 8), 5) == F(5, 8)
         assert map_angle(F(5, 8), 5) == F(1, 8)
         assert map_angle(F(1, 3), 2) == F(2, 3)
-
-    def test_rejects_degree_below_two(self):
-        with pytest.raises(ValueError):
-            map_angle(F(1, 3), 1)
 
     @given(angles_strategy, st.integers(2, 6))
     def test_preimages(self, theta, d):
@@ -76,29 +74,6 @@ class TestFixedAngles:
             fixed = set(fixed_angles(d))
             for theta in grid:
                 assert (theta in fixed) == (map_angle(theta, d) == theta)
-
-
-class TestInOpenArc:
-    def test_examples(self):
-        assert in_open_arc(F(1, 8), F(0), F(1, 4))
-        assert in_open_arc(F(3, 4), F(1, 2), F(1, 4))  # wrapping arc
-        assert not in_open_arc(F(0), F(0), F(1, 2))    # endpoints excluded
-
-    def test_degenerate_arc_rejected(self):
-        with pytest.raises(DegenerateArcError):
-            in_open_arc(F(1, 8), F(1, 4), F(1, 4))
-
-    def test_circular_order_total_exhaustive(self):
-        # for distinct a, b, c exactly one of c in (a,b), c in (b,a) holds
-        for a, b, c in combinations(small_angles(9), 3):
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                assert in_open_arc(z, x, y) != in_open_arc(z, y, x)
-
-    @given(angles_strategy, angles_strategy, angles_strategy)
-    def test_circular_order_total(self, a, b, c):
-        if len({a, b, c}) != 3:
-            return
-        assert in_open_arc(c, a, b) != in_open_arc(c, b, a)
 
 
 class TestText:

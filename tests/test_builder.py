@@ -2,11 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from portraits import (InvalidPortraitError, Portrait, assemble_tree,
-                       build_regions, classified_sets, construct_tree,
-                       critical_capacities, elementary_arcs,
-                       enumerate_portraits, vertex_dynamics)
+from portraits import (ElementaryArc, InvalidPortraitError, Portrait,
+                       construct_tree, critical_capacities,
+                       enumerate_portraits, validate_portrait)
 from portraits.angles import arc_start_gap
+
+
+def elementary_arcs(p):
+    """The arcs of the constructed regions, in circle order."""
+    return sorted((a for r in construct_tree(p).regions for a in r.arcs),
+                  key=lambda a: a.start)
 
 
 def union_find_regions(p):
@@ -15,8 +20,9 @@ def union_find_regions(p):
     Pairwise union-find over elementary arcs with the literal predicate
     "same gap of every member set", no signature trick.
     """
-    sets = classified_sets(p)
-    arcs = elementary_arcs(p)
+    angles = sorted(a for s in p.sets for a in s)
+    arcs = [ElementaryArc(a, angles[(i + 1) % len(angles)])
+            for i, a in enumerate(angles)]
     parent = list(range(len(arcs)))
 
     def find(x):
@@ -30,7 +36,7 @@ def union_find_regions(p):
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    splitters = [rs.angles for rs in sets if rs.cardinality >= 2]
+    splitters = [s for s in p.sets if len(s) >= 2]
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
             if all(arc_start_gap(s, arcs[i].start) == arc_start_gap(s, arcs[j].start)
@@ -60,12 +66,12 @@ class TestElementaryArcs:
 
     def test_requires_valid_portrait(self):
         with pytest.raises(InvalidPortraitError):
-            elementary_arcs(Portrait.create(5, [[F(1, 8), F(5, 8)]]))
+            construct_tree(Portrait.create(5, [[F(1, 8), F(5, 8)]]))
 
 
 class TestRegions:
     def test_degree5_partition(self, degree5_portrait):
-        regions = build_regions(degree5_portrait)
+        regions = construct_tree(degree5_portrait).regions
         partition = sorted(frozenset((a.start, a.end) for a in r.arcs)
                            for r in regions)
         assert partition == [
@@ -76,13 +82,13 @@ class TestRegions:
         assert partition == union_find_regions(degree5_portrait)
 
     def test_degree5_counts(self, degree5_portrait):
-        regions = build_regions(degree5_portrait)
+        regions = construct_tree(degree5_portrait).regions
         assert len(regions) == 3          # l + d - k = 2 + 5 - 4
         assert sorted(r.cc for r in regions) == [1, 1, 2]
         assert critical_capacities(regions, 5) == (1, 2, 1)
 
     def test_basilica(self, basilica):
-        regions = build_regions(basilica)
+        regions = construct_tree(basilica).regions
         partition = sorted(frozenset((a.start, a.end) for a in r.arcs)
                            for r in regions)
         assert partition == [
@@ -93,47 +99,47 @@ class TestRegions:
         assert [r.cc for r in regions] == [1, 0]
 
     def test_single_angle(self):
-        regions = build_regions(Portrait.create(2, [[F(0)]]))
+        regions = construct_tree(Portrait.create(2, [[F(0)]])).regions
         assert len(regions) == 1
         assert critical_capacities(regions, 2) == (1,)
 
     def test_oracle_agreement_over_census(self):
         for d in (2, 3):
             for p in enumerate_portraits(d, 3):
-                regions = build_regions(p)
+                regions = construct_tree(p).regions
                 assert union_find_regions(p) == sorted(
                     frozenset((a.start, a.end) for a in r.arcs) for r in regions)
 
     def test_count_formulas_over_census(self):
         for d in (2, 3):
             for p in enumerate_portraits(d, 3):
-                sets = classified_sets(p)
+                sets = validate_portrait(p).valid_sets()
                 ell = sum(rs.cardinality for rs in sets if not rs.is_fixed)
-                regions = build_regions(p)
+                regions = construct_tree(p).regions
                 assert len(regions) == ell + d - p.k
                 assert len(regions) == 1 + sum(rs.cardinality - 1 for rs in sets)
                 assert sum(r.cc for r in regions) == d - 1
 
     def test_boundary_transitions_share_a_set(self):
         for p in enumerate_portraits(3, 3):
-            sets = classified_sets(p)
+            sets = validate_portrait(p).valid_sets()
             owner = {a: j for j, rs in enumerate(sets, 1) for a in rs.angles}
-            for r in build_regions(p):
+            for r in construct_tree(p).regions:
                 for i, arc in enumerate(r.arcs):
                     nxt = r.arcs[(i + 1) % len(r.arcs)]
                     assert owner[arc.end] == owner[nxt.start] == r.boundary_cycle[i]
 
     def test_at_most_one_rotating_boundary_set(self):
         for p in enumerate_portraits(3, 3):
-            sets = classified_sets(p)
-            for r in build_regions(p):
+            sets = validate_portrait(p).valid_sets()
+            for r in construct_tree(p).regions:
                 rotating = [j for j in r.boundary_sets if not sets[j - 1].is_fixed]
                 assert len(rotating) <= 1
 
 
 class TestAssembly:
     def test_degree5_shape(self, degree5_portrait):
-        ct = assemble_tree(degree5_portrait)
+        ct = construct_tree(degree5_portrait)
         t = ct.tree
         assert len(t.vertices) == 7
         assert len(t.edges) == 6
@@ -144,26 +150,25 @@ class TestAssembly:
     def test_edge_count_matches_set_size(self):
         for d in (2, 3):
             for p in enumerate_portraits(d, 3):
-                ct = assemble_tree(p)
-                for j, s in enumerate(classified_sets(p), 1):
+                ct = construct_tree(p)
+                for j, s in enumerate(validate_portrait(p).valid_sets(), 1):
                     v = ct.julia_vertex_of_set[j]
                     assert ct.tree.degree_of(v) == s.cardinality
 
     def test_edges_at_region_vertices(self, degree5_portrait):
-        ct = assemble_tree(degree5_portrait)
-        regions = build_regions(degree5_portrait)
-        for r in regions:
+        ct = construct_tree(degree5_portrait)
+        for r in ct.regions:
             w = ct.fatou_vertex_of_region[r.index]
             assert ct.tree.degree_of(w) == len(r.boundary_sets)
 
     def test_uniform_gap_angles(self, degree5_portrait):
-        t = assemble_tree(degree5_portrait).tree
+        t = construct_tree(degree5_portrait).tree
         for v in t.vertices:
             m = t.degree_of(v)
             assert t.gap_angles[v] == tuple([F(1, m)] * m)
 
     def test_marked_sector(self, degree5_portrait):
-        ct = assemble_tree(degree5_portrait)
+        ct = construct_tree(degree5_portrait)
         v, k = ct.marked_sector
         assert ct.arc_anchor[v][k] == F(0)
 
@@ -190,7 +195,7 @@ class TestDynamics:
         for p in enumerate_portraits(3, 3):
             ct = construct_tree(p)
             tau = ct.tree.tau
-            sets = classified_sets(p)
+            sets = validate_portrait(p).valid_sets()
             for j, rs in enumerate(sets, 1):
                 if rs.is_fixed:
                     continue
@@ -207,8 +212,3 @@ class TestDynamics:
             ct = construct_tree(p)
             for a, b in ct.tree.edges:
                 assert ct.tree.tau[a] != ct.tree.tau[b]
-
-    def test_dynamics_via_explicit_call(self, degree5_portrait):
-        ct = assemble_tree(degree5_portrait)
-        tau = vertex_dynamics(degree5_portrait, ct)
-        assert tau["w1"] == "w2" and tau["w2"] == "w1" and tau["w3"] == "w3"

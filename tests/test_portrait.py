@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -5,7 +6,7 @@ from math import comb
 import pytest
 
 from portraits import (InvalidPortraitError, Portrait, Violation,
-                       classified_sets, enumerate_portraits,
+                       enumerate_portraits,
                        enumerate_rotation_sets, format_angle, separates,
                        unlinked, validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
@@ -104,6 +105,83 @@ def fraction_p2_p4(p: Portrait) -> list[Violation]:
 
 def p2_p4(p: Portrait) -> list[Violation]:
     return [v for v in validate_portrait(p).violations if v.code[:2] in ("P2", "P4")]
+
+
+def fraction_p3(p: Portrait) -> list[Violation]:
+    """Oracle: P3 as ``validate_portrait`` checked it before it ran on
+    integers, as set differences with ``fixed_angles`` sorted as Fractions."""
+    union = set()
+    for s in p.sets:
+        rs = RotationSet.from_angles(s, p.degree)
+        if rs is None:
+            return []
+        if rs.is_fixed:
+            union.update(rs.angles)
+    target = set(fixed_angles(p.degree))
+    missing = tuple(sorted(target - union))
+    extra = tuple(sorted(union - target))
+    out = []
+    if missing:
+        text = "{" + " ".join(format_angle(x) for x in missing) + "}"
+        out.append(Violation("P3-missing", missing,
+                             f"fixed angles {text} belong to no "
+                             f"rotation-number-zero set"))
+    if extra:
+        text = "{" + " ".join(format_angle(x) for x in extra) + "}"
+        out.append(Violation("P3-extra", extra,
+                             f"rotation-number-zero sets contain non-fixed "
+                             f"angles {text}"))
+    return out
+
+
+def p3(p: Portrait) -> list[Violation]:
+    return [v for v in validate_portrait(p).violations if v.code.startswith("P3")]
+
+
+class TestP3Oracle:
+    @pytest.mark.parametrize("degree,max_period", [(2, 3), (3, 3), (4, 3), (5, 2)])
+    def test_census_and_mutations(self, degree, max_period):
+        # every valid portrait, then with each fixed set dropped, and with
+        # one angle dropped from each fixed set that has several
+        mutated = 0
+        for p in enumerate_portraits(degree, max_period):
+            assert p3(p) == fraction_p3(p) == []
+            for i, s in enumerate(p.sets):
+                if RotationSet.from_angles(s, degree).shift:
+                    continue
+                rest = p.sets[:i] + p.sets[i + 1:]
+                variants = [rest] if rest else []
+                variants += [rest + (s[:j] + s[j + 1:],) for j in range(len(s))
+                             if len(s) > 1]
+                for sets in variants:
+                    q = Portrait.create(degree, sets)
+                    expected = fraction_p3(q)
+                    assert expected and p3(q) == expected
+                    mutated += 1
+        assert mutated
+
+    @pytest.mark.parametrize("degree", [7, 13, 31])
+    def test_subsets_of_the_fixed_angles(self, degree):
+        # fixed angles i/(d-1) reduce to many denominators; the witness
+        # lists the uncovered ones in circle order
+        fixed = fixed_angles(degree)
+        for step in (2, 3, 5):
+            p = Portrait.create(degree, [[a] for a in fixed[::step]])
+            expected = fraction_p3(p)
+            assert expected and p3(p) == expected
+
+    def test_large_degree(self):
+        d = 10**4
+        p = Portrait.create(d, [[F(0)], [F(1, 2)]])
+        assert p3(p) == fraction_p3(p)
+
+    def test_huge_degree_is_fast(self):
+        start = time.perf_counter()
+        (v,) = validate_portrait(Portrait.create(10**5, [[F(0)]])).violations
+        assert time.perf_counter() - start < 1
+        assert v.code == "P3-missing"
+        assert len(v.witness) == 10**5 - 2
+        assert v.witness[:2] == (F(1, 10**5 - 1), F(2, 10**5 - 1))
 
 
 class TestP2P4Oracle:
@@ -216,10 +294,10 @@ class TestPortraitType:
         assert a == b
         assert a.sets[0] == (F(0), F(3, 4))
 
-    def test_classified_sets_requires_valid(self):
+    def test_valid_sets_requires_valid(self):
         p = Portrait.create(5, [[F(1, 8), F(5, 8)]])
         with pytest.raises(InvalidPortraitError):
-            classified_sets(p)
+            validate_portrait(p).valid_sets()
 
 
 class TestNoncrossingPartitions:
@@ -258,7 +336,7 @@ class TestEnumeratePortraits:
         # for every valid portrait the fixed sets' sizes sum to d - 1
         for d in (2, 3):
             for p in enumerate_portraits(d, 2):
-                sets = classified_sets(p)
+                sets = validate_portrait(p).valid_sets()
                 total = sum(rs.cardinality for rs in sets if rs.is_fixed)
                 assert total == d - 1
 

@@ -20,19 +20,19 @@ class TestBoundaryWalk:
     def test_length_degree5(self, degree5_portrait):
         ct = construct_tree(degree5_portrait)
         walk = boundary_walk(ct)
-        assert len(walk.sectors) == 12 == 2 * len(ct.tree.edges)
+        assert len(walk) == 12 == 2 * len(ct.tree.edges)
 
     def test_length_basilica(self, basilica):
         ct = construct_tree(basilica)
-        assert len(boundary_walk(ct).sectors) == 6
+        assert len(boundary_walk(ct)) == 6
 
     def test_length_single_edge(self):
         ct = construct_tree(Portrait.create(2, [[F(0)]]))
-        assert len(boundary_walk(ct).sectors) == 2
+        assert len(boundary_walk(ct)) == 2
 
     def test_starts_at_marked_sector(self, degree5_portrait):
         ct = construct_tree(degree5_portrait)
-        first = boundary_walk(ct).sectors[0]
+        first = boundary_walk(ct)[0]
         assert (first.vertex, first.index) == ct.marked_sector
 
     def test_each_sector_once(self):
@@ -40,8 +40,8 @@ class TestBoundaryWalk:
             for p in enumerate_portraits(d, 3):
                 ct = construct_tree(p)
                 walk = boundary_walk(ct)
-                assert len(set(walk.sectors)) == len(walk.sectors)
-                assert len(walk.sectors) == sum(
+                assert len(set(walk)) == len(walk)
+                assert len(walk) == sum(
                     ct.tree.degree_of(v) for v in ct.tree.vertices)
 
     def test_julia_sectors_follow_circle_order(self):
@@ -51,7 +51,7 @@ class TestBoundaryWalk:
             for p in enumerate_portraits(d, 3):
                 ct = construct_tree(p)
                 seen = [ct.arc_anchor[s.vertex][s.index]
-                        for s in boundary_walk(ct).sectors
+                        for s in boundary_walk(ct)
                         if s.vertex in ct.arc_anchor]
                 assert seen == sorted(seen)
                 assert set(seen) == {a for s in p.sets for a in s}

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
-from portraits import Portrait, build_regions, construct_tree, render_svg
+from portraits import Portrait, construct_tree, render_svg
 
 
 def render(p):
-    return render_svg(construct_tree(p), build_regions(p))
+    ct = construct_tree(p)
+    return render_svg(ct, ct.regions)
 
 
 class TestSvg:

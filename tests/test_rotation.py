@@ -8,8 +8,25 @@ import pytest
 from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        as_angle_tuple, classify_rotation_set, deployment_vector,
                        enumerate_portraits, enumerate_rotation_sets,
-                       fixed_angles, generate_rotation_set, map_angle,
-                       validate_portrait)
+                       fixed_angles, generate_rotation_set, validate_portrait)
+from portraits.rotation import _CANDIDATE_CEILING, _candidate_count, _shapes
+
+
+def map_angle(theta, degree):
+    """The d-fold covering map on Fractions, theta |-> d*theta (mod 1)."""
+    return theta * degree % 1
+
+
+def shape_walk_count(degree, max_cardinality, max_period):
+    """Oracle: the candidate count taken shift by shift over ``_shapes``,
+    as ``enumerate_rotation_sets`` counted before it used Euler's phi.
+    Stops once past the ceiling, as the enumeration's refusal does."""
+    count = 0
+    for n, _ in _shapes(degree, max_cardinality, max_period):
+        count += math.comb(n + degree - 2, degree - 2)
+        if count > _CANDIDATE_CEILING:
+            break
+    return count
 
 
 def fraction_classify(angles, degree):
@@ -242,6 +259,26 @@ class TestEnumerate:
         # about 2e11 candidate triples: refused before any set is built
         with pytest.raises(CapacityError):
             enumerate_rotation_sets(10, 90, 10)
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_candidate_count_matches_shape_walk(self, degree):
+        # 64 (max_cardinality, max_period) pairs per degree, on both sides
+        # of the ceiling
+        for max_cardinality in (1, 2, 3, 5, 8, 20, 60, 400):
+            for max_period in (1, 2, 3, 4, 7, 12, 50, 10**4):
+                expected = shape_walk_count(degree, max_cardinality, max_period)
+                count = _candidate_count(degree, max_cardinality, max_period)
+                if expected > _CANDIDATE_CEILING:
+                    assert count > _CANDIDATE_CEILING
+                else:
+                    assert count == expected
+
+    def test_huge_degree2_bounds_refused_fast(self):
+        # about 3600 periods pass before the count clears the ceiling
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            enumerate_rotation_sets(2, 10**9, 10**9)
+        assert time.perf_counter() - start < 0.5
 
     def test_large_cardinality_bound_stays_cheap(self):
         # degree 2 has one set per (period, shift), however large the bound
