@@ -5,11 +5,11 @@ arithmetic is exact; Python integers never overflow, so denominators can
 grow as far as an enumeration needs them to.
 
 ``Fraction`` is the public angle type, but the hot loops (rotation-set
-classification, the validator's P2 and P4, the region partition, the vertex
-dynamics and the tree checks) run on integers: ``_scaled`` writes a tuple of
-angles as numerators over their least common denominator q, on which order,
-sums and the covering map are plain integer operations (x/q < y/q iff
-x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Fractions are built again only
+classification, the validator's P2 and P4, the region partition and the
+tree checks) run on integers: ``_scaled`` writes a tuple of angles as
+numerators over their least common denominator q, on which order, sums and
+the covering map are plain integer operations (x/q < y/q iff x < y, and
+d*(x/q) mod 1 is (d*x mod q)/q).  Fractions are built again only
 where a value is reported.
 """
 
@@ -68,18 +68,6 @@ def gap_index(points: Sequence[Angle], theta: Angle) -> int:
     i = bisect_right(points, theta) - 1
     if i >= 0 and points[i] == theta:
         raise ValueError(f"{theta} is an endpoint, not interior to any gap")
-    return i if i >= 0 else len(points) - 1
-
-
-def arc_start_gap(points: Sequence[Angle], start: Angle) -> int:
-    """Gap of ``points`` containing the arc that begins at ``start``.
-
-    Unlike :func:`gap_index` the arc's start is allowed to be one of the
-    points, in which case the arc lies in the gap that opens there.
-    """
-    i = bisect_right(points, start) - 1
-    if i >= 0 and points[i] == start:
-        return i
     return i if i >= 0 else len(points) - 1
 
 

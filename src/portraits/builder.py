@@ -1,12 +1,14 @@
 """From a valid portrait to its invariant planar tree.
 
 The circle points of all member sets cut the circle into elementary arcs.
-Joining each set's points to their barycenter cuts the disk into regions;
-combinatorially a region is a class of elementary arcs lying in the same
-gap of every member set, and that equivalence is all this module uses (the
-barycenter picture only returns in the SVG renderer).  Each region receives
-an interior vertex, joined to the boundary-set vertices, and the result is
-a tree carrying circular edge orders, uniform consecutive angles, local
+Joining each set's points to their barycenter cuts the disk into regions,
+and a region is traced as a face: walking its boundary counterclockwise,
+the arc that ends at a point x of set T continues, across T's chord, with
+the arc that starts at the point of T before x (a singleton continues with
+itself).  That successor map is all this module uses of the picture (the
+barycenters only return in the SVG renderer).  Each region receives an
+interior vertex, joined to the boundary-set vertices, and the result is a
+tree carrying circular edge orders, uniform consecutive angles, local
 degrees, and vertex dynamics.
 
 Naming is deterministic: sets are numbered in the portrait's canonical
@@ -18,11 +20,10 @@ pass over each set's gaps; ``report.analyze``, which already holds the
 validated sets, calls ``_construct`` directly.  The regions travel on in
 ``ConstructedTree.regions``, and their arcs are the elementary arcs.
 
-The input is validated, so every angle's denominator divides d**n - 1 for
-its set's size n, and the sets' common denominator q is bounded by the
-input.  The partition, the arc-to-region maps and the dynamics work on the
-angles' numerators over q (the covering map is x |-> d*x mod q); arcs and
-regions keep their ``Fraction`` endpoints for the reports.
+The partition orders the support points by their numerators over the sets'
+common denominator; arcs and regions keep their ``Fraction`` endpoints for
+the reports.  The dynamics need no arithmetic at all: classification has
+already shown that d*theta_i = theta_(i+m) on a set of shift m.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .angles import Angle, _scaled, arc_start_gap
+from .angles import Angle, _scaled
 from .errors import InternalContradictionError, InvariantViolationError
 from .portrait import Portrait, validate_portrait
 from .rotation import RotationSet
@@ -90,57 +91,48 @@ class ConstructedTree:
     regions: tuple[Region, ...]
 
 
-def _scaled_sets(sets: Sequence[RotationSet]) -> tuple[int, list[tuple[int, ...]]]:
-    """The sets' common denominator q and each set's angles as numerators over q."""
-    q, xs = _scaled([a for rs in sets for a in rs.angles])
+def _scaled_sets(sets: Sequence[RotationSet]) -> list[tuple[int, ...]]:
+    """Each set's angles as numerators over the sets' common denominator."""
+    _, xs = _scaled([a for rs in sets for a in rs.angles])
     flat = iter(xs)
-    return q, [tuple(islice(flat, rs.cardinality)) for rs in sets]
+    return [tuple(islice(flat, rs.cardinality)) for rs in sets]
 
 
 def _partition(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
-               ) -> tuple[tuple[Region, ...], dict[int, int], dict[int, int]]:
+               ) -> tuple[tuple[Region, ...], list[list[int]]]:
     """Partition the disk once and check the result.
 
-    Arc k runs from support point k to point k+1 in circle order.  Two arcs
-    bound the same region iff they lie in the same gap of every set;
-    singletons have a single gap and never split anything, so only sets
-    with at least two points contribute to the signature.  The region count
-    is checked against both closed forms, l + d - k (l the total size of
-    the rotating sets, k the number of sets) and 1 + sum(|T| - 1), and the
-    capacities must sum to d - 1.
+    Arc k runs from support point k to point k+1 in circle order.  Each
+    region is one cycle of the face-tracing map; starting each cycle at the
+    least arc not yet traced numbers the regions by least arc start and
+    lists their arcs in circle order.  The region count is checked against
+    both closed forms, l + d - k (l the total size of the rotating sets, k
+    the number of sets) and 1 + sum(|T| - 1), and the capacities must sum
+    to d - 1.
 
-    Returns the regions and, keyed by numerator over q, the region of the
-    arc starting at each support angle and of the arc ending at it.
+    Returns the regions and, for each set, the region across each of its
+    gaps: gap i lies in the region of the arc that starts at point i.
     """
-    support = sorted((x, j, a) for j, (rs, xs) in enumerate(zip(sets, xsets), start=1)
-                     for x, a in zip(xs, rs.angles))
-    arcs = [ElementaryArc(a, support[(k + 1) % len(support)][2])
-            for k, (_, _, a) in enumerate(support)]
-    owner = [j for _, j, _ in support]
-    splitters = [xs for xs in xsets if len(xs) >= 2]
+    support = sorted((x, j, i, a) for j, (rs, xs) in enumerate(zip(sets, xsets))
+                     for i, (x, a) in enumerate(zip(xs, rs.angles)))
+    start_of = {x: k for k, (x, _, _, _) in enumerate(support)}
+    arcs = [ElementaryArc(a, support[(k + 1) % len(support)][3])
+            for k, (_, _, _, a) in enumerate(support)]
 
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, (x, _, _) in enumerate(support):
-        sig = tuple(arc_start_gap(s, x) for s in splitters)
-        groups.setdefault(sig, []).append(k)
-
-    # groups open in circle order, so they are already sorted by least arc start
+    region_of = [0] * len(support)
     regions: list[Region] = []
-    after: dict[int, int] = {}
-    before: dict[int, int] = {}
-    for pos, idxs in enumerate(groups.values(), start=1):
-        cycle = []
-        for i, k in enumerate(idxs):
-            nxt = idxs[(i + 1) % len(idxs)]
-            crossed = owner[(k + 1) % len(owner)]
-            if owner[nxt] != crossed:
-                raise InternalContradictionError(
-                    f"region {pos}: arc ending at {arcs[k].end} (set {crossed}) is "
-                    f"followed by an arc starting at {arcs[nxt].start} of set "
-                    f"{owner[nxt]}")
-            cycle.append(crossed)
-            after[support[k][0]] = pos
-            before[support[(k + 1) % len(support)][0]] = pos
+    for first in range(len(support)):
+        if region_of[first]:
+            continue
+        pos = len(regions) + 1
+        idxs, cycle = [], []
+        k = first
+        while not region_of[k]:
+            region_of[k] = pos
+            idxs.append(k)
+            _, j, i, _ = support[(k + 1) % len(support)]
+            cycle.append(j + 1)
+            k = start_of[xsets[j][i - 1]]
         if len(set(cycle)) != len(cycle):
             raise InternalContradictionError(
                 f"region {pos} crosses a set twice: {cycle}")
@@ -162,7 +154,7 @@ def _partition(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
         raise InternalContradictionError(
             f"found {len(regions)} regions where the count formula gives {by_rotating}")
     critical_capacities(regions, d)
-    return tuple(regions), after, before
+    return tuple(regions), [[region_of[start_of[x]] for x in xs] for xs in xsets]
 
 
 def critical_capacities(regions: Sequence[Region], degree: int) -> tuple[int, ...]:
@@ -189,10 +181,11 @@ def construct_tree(p: Portrait) -> ConstructedTree:
 
     A region across gap (theta, theta') of the (unique) rotating set on its
     boundary holds the arc just counterclockwise of theta and the arc just
-    clockwise of theta'.  tau sends it where those flanks go: to the region
+    clockwise of theta'.  tau sends it where those flanks go, to the region
     holding the arc just counterclockwise of d*theta and the one just
-    clockwise of d*theta', which must be a single region.  Every other
-    vertex stays put.
+    clockwise of d*theta'.  On a set of shift m, d*theta_i = theta_(i+m),
+    so that is the region across gap i + m (Goldberg, *Fixed points of
+    polynomial maps I*, 1992).  Every other vertex stays put.
     """
     return _construct(p, validate_portrait(p).valid_sets())
 
@@ -203,42 +196,25 @@ def _construct(p: Portrait, sets: Sequence[RotationSet]) -> ConstructedTree:
     The disk is partitioned once, and one pass over each set's gaps yields
     both its edges and, for a rotating set, the images of its regions.
     """
-    d = p.degree
-    q, xsets = _scaled_sets(sets)
-    regions, after, before = _partition(sets, xsets)
+    xsets = _scaled_sets(sets)
+    regions, gaps = _partition(sets, xsets)
     v_label = {j: f"v{j}" for j in range(1, len(sets) + 1)}
     w_label = {r.index: f"w{r.index}" for r in regions}
 
-    # one edge per gap of each set; both arcs flanking the gap must agree on
-    # the region, and distinct gaps must see distinct regions
+    # one edge per gap of each set; distinct gaps must see distinct regions
     order_at_v: dict[str, list[str]] = {}
     edges_from_gaps: set[tuple[str, str]] = set()
     moved: dict[str, str] = {}
     period: dict[str, int] = {}
-    for j, (rs, xs) in enumerate(zip(sets, xsets), start=1):
+    for j, (rs, gap_regions) in enumerate(zip(sets, gaps), start=1):
         n = rs.cardinality
-        gap_regions = []
-        for i in range(n):
-            r_after = after[xs[i]]
-            r_before = before[xs[(i + 1) % n]]
-            if r_after != r_before:
-                raise InternalContradictionError(
-                    f"gap ({rs.angles[i]}, {rs.angles[(i + 1) % n]}) of set {j} "
-                    f"touches regions {r_after} and {r_before}")
-            gap_regions.append(r_after)
-            if rs.is_fixed:
-                continue
-            img_ccw = after[d * xs[i] % q]
-            img_cw = before[d * xs[(i + 1) % n] % q]
-            if img_ccw != img_cw:
-                raise InvariantViolationError(
-                    f"images of the flanks of gap ({rs.angles[i]}, "
-                    f"{rs.angles[(i + 1) % n]}) land in regions {img_ccw} and {img_cw}")
-            moved[w_label[r_after]] = w_label[img_ccw]
-            period[w_label[r_after]] = rs.period
         if len(set(gap_regions)) != n:
             raise InternalContradictionError(
                 f"set {j}: gaps map onto regions {gap_regions} with repeats")
+        if not rs.is_fixed:
+            for i, r in enumerate(gap_regions):
+                moved[w_label[r]] = w_label[gap_regions[(i + rs.shift) % n]]
+                period[w_label[r]] = rs.period
         order_at_v[v_label[j]] = [w_label[r] for r in gap_regions]
         edges_from_gaps.update(edge_key(v_label[j], w_label[r]) for r in gap_regions)
 

@@ -7,8 +7,8 @@ portrait satisfies four conditions, reported under these codes:
 * ``P2-not-disjoint`` -- two member sets share an angle;
 * ``P2-linked``       -- two member sets cross (neither fits inside a
                          single gap of the other);
-* ``P3-missing`` / ``P3-extra`` -- the union of the fixed (rotation number
-                         zero) sets is not exactly the d-1 fixed angles;
+* ``P3-missing``      -- some of the d-1 fixed angles lie in no fixed
+                         (rotation number zero) set;
 * ``P4``              -- two rotating sets lie in the same gap of every
                          fixed set.
 
@@ -189,25 +189,18 @@ def validate_portrait(p: Portrait) -> ValidationResult:
         notes.append("P3 and P4 skipped: rotation numbers unavailable while P1 fails")
         return ValidationResult(tuple(violations), tuple(notes))
 
-    # the fixed angles are i/(d-1): a is one exactly when its denominator
-    # divides d-1, and then i = a*(d-1)
+    # a shift-0 set has d*a = a, so each of its angles is a fixed angle
+    # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
     fixed_members = [(i, rs) for i, rs in enumerate(classified, start=1)
                      if rs.is_fixed]
-    union = {a for _, rs in fixed_members for a in rs.angles}
-    covered = {a.numerator * ((d - 1) // a.denominator) for a in union
-               if (d - 1) % a.denominator == 0}
+    covered = {a.numerator * ((d - 1) // a.denominator)
+               for _, rs in fixed_members for a in rs.angles}
     missing = tuple(Fraction(i, d - 1) for i in range(d - 1) if i not in covered)
-    extra = tuple(sorted(a for a in union if (d - 1) % a.denominator))
     if missing:
         violations.append(Violation(
             "P3-missing", missing,
             f"fixed angles {_angles_text(missing)} belong to no "
             f"rotation-number-zero set"))
-    if extra:
-        violations.append(Violation(
-            "P3-extra", extra,
-            f"rotation-number-zero sets contain non-fixed angles "
-            f"{_angles_text(extra)}"))
 
     if any(v.code.startswith("P2") for v in violations):
         notes.append("P4 skipped: separation is ill-defined while P2 fails")

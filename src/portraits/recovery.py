@@ -28,7 +28,7 @@ from .builder import ConstructedTree
 from .errors import InvariantViolationError
 from .portrait import Portrait
 from .rotation import generate_rotation_set
-from .tree import classify_vertices, initial_image_edge
+from .tree import initial_image_edge
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,8 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     """
     t = ct.tree
     d = t.total_degree()
-    classes = classify_vertices(t)
-    julia_fixed = [v for v in t.vertices
-                   if t.tau[v] == v and classes[v].kind == "julia"]
+    # a fixed vertex is its own cycle, which is Julia iff it is not critical
+    julia_fixed = [v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1]
 
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}

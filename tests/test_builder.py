@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -5,13 +6,20 @@ import pytest
 from portraits import (ElementaryArc, InvalidPortraitError, Portrait,
                        construct_tree, critical_capacities,
                        enumerate_portraits, validate_portrait)
-from portraits.angles import arc_start_gap
+
+from conftest import orbit
 
 
 def elementary_arcs(p):
     """The arcs of the constructed regions, in circle order."""
     return sorted((a for r in construct_tree(p).regions for a in r.arcs),
                   key=lambda a: a.start)
+
+
+def gap_of_arc(points, start):
+    """Gap of increasing ``points`` holding the arc that begins at ``start``
+    (gap i opens at points[i]; the last gap wraps past 1)."""
+    return (bisect_right(points, start) - 1) % len(points)
 
 
 def union_find_regions(p):
@@ -39,7 +47,7 @@ def union_find_regions(p):
     splitters = [s for s in p.sets if len(s) >= 2]
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
-            if all(arc_start_gap(s, arcs[i].start) == arc_start_gap(s, arcs[j].start)
+            if all(gap_of_arc(s, arcs[i].start) == gap_of_arc(s, arcs[j].start)
                    for s in splitters):
                 union(i, j)
 
@@ -48,6 +56,30 @@ def union_find_regions(p):
         groups.setdefault(find(i), []).append(i)
     return sorted(frozenset((arcs[i].start, arcs[i].end) for i in idxs)
                   for idxs in groups.values())
+
+
+def flank_image_tau(p):
+    """Independent oracle for tau: the paper's rule on ``Fraction``s.
+
+    The region across gap (theta, theta') of a rotating set goes to the
+    region holding the arc just counterclockwise of d*theta and the arc just
+    clockwise of d*theta'; both flanks must agree on either side.
+    """
+    ct = construct_tree(p)
+    after, before = {}, {}
+    for r in ct.regions:
+        for a in r.arcs:
+            after[a.start] = before[a.end] = ct.fatou_vertex_of_region[r.index]
+    tau = {v: v for v in ct.tree.vertices}
+    for s in p.sets:
+        if all(p.degree * a % 1 == a for a in s):
+            continue
+        for a, b in zip(s, s[1:] + s[:1]):
+            assert after[a] == before[b]
+            image = after[p.degree * a % 1]
+            assert image == before[p.degree * b % 1]
+            tau[after[a]] = image
+    return tau
 
 
 class TestElementaryArcs:
@@ -206,6 +238,16 @@ class TestDynamics:
                     while x != w:
                         x, steps = tau[x], steps + 1
                     assert steps == rs.period
+
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (4, 3), (5, 2)])
+    def test_tau_matches_flank_images_over_census(self, d, n):
+        for p in enumerate_portraits(d, n):
+            assert construct_tree(p).tree.tau == flank_image_tau(p), p
+
+    @pytest.mark.parametrize("n", [22, 40, 64])
+    def test_tau_matches_flank_images_at_long_period(self, n):
+        p = Portrait.create(2, [[F(0)], orbit(F(1, 2 ** n - 1), 2)])
+        assert construct_tree(p).tree.tau == flank_image_tau(p)
 
     def test_tau_never_collapses_an_edge(self):
         for p in enumerate_portraits(3, 3):

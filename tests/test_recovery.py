@@ -7,13 +7,7 @@ from portraits import (Portrait, RotationSet, Sector, analyze, boundary_walk,
                        enumerate_portraits, fixed_angles, recover_portrait,
                        sector_map)
 
-
-def orbit(seed, degree):
-    """The sorted forward orbit of a periodic angle."""
-    out = [seed]
-    while (nxt := degree * out[-1] % 1) != seed:
-        out.append(nxt)
-    return tuple(sorted(out))
+from conftest import orbit
 
 
 class TestBoundaryWalk:

@@ -1,17 +1,17 @@
 """Each fact once: one ``analyze`` or ``construct_tree`` validates once,
-classifies each member set once and partitions the disk once, and the
-reports and the command line add no second pass.
+classifies each member set once and partitions the disk once, one
+``analyze`` classifies the tree's vertices once (``construct_tree`` never
+does), and the reports and the command line add no second pass.
 
 ``classify_rotation_set`` is not counted: recovery confirms every set it
 rebuilds with it.
 """
 
+import sys
+
 import pytest
 
-import portraits.builder
 import portraits.cli
-import portraits.portrait
-import portraits.report
 from portraits import (Portrait, RotationSet, analyze, construct_tree,
                        enumerate_portraits, render_report, report_data)
 
@@ -19,6 +19,12 @@ from conftest import BASILICA_SETS, DEGREE5_SETS
 
 PORTRAITS = ([Portrait.create(5, DEGREE5_SETS), Portrait.create(2, BASILICA_SETS)]
              + enumerate_portraits(3, 2))
+
+
+def binders(name):
+    """Every ``portraits`` module that binds ``name``."""
+    return [module for key, module in sorted(sys.modules.items())
+            if key.startswith("portraits.") and hasattr(module, name)]
 
 
 def count_calls(monkeypatch, owners, name, wrap=lambda f: f):
@@ -40,11 +46,11 @@ def counts(monkeypatch):
     return {
         "from_angles": count_calls(monkeypatch, [RotationSet], "from_angles",
                                    staticmethod),
-        "validate": count_calls(
-            monkeypatch, [portraits.portrait, portraits.builder, portraits.report,
-                          portraits.cli],
-            "validate_portrait"),
-        "partition": count_calls(monkeypatch, [portraits.builder], "_partition"),
+        "validate": count_calls(monkeypatch, binders("validate_portrait"),
+                                "validate_portrait"),
+        "partition": count_calls(monkeypatch, binders("_partition"), "_partition"),
+        "classify": count_calls(monkeypatch, binders("classify_vertices"),
+                                "classify_vertices"),
     }
 
 
@@ -55,6 +61,7 @@ def test_analyze_computes_each_fact_once(counts, p):
     assert len(counts["from_angles"]) == p.k
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
+    assert len(counts["classify"]) == 1
     assert an.regions == an.ct.regions
 
     for key in counts:
@@ -70,14 +77,16 @@ def test_construct_tree_validates_and_partitions_once(counts, p):
     assert len(counts["from_angles"]) == p.k
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
+    assert not counts["classify"]
     assert ct.regions == analyze(p).regions
 
 
-@pytest.mark.parametrize("command, expected", [
-    ("build", "round trip: ok"),
-    ("roundtrip", "set 1/8 5/8"),
+@pytest.mark.parametrize("command, expected, classifications", [
+    ("build", "round trip: ok", 1),        # one analyze
+    ("roundtrip", "set 1/8 5/8", 0),       # construct_tree and recovery only
 ], ids=["build", "roundtrip"])
-def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected):
+def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
+                                  classifications):
     path = tmp_path / "d5.txt"
     path.write_text("degree 5\nset 0 3/4\nset 1/8 5/8\nset 1/4\nset 1/2\n")
     argv = [command, str(path)]
@@ -87,4 +96,5 @@ def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected):
     assert expected in capsys.readouterr().out
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
+    assert len(counts["classify"]) == classifications
     assert len(counts["from_angles"]) == 4
