@@ -19,7 +19,7 @@ from .fileio import format_portrait, parse_portrait
 from .portrait import (Portrait, ValidationResult, Violation,
                        enumerate_portraits, separates, unlinked,
                        validate_portrait)
-from .recovery import Sector, boundary_walk, recover_portrait, sector_map
+from .recovery import Sector, boundary_walk, recover_portrait
 from .render import render_svg
 from .report import Analysis, analyze, render_report, report_data
 from .rotation import (RotationSet, classify_rotation_set, deployment_vector,
@@ -27,7 +27,7 @@ from .rotation import (RotationSet, classify_rotation_set, deployment_vector,
 from .tree import (AngledTree, TreeViolation, VertexClass, check_degree_angle,
                    check_expanding, check_julia_normalization,
                    check_tree_axioms, classify_vertices, count_fixed_points,
-                   edge_image_path)
+                   image_germs)
 
 __version__ = "1.0.0"
 
@@ -42,10 +42,9 @@ __all__ = [
     "check_degree_angle", "check_expanding", "check_julia_normalization",
     "check_tree_axioms", "classify_rotation_set", "classify_vertices",
     "construct_tree", "count_fixed_points", "critical_capacities",
-    "deployment_vector", "edge_image_path", "enumerate_portraits",
-    "enumerate_rotation_sets", "fixed_angles", "format_angle",
-    "format_portrait", "generate_rotation_set", "normalize_angle",
-    "parse_angle", "parse_portrait", "recover_portrait", "render_report",
-    "render_svg", "report_data", "sector_map", "separates", "unlinked",
-    "validate_portrait",
+    "deployment_vector", "enumerate_portraits", "enumerate_rotation_sets",
+    "fixed_angles", "format_angle", "format_portrait", "generate_rotation_set",
+    "image_germs", "normalize_angle", "parse_angle", "parse_portrait",
+    "recover_portrait", "render_report", "render_svg", "report_data",
+    "separates", "unlinked", "validate_portrait",
 ]

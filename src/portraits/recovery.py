@@ -3,15 +3,16 @@
 At a vertex with m edges there are m sectors between circularly consecutive
 edges (one full sector when m = 1); at the set vertices each sector holds
 exactly one landing ray.  Walking counterclockwise around the tree visits
-every sector once, in the circle order of the underlying rays.  Sectors map
-forward through the germs of their bounding edges; sectors fixed by that map
-carry the d-1 fixed rays and are labelled in walk order starting from the
-marked sector, which anchors ray 0.  A rotating vertex is then pinned down
-by its sector count, its sector shift, and where its sectors fall between
-the fixed rays along the walk.  These are the set's cardinality, shift and
-deployment, which determine a rotation set, and Goldberg's closed form
-(*Fixed points of polynomial maps I*, 1992; see ``rotation``) writes its
-angles down directly.
+every sector once, in the circle order of the underlying rays.  At a fixed
+vertex a sector maps to the sector between the germs of its bounding edges
+(``tree.image_germs``), so the sectors there rotate by a shift read off the
+germs in one pass.  Sectors of shift 0 carry the d-1 fixed rays and are
+labelled in walk order starting from the marked sector, which anchors ray
+0.  A rotating vertex is then pinned down by its sector count, its sector
+shift, and where its sectors fall between the fixed rays along the walk.
+These are the set's cardinality, shift and deployment, which determine a
+rotation set, and Goldberg's closed form (*Fixed points of polynomial maps
+I*, 1992; see ``rotation``) writes its angles down directly.
 
 The input is the ``ConstructedTree`` of ``builder.construct_tree``.  Only
 its tree (with ``tau``) and its marked sector are read; the regions and arc
@@ -28,7 +29,7 @@ from .builder import ConstructedTree
 from .errors import InvariantViolationError
 from .portrait import Portrait
 from .rotation import generate_rotation_set
-from .tree import initial_image_edge
+from .tree import AngledTree, image_germs
 
 
 @dataclass(frozen=True)
@@ -69,55 +70,20 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     return tuple(walk)
 
 
-def sector_map(ct: ConstructedTree, s: Sector) -> Sector:
-    """Image of a sector: the sector at tau(v) between its edges' germs.
-
-    Meant for sectors at Julia vertices, where the local degree 1 makes the
-    germ map injective; a germ collision there is an invariant violation.
-    """
-    t = ct.tree
-    order = t.circular_order[s.vertex]
-    m = len(order)
-    left, right = order[(s.index - 1) % m], order[s.index]
-    g_left = initial_image_edge(t, s.vertex, left)
-    g_right = initial_image_edge(t, s.vertex, right)
-    tv = t.tau[s.vertex]
-    target_order = t.circular_order[tv]
-    mm = len(target_order)
-    if left == right:                        # one-edge vertex, full sector
-        if mm != 1:
-            raise InvariantViolationError(
-                f"full sector at {s.vertex} maps to multi-edge vertex {tv}")
-        return Sector(tv, 0)
-    if g_left == g_right:
-        raise InvariantViolationError(
-            f"germ collision at {s.vertex}: edges to {left} and {right} "
-            f"share the image germ {g_left}")
-    i = target_order.index(g_left)
-    if target_order[(i + 1) % mm] != g_right:
-        raise InvariantViolationError(
-            f"sector {s} maps between non-consecutive germs {g_left}, {g_right}")
-    return Sector(tv, (i + 1) % mm)
-
-
-def _sector_shift(ct: ConstructedTree, v: str) -> int:
+def _sector_shift(t: AngledTree, v: str) -> int:
     """Shift of the sector permutation at a fixed Julia vertex.
 
-    The permutation must be a rigid rotation of the circular sector order;
-    anything else contradicts the construction.
+    Sector k lies between edges k-1 and k and maps to the sector between
+    their germs, so the sectors rotate by s exactly when the germs are the
+    circular order rotated by s.  Anything else contradicts the construction.
     """
-    n = ct.tree.degree_of(v)
-    shifts = set()
-    for k in range(n):
-        image = sector_map(ct, Sector(v, k))
-        if image.vertex != v:
-            raise InvariantViolationError(
-                f"sector at fixed vertex {v} maps to a sector at {image.vertex}")
-        shifts.add((image.index - k) % n)
-    if len(shifts) != 1:
+    order = t.circular_order[v]
+    germs = image_germs(t, v)
+    s = order.index(germs[0])
+    if germs != order[s:] + order[:s]:
         raise InvariantViolationError(
-            f"sector permutation at {v} is not a rotation (shifts {sorted(shifts)})")
-    return shifts.pop()
+            f"sector permutation at {v} is not a rotation (germs {germs})")
+    return s
 
 
 def recover_portrait(ct: ConstructedTree) -> Portrait:
@@ -136,7 +102,7 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}
     for v in julia_fixed:
-        shift = _sector_shift(ct, v)
+        shift = _sector_shift(t, v)
         if shift == 0:
             fixed_vertices.append(v)
         else:

@@ -75,9 +75,6 @@ class AngledTree:
         """1 + sum of (delta(v) - 1) over all vertices."""
         return 1 + sum(self.delta[v] - 1 for v in self.vertices)
 
-    def critical_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.delta[v] > 1)
-
 
 @dataclass(frozen=True)
 class TreeViolation:
@@ -197,55 +194,50 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
         if t.delta[v] < 1:
             out.append(TreeViolation("delta-range", f"delta({v}) = {t.delta[v]} < 1"))
 
-    if t.total_degree() < 2:
-        out.append(TreeViolation("degree-too-small", f"total degree {t.total_degree()} < 2"))
-    if not t.critical_vertices():
+    total_degree = t.total_degree()
+    if total_degree < 2:
+        out.append(TreeViolation("degree-too-small", f"total degree {total_degree} < 2"))
+    if not any(t.delta[v] > 1 for v in t.vertices):
         out.append(TreeViolation("no-critical-vertex", "every vertex has delta 1"))
     return tuple(out)
 
 
-def _tree_path(t: AngledTree, x: str, y: str) -> tuple[str, ...]:
-    """The unique simple path from x to y (BFS; trees make it unique)."""
-    if x == y:
-        return (x,)
-    parent: dict[str, Optional[str]] = {x: None}
-    queue = deque([x])
+def image_germs(t: AngledTree, v: str) -> tuple[str, ...]:
+    """Germ of each edge at v, in v's circular order: the neighbor of tau(v)
+    that the image of the edge leaves along.
+
+    One breadth-first search from tau(v) labels every vertex with the
+    neighbor of tau(v) it hangs off; the germ of edge v-u is the label of
+    tau(u).
+    """
+    root = t.tau[v]
+    branch = {root: root}
+    queue = deque([root])
     while queue:
-        v = queue.popleft()
-        for u in t.circular_order[v]:
-            if u not in parent:
-                parent[u] = v
-                if u == y:
-                    path = [y]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                queue.append(u)
-    raise InvariantViolationError(f"no path from {x} to {y}; tree is disconnected")
-
-
-def edge_image_path(t: AngledTree, edge: tuple[str, str]) -> tuple[str, ...]:
-    """Vertex path the image of an edge runs along: tau(v) to tau(v')."""
-    v, u = edge
-    a, b = t.tau[v], t.tau[u]
-    if a == b:
-        raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
-    return _tree_path(t, a, b)
-
-
-def initial_image_edge(t: AngledTree, v: str, u: str) -> str:
-    """Neighbor of tau(v) along the image of edge v-u (the edge's germ)."""
-    return edge_image_path(t, (v, u))[1]
+        y = queue.popleft()
+        for z in t.circular_order[y]:
+            if z not in branch:
+                branch[z] = z if y == root else branch[y]
+                queue.append(z)
+    germs = []
+    for u in t.circular_order[v]:
+        image = t.tau[u]
+        if image == root:
+            raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
+        if image not in branch:
+            raise InvariantViolationError(
+                f"no path from {root} to {image}; tree is disconnected")
+        germs.append(branch[image])
+    return tuple(germs)
 
 
 def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     """Verify that tau multiplies angles at v by delta(v).
 
-    The angle between two image edges is measured at tau(v) between the
-    initial edges of the image paths; distinct edges may share their initial
-    image edge, in which case that angle is zero.  With L and M the
-    denominators at v and at tau(v), the image angle lhs/M must equal
-    (delta * ang mod L)/L.
+    The angle between two image edges is measured at tau(v) between their
+    germs (``image_germs``); distinct edges may share their germ, in which
+    case that angle is zero.  With L and M the denominators at v and at
+    tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
     """
     out: list[TreeViolation] = []
     for v in t.vertices:
@@ -253,7 +245,7 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
         if len(nbrs) < 2:
             continue
         (L, at_v), (M, at_image) = t.angles_at(v), t.angles_at(t.tau[v])
-        germs = [initial_image_edge(t, v, u) for u in nbrs]
+        germs = image_germs(t, v)
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
                 if i == j:
@@ -308,16 +300,14 @@ def check_expanding(t: AngledTree,
                     classes: Optional[dict[str, VertexClass]] = None
                     ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Expansion check: every edge between Julia vertices must eventually
-    have its endpoints pushed to tree distance > 1.
+    have its endpoints pushed to tree distance > 1, that is, to distinct
+    vertices that are not neighbors.
 
     The pair orbit lives among at most |V|^2 vertex pairs, so not separating
     within |V|^2 steps is conclusive.  Returns (True, None) or (False, edge).
     """
     if classes is None:
         classes = classify_vertices(t)
-
-    def dist(x: str, y: str) -> int:
-        return len(_tree_path(t, x, y)) - 1
 
     bound = len(t.vertices) ** 2
     for a, b in t.edges:
@@ -326,7 +316,7 @@ def check_expanding(t: AngledTree,
         x, y = a, b
         for _ in range(bound):
             x, y = t.tau[x], t.tau[y]
-            if dist(x, y) > 1:
+            if x != y and y not in t.circular_order[x]:
                 break
         else:
             return False, (a, b)

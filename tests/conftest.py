@@ -1,13 +1,44 @@
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
-from portraits import Portrait
+from portraits import InvariantViolationError, Portrait
 
 # The running examples: a degree-5 portrait with one rotating pair, and the
 # degree-2 portrait whose rotating set is the period-2 orbit of 1/3.
 DEGREE5_SETS = [[F(0), F(3, 4)], [F(1, 8), F(5, 8)], [F(1, 4)], [F(1, 2)]]
 BASILICA_SETS = [[F(0)], [F(1, 3), F(2, 3)]]
+
+
+def tree_path(t, x, y):
+    """Oracle: the path from x to y by breadth-first search, read back
+    through the parent links (a tree makes it unique)."""
+    if x == y:
+        return (x,)
+    parent = {x: None}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        for u in t.circular_order[v]:
+            if u not in parent:
+                parent[u] = v
+                if u == y:
+                    path = [y]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                queue.append(u)
+    raise InvariantViolationError(f"no path from {x} to {y}; tree is disconnected")
+
+
+def path_germ(t, v, u):
+    """Oracle: the germ of edge v-u, the second vertex of the path from
+    tau(v) to tau(u) that the edge's image runs along."""
+    a, b = t.tau[v], t.tau[u]
+    if a == b:
+        raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
+    return tree_path(t, a, b)[1]
 
 
 def orbit(seed, degree):

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from portraits import (Portrait, RotationSet, Sector, analyze, boundary_walk,
+from portraits import (Portrait, RotationSet, analyze, boundary_walk,
                        classify_rotation_set, construct_tree, deployment_vector,
-                       enumerate_portraits, fixed_angles, recover_portrait,
-                       sector_map)
+                       enumerate_portraits, fixed_angles, image_germs,
+                       recover_portrait)
 
 from conftest import orbit
 
@@ -52,19 +52,23 @@ class TestBoundaryWalk:
 
 
 class TestSectorMap:
+    """Sector k at a fixed vertex lies between edges k-1 and k and maps to
+    the sector between their germs: germs rotated by s shift sectors by s."""
+
     def test_single_sector_fixed(self, degree5_portrait):
-        ct = construct_tree(degree5_portrait)
-        assert sector_map(ct, Sector("v3", 0)) == Sector("v3", 0)
+        t = construct_tree(degree5_portrait).tree
+        assert image_germs(t, "v3") == t.circular_order["v3"]
 
     def test_rotating_sectors_swap(self, degree5_portrait):
-        ct = construct_tree(degree5_portrait)
-        assert sector_map(ct, Sector("v2", 0)) == Sector("v2", 1)
-        assert sector_map(ct, Sector("v2", 1)) == Sector("v2", 0)
+        t = construct_tree(degree5_portrait).tree
+        order = t.circular_order["v2"]
+        assert len(order) == 2
+        assert image_germs(t, "v2") == order[1:] + order[:1] != order
 
     def test_fixed_vertex_sectors_stay(self, degree5_portrait):
-        ct = construct_tree(degree5_portrait)
-        for k in range(2):
-            assert sector_map(ct, Sector("v1", k)) == Sector("v1", k)
+        t = construct_tree(degree5_portrait).tree
+        assert t.degree_of("v1") == 2
+        assert image_germs(t, "v1") == t.circular_order["v1"]
 
     def test_sector_count_equals_edge_count(self):
         # one landing ray per sector at every set vertex
@@ -91,11 +95,11 @@ class TestRecovery:
         for d in (2, 3):
             for p in enumerate_portraits(d, 3):
                 ct = construct_tree(p)
+                t = ct.tree
                 fixed_sectors = 0
                 for j, s in enumerate(p.sets, 1):
                     v = ct.julia_vertex_of_set[j]
-                    if all(sector_map(ct, Sector(v, k)) == Sector(v, k)
-                           for k in range(len(s))):
+                    if image_germs(t, v) == t.circular_order[v]:
                         fixed_sectors += len(s)
                 assert fixed_sectors == d - 1
 

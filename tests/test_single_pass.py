@@ -3,6 +3,11 @@ classifies each member set once and partitions the disk once, one
 ``analyze`` classifies the tree's vertices once (``construct_tree`` never
 does), and the reports and the command line add no second pass.
 
+The germs at a vertex take one ``image_germs`` pass: ``analyze`` makes one
+for each vertex the degree-angle check visits (those with two or more
+edges) and one for each of the k fixed Julia vertices recovery reads a
+sector shift off.
+
 ``classify_rotation_set`` is not counted: recovery confirms every set it
 rebuilds with it.
 """
@@ -51,6 +56,7 @@ def counts(monkeypatch):
         "partition": count_calls(monkeypatch, binders("_partition"), "_partition"),
         "classify": count_calls(monkeypatch, binders("classify_vertices"),
                                 "classify_vertices"),
+        "germs": count_calls(monkeypatch, binders("image_germs"), "image_germs"),
     }
 
 
@@ -62,6 +68,8 @@ def test_analyze_computes_each_fact_once(counts, p):
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == 1
+    t = an.ct.tree
+    assert len(counts["germs"]) == sum(t.degree_of(v) >= 2 for v in t.vertices) + p.k
     assert an.regions == an.ct.regions
 
     for key in counts:
@@ -78,15 +86,16 @@ def test_construct_tree_validates_and_partitions_once(counts, p):
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert not counts["classify"]
+    assert not counts["germs"]
     assert ct.regions == analyze(p).regions
 
 
-@pytest.mark.parametrize("command, expected, classifications", [
-    ("build", "round trip: ok", 1),        # one analyze
-    ("roundtrip", "set 1/8 5/8", 0),       # construct_tree and recovery only
+@pytest.mark.parametrize("command, expected, classifications, germ_passes", [
+    ("build", "round trip: ok", 1, 4 + 4),   # one analyze: 4 vertices of degree 2+
+    ("roundtrip", "set 1/8 5/8", 0, 4),      # construct_tree and recovery only
 ], ids=["build", "roundtrip"])
 def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
-                                  classifications):
+                                  classifications, germ_passes):
     path = tmp_path / "d5.txt"
     path.write_text("degree 5\nset 0 3/4\nset 1/8 5/8\nset 1/4\nset 1/2\n")
     argv = [command, str(path)]
@@ -97,4 +106,5 @@ def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == classifications
+    assert len(counts["germs"]) == germ_passes
     assert len(counts["from_angles"]) == 4

@@ -1,12 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
-from portraits import (AngledTree, Portrait, TreeViolation,
-                       check_degree_angle, check_expanding,
+import pytest
+
+from portraits import (AngledTree, InvariantViolationError, Portrait,
+                       TreeViolation, check_degree_angle, check_expanding,
                        check_julia_normalization, check_tree_axioms,
                        classify_vertices, construct_tree, count_fixed_points,
-                       edge_image_path, enumerate_portraits)
-from portraits.tree import initial_image_edge
+                       enumerate_portraits, image_germs)
+
+from conftest import path_germ, tree_path
 
 
 def make_tree(vertices, edges, order, gaps, tau, delta):
@@ -63,7 +67,7 @@ def fraction_degree_angle(t):
         nbrs = t.circular_order[v]
         if len(nbrs) < 2:
             continue
-        germs = [initial_image_edge(t, v, u) for u in nbrs]
+        germs = [path_germ(t, v, u) for u in nbrs]
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
                 if i == j:
@@ -139,6 +143,23 @@ def check_against_fraction_oracles(t):
     return angle_axioms + check_degree_angle(t) + check_julia_normalization(t, classes)
 
 
+def germ_outcome(germs):
+    """The germs at a vertex, or the message of the error that stops them."""
+    try:
+        return tuple(germs())
+    except InvariantViolationError as e:
+        return str(e)
+
+
+def disconnected_tree(tau=None):
+    """Two separate edges a-b and c-d; tau is the identity unless given."""
+    return make_tree(["a", "b", "c", "d"], [("a", "b"), ("c", "d")],
+                     {"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]},
+                     {v: [F(1)] for v in "abcd"},
+                     tau or {v: v for v in "abcd"},
+                     {"a": 2, "b": 1, "c": 1, "d": 1})
+
+
 def two_vertex_tree(tau_collapses=False, critical=True):
     tau = {"a": "a", "b": "a"} if tau_collapses else {"a": "a", "b": "b"}
     delta = {"a": 2 if critical else 1, "b": 1}
@@ -162,12 +183,7 @@ class TestAxioms:
         assert "degree-too-small" in codes and "no-critical-vertex" in codes
 
     def test_disconnected_reported(self):
-        t = make_tree(["a", "b", "c", "d"], [("a", "b"), ("c", "d")],
-                      {"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]},
-                      {v: [F(1)] for v in "abcd"},
-                      {v: v for v in "abcd"},
-                      {"a": 2, "b": 1, "c": 1, "d": 1})
-        codes = {v.code for v in check_tree_axioms(t)}
+        codes = {v.code for v in check_tree_axioms(disconnected_tree())}
         assert "not-a-tree" in codes and "not-connected" in codes
 
     def test_zero_angle_between_distinct_edges_reported(self):
@@ -193,25 +209,76 @@ class TestAxioms:
         assert "angle-total" in codes
 
 
+def germ(t, v, u):
+    return image_germs(t, v)[t.circular_order[v].index(u)]
+
+
 class TestImagePaths:
     def test_degree5_stretched_edge(self, degree5_portrait):
         t = construct_tree(degree5_portrait).tree
         # w1 <-> w2 under tau, so the edge w1-v1 images onto a 3-edge path
-        assert edge_image_path(t, ("w1", "v1")) == ("w2", "v2", "w1", "v1")
+        assert tree_path(t, t.tau["w1"], t.tau["v1"]) == ("w2", "v2", "w1", "v1")
+        assert germ(t, "w1", "v1") == "v2"
 
     def test_fixed_edge_maps_to_itself(self, degree5_portrait):
         t = construct_tree(degree5_portrait).tree
-        assert edge_image_path(t, ("v1", "w3")) == ("v1", "w3")
+        assert germ(t, "v1", "w3") == "w3"
 
     def test_basilica_edge(self, basilica):
         t = construct_tree(basilica).tree
-        assert edge_image_path(t, ("v2", "w1")) == ("v2", "w2")
+        assert germ(t, "v2", "w1") == "w2"
 
-    def test_never_empty_over_census(self):
-        for p in enumerate_portraits(3, 2):
-            t = construct_tree(p).tree
-            for e in t.edges:
-                assert len(edge_image_path(t, e)) >= 2
+    def test_germs_match_path_oracle_over_census(self):
+        vertices = 0
+        for d in (2, 3, 4):
+            for p in enumerate_portraits(d, 3):
+                t = construct_tree(p).tree
+                for v in t.vertices:
+                    assert image_germs(t, v) == tuple(
+                        path_germ(t, v, u) for u in t.circular_order[v])
+                    vertices += 1
+        assert vertices > 1000
+
+
+class TestImageGermErrors:
+    """``image_germs`` fails where the path oracle fails, with its message."""
+
+    def test_collapse_in_degree_angle_check(self):
+        t = two_vertex_tree(tau_collapses=True)
+        with pytest.raises(InvariantViolationError, match="^edge b-a collapses under tau$"):
+            image_germs(t, "b")
+        # check_degree_angle skips one-edge vertices: collapse at a two-edge one
+        t = make_tree(["c", "p", "q"], [("c", "p"), ("c", "q")],
+                      {"c": ["p", "q"], "p": ["c"], "q": ["c"]},
+                      {"c": [F(1, 2), F(1, 2)], "p": [F(1)], "q": [F(1)]},
+                      {"c": "c", "p": "c", "q": "q"}, {"c": 2, "p": 1, "q": 1})
+        with pytest.raises(InvariantViolationError, match="^edge c-p collapses under tau$"):
+            check_degree_angle(t)
+
+    def test_tau_across_components(self):
+        t = disconnected_tree({"a": "a", "b": "c", "c": "c", "d": "d"})
+        with pytest.raises(InvariantViolationError,
+                           match="^no path from a to c; tree is disconnected$"):
+            image_germs(t, "a")
+
+    def test_random_graphs_match_path_oracle(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for n in range(200):
+            t = random_tree(rng)
+            t = replace(t, tau={v: rng.choice(t.vertices) for v in t.vertices})
+            if n % 2:                           # cut an edge: a forest
+                a, b = rng.choice(t.edges)
+                order = dict(t.circular_order)
+                order[a] = tuple(x for x in order[a] if x != b)
+                order[b] = tuple(x for x in order[b] if x != a)
+                t = replace(t, circular_order=order)
+            for v in t.vertices:
+                found = germ_outcome(lambda: image_germs(t, v))
+                assert found == germ_outcome(
+                    lambda: (path_germ(t, v, u) for u in t.circular_order[v]))
+                kinds.add("germs" if isinstance(found, tuple) else found.split()[-1])
+        assert kinds == {"germs", "tau", "disconnected"}
 
 
 class TestAngleBetween:
@@ -279,12 +346,10 @@ class TestDegreeAngle:
     def test_critical_vertex_germs_coincide(self, degree5_portrait):
         # at the interchanged critical vertex the two image germs coincide,
         # so the image angle 0 matches delta * (1/2) mod 1
-        from portraits.tree import initial_image_edge
         t = construct_tree(degree5_portrait).tree
         assert t.delta["w1"] == 2
         assert t.angle_between("w1", "v1", "v2") == F(1, 2)
-        germs = {initial_image_edge(t, "w1", u) for u in t.circular_order["w1"]}
-        assert germs == {"v2"}
+        assert set(image_germs(t, "w1")) == {"v2"}
 
     def test_violation_detected(self):
         # critical fixed vertex with two edges a quarter turn apart:
@@ -340,6 +405,13 @@ class TestExpanding:
             {"a": 1, "b": 1, "c": 2})
         ok, witness = check_expanding(t)
         assert not ok and witness == ("a", "b")
+
+    def test_components_count_as_separated(self):
+        # tau sends the Julia edge c-d to b and d, which lie in different
+        # components: separated, with no path to measure
+        t = disconnected_tree({"a": "a", "b": "b", "c": "b", "d": "d"})
+        assert check_expanding(t) == (True, None)
+        assert "not-connected" in {v.code for v in check_tree_axioms(t)}
 
     def test_census_expands(self):
         for d in (2, 3):
