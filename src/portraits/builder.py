@@ -28,10 +28,9 @@ already shown that d*theta_i = theta_(i+m) on a set of shift m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .angles import Angle, _scaled
 from .errors import InternalContradictionError, InvariantViolationError
@@ -40,8 +39,7 @@ from .rotation import RotationSet
 from .tree import AngledTree, _connected, edge_key
 
 
-@dataclass(frozen=True)
-class ElementaryArc:
+class ElementaryArc(NamedTuple):
     """Open arc between circularly consecutive support points.
 
     ``start == end`` encodes the full circle minus that single point, which
@@ -52,8 +50,7 @@ class ElementaryArc:
     end: Angle
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One disk region: its arcs, boundary sets in crossing order, and capacity.
 
     ``boundary_cycle[i]`` is the (1-based) index of the set crossed between
@@ -71,8 +68,7 @@ class Region:
         return tuple(sorted(set(self.boundary_cycle)))
 
 
-@dataclass(frozen=True)
-class ConstructedTree:
+class ConstructedTree(NamedTuple):
     """An angled tree plus the embedding data recovery and rendering need.
 
     ``arc_anchor[v]`` lists, for a set vertex v, the circle angle sitting in

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .angles import format_angle
 from .builder import construct_tree
@@ -31,7 +30,8 @@ from .rotation import deployment_vector, enumerate_rotation_sets
 
 def _read_portrait(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -40,6 +40,11 @@ def _read_portrait(path: str):
     except PortraitParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _cmd_validate(args) -> int:
@@ -72,14 +77,13 @@ def _cmd_build(args) -> int:
         return 1
     text = render_report(an)
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        _write(args.report, text)
     else:
         print(text, end="")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report_data(an), indent=2) + "\n", encoding="utf-8")
+        _write(args.json, json.dumps(report_data(an), indent=2) + "\n")
     if args.svg:
-        Path(args.svg).write_text(render_svg(an.ct, an.regions), encoding="utf-8")
+        _write(args.svg, render_svg(an.ct, an.regions))
     return 0 if an.all_ok else 1
 
 

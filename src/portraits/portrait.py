@@ -18,11 +18,10 @@ of stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
                      format_angle, gap_index)
@@ -34,8 +33,7 @@ def _angles_text(angles: Iterable[Angle]) -> str:
     return "{" + " ".join(format_angle(a) for a in angles) + "}"
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(NamedTuple):
     """A degree plus a family of candidate rotation sets (raw angle tuples).
 
     Sets are stored canonically: each set strictly increasing, the family
@@ -60,8 +58,7 @@ class Portrait:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validator finding: a code, a re-checkable witness, and prose."""
 
     code: str
@@ -69,8 +66,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """The validator's findings, plus the member sets it classified.
 
     ``sets`` holds one ``RotationSet`` per member set, in the portrait's

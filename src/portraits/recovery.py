@@ -22,8 +22,8 @@ is a plain tuple of sectors, marked sector first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .builder import ConstructedTree
 from .errors import InvariantViolationError
@@ -32,8 +32,7 @@ from .rotation import generate_rotation_set
 from .tree import AngledTree, image_germs
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     """Sector ``index`` at a vertex: the span between circular edges
     index-1 and index (the whole neighborhood when there is one edge)."""
 

@@ -9,8 +9,7 @@ the classified sets and the regions from the ``Analysis``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .angles import format_angle
 from .builder import ConstructedTree, Region, _construct
@@ -23,8 +22,7 @@ from .tree import (TreeViolation, VertexClass, check_degree_angle,
                    check_tree_axioms, classify_vertices, count_fixed_points)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     portrait: Portrait
     validation: ValidationResult
     ct: ConstructedTree

@@ -27,10 +27,9 @@ image of x/q is (d*x mod q)/q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .angles import Angle, _scaled, as_angle_tuple, check_degree
 from .errors import CapacityError
@@ -40,8 +39,7 @@ from .errors import CapacityError
 _CANDIDATE_CEILING = 4_000_000
 
 
-@dataclass(frozen=True)
-class RotationSet:
+class RotationSet(NamedTuple):
     """A degree-d rotation set with its shift recorded.
 
     ``angles`` is strictly increasing in [0, 1) and the covering map sends

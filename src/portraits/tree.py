@@ -16,17 +16,15 @@ detail string of a violation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .angles import _scaled
 from .errors import InvariantViolationError
 
 
-@dataclass(frozen=True)
-class AngledTree:
+class AngledTree(NamedTuple):
     """A finite tree with circular edge orders, gap angles, dynamics and degrees.
 
     ``circular_order[v]`` lists v's neighbors counterclockwise (the tree is
@@ -76,14 +74,12 @@ class AngledTree:
         return 1 + sum(self.delta[v] - 1 for v in self.vertices)
 
 
-@dataclass(frozen=True)
-class TreeViolation:
+class TreeViolation(NamedTuple):
     code: str
     detail: str
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """Orbit bookkeeping for one vertex under the vertex dynamics."""
 
     kind: str        # "fatou" | "julia"

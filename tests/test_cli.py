@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -68,10 +72,12 @@ class TestValidate:
             f"error: {path}: line 1: degree 100000000000 has 99999999999 fixed "
             f"angles, more than the 1 angles listed\n")
 
-    def test_missing_file_exits_2(self):
+    def test_missing_file_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "/nonexistent/portrait.txt"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read /nonexistent/portrait.txt: ")
 
 
 class TestBuild:
@@ -180,3 +186,23 @@ class TestEnumerate:
             body = "\n".join(line for line in block.splitlines()[1:]
                              if line and not line.startswith("#"))
             assert validate_portrait(parse_portrait(body)).ok
+
+
+def _modules_loaded_by(code):
+    """Names in sys.modules after running code in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True)
+    return set(done.stdout.split())
+
+
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # against a bare interpreter, so that modules site preloads do not count
+    bare = _modules_loaded_by("pass")
+    cli = _modules_loaded_by("import portraits.cli")
+    assert "portraits.cli" in cli
+    heavy = {"dataclasses", "inspect", "ast", "dis", "pathlib"}
+    assert heavy & (cli - bare) == set()

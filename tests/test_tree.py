@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -266,13 +265,13 @@ class TestImageGermErrors:
         kinds = set()
         for n in range(200):
             t = random_tree(rng)
-            t = replace(t, tau={v: rng.choice(t.vertices) for v in t.vertices})
+            t = t._replace(tau={v: rng.choice(t.vertices) for v in t.vertices})
             if n % 2:                           # cut an edge: a forest
                 a, b = rng.choice(t.edges)
                 order = dict(t.circular_order)
                 order[a] = tuple(x for x in order[a] if x != b)
                 order[b] = tuple(x for x in order[b] if x != a)
-                t = replace(t, circular_order=order)
+                t = t._replace(circular_order=order)
             for v in t.vertices:
                 found = germ_outcome(lambda: image_germs(t, v))
                 assert found == germ_outcome(
