@@ -4,13 +4,15 @@ An angle is a ``fractions.Fraction`` reduced into ``[0, 1)``.  All circle
 arithmetic is exact; Python integers never overflow, so denominators can
 grow as far as an enumeration needs them to.
 
-``Fraction`` is the public angle type, but the hot loops (rotation-set
-classification, the validator's P2 and P4, the region partition and the
-tree checks) run on integers: ``_scaled`` writes a tuple of angles as
-numerators over their least common denominator q, on which order, sums and
-the covering map are plain integer operations (x/q < y/q iff x < y, and
-d*(x/q) mod 1 is (d*x mod q)/q).  Fractions are built again only
-where a value is reported.
+``Fraction`` is the public angle type, but the hot loops run on integers:
+an angle x/q is the numerator x over a common denominator q, on which
+order, sums and the covering map are plain integer operations (x/q < y/q
+iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
+portrait's sets that way once (``rotation._numerators``), for its own
+classification, P2 and P4 and for the builder's partition.  Rotation-set
+generation checks its own numerators over d**p - 1, the SVG renderer makes
+each arc midpoint one integer ratio, and ``_scaled`` serves the tree checks.
+Fractions are built again only where a value is reported.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def normalize_angle(p: int, q: int) -> Angle:
         raise MalformedAngleError("angle denominator must be positive, got 0")
     if q < 0:
         raise MalformedAngleError(f"angle denominator must be positive, got {q}")
-    return Fraction(p, q) % 1
+    return Fraction(p % q, q)
 
 
 def fixed_angles(degree: int) -> tuple[Angle, ...]:

@@ -20,21 +20,21 @@ pass over each set's gaps; ``report.analyze``, which already holds the
 validated sets, calls ``_construct`` directly.  The regions travel on in
 ``ConstructedTree.regions``, and their arcs are the elementary arcs.
 
-The partition orders the support points by their numerators over the sets'
-common denominator; arcs and regions keep their ``Fraction`` endpoints for
-the reports.  The dynamics need no arithmetic at all: classification has
-already shown that d*theta_i = theta_(i+m) on a set of shift m.
+The partition orders the support points by the numerators validation wrote
+over the sets' common denominator; arcs and regions keep their ``Fraction``
+endpoints for the reports.  The dynamics need no arithmetic at all:
+classification has already shown that d*theta_i = theta_(i+m) on a set of
+shift m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .angles import Angle, _scaled
+from .angles import Angle
 from .errors import InternalContradictionError, InvariantViolationError
-from .portrait import Portrait, validate_portrait
+from .portrait import Portrait, _validate
 from .rotation import RotationSet
 from .tree import AngledTree, _connected, edge_key
 
@@ -85,13 +85,6 @@ class ConstructedTree(NamedTuple):
     arc_anchor: dict[str, tuple[Angle, ...]]
     marked_sector: tuple[str, int]
     regions: tuple[Region, ...]
-
-
-def _scaled_sets(sets: Sequence[RotationSet]) -> list[tuple[int, ...]]:
-    """Each set's angles as numerators over the sets' common denominator."""
-    _, xs = _scaled([a for rs in sets for a in rs.angles])
-    flat = iter(xs)
-    return [tuple(islice(flat, rs.cardinality)) for rs in sets]
 
 
 def _partition(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
@@ -183,16 +176,17 @@ def construct_tree(p: Portrait) -> ConstructedTree:
     so that is the region across gap i + m (Goldberg, *Fixed points of
     polynomial maps I*, 1992).  Every other vertex stays put.
     """
-    return _construct(p, validate_portrait(p).valid_sets())
+    validation, xsets = _validate(p)
+    return _construct(p, validation.valid_sets(), xsets)
 
 
-def _construct(p: Portrait, sets: Sequence[RotationSet]) -> ConstructedTree:
-    """``construct_tree`` for a caller that already holds the classified sets.
+def _construct(p: Portrait, sets: Sequence[RotationSet],
+               xsets: Sequence[tuple[int, ...]]) -> ConstructedTree:
+    """``construct_tree`` for a caller holding ``portrait._validate``'s output.
 
     The disk is partitioned once, and one pass over each set's gaps yields
     both its edges and, for a rotating set, the images of its regions.
     """
-    xsets = _scaled_sets(sets)
     regions, gaps = _partition(sets, xsets)
     v_label = {j: f"v{j}" for j in range(1, len(sets) + 1)}
     w_label = {r.index: f"w{r.index}" for r in regions}

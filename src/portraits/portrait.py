@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
                      format_angle, gap_index)
 from .errors import InvalidPortraitError
-from .rotation import RotationSet, enumerate_rotation_sets
+from .rotation import RotationSet, _numerators, _shift, enumerate_rotation_sets
 
 
 def _angles_text(angles: Iterable[Angle]) -> str:
@@ -146,32 +146,38 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     (rotation numbers while P1 fails, separation while P2 fails) are
     skipped and recorded in ``notes``.
 
-    The portrait's sets are canonical, so P2 and P4 run on the ranks of its
-    angles, as ``enumerate_portraits`` does.  Once P2 holds, a fixed set
-    separates two rotating sets exactly when they lie in different gaps of
-    it, so P4 compares each rotating set's gap signature (its gap in every
-    fixed set) instead of testing separation pair by pair.
+    The portrait's sets are canonical, so P2 and P4 run on its angles as
+    integer numerators over the common denominator of its sets, which also
+    classify each set.  Once P2 holds, a fixed set separates two rotating
+    sets exactly when they lie in different gaps of it, so P4 compares each
+    rotating set's gap signature (its gap in every fixed set) instead of
+    testing separation pair by pair.
     """
+    return _validate(p)[0]
+
+
+def _validate(p: Portrait) -> tuple[ValidationResult, list]:
+    """``validate_portrait``, plus the sets' numerators for the builder."""
     d = p.degree
     violations: list[Violation] = []
     notes: list[str] = []
 
-    classified: list[Optional[RotationSet]] = [
-        RotationSet.from_angles(s, d) for s in p.sets]
-    for idx, rs in enumerate(classified, start=1):
-        if rs is None:
+    q, xsets = _numerators(d, p.sets)
+    classified: list[Optional[RotationSet]] = []
+    for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
+        m = None if xs is None else _shift(d, q, xs)
+        if m is None:
             violations.append(Violation(
-                "P1", (idx, p.sets[idx - 1]),
-                f"set {idx} {_angles_text(p.sets[idx - 1])} is not a "
-                f"degree-{d} rotation set"))
+                "P1", (idx, s),
+                f"set {idx} {_angles_text(s)} is not a degree-{d} rotation set"))
+        classified.append(None if m is None else RotationSet(d, s, m))
 
-    values = sorted(set().union(*p.sets))
-    rank = {a: r for r, a in enumerate(values)}
-    ranked = [tuple(rank[a] for a in s) for s in p.sets]
-    for (i, a), (j, b) in combinations(enumerate(ranked, start=1), 2):
+    if None in xsets:   # P1 fails; the angles order as numerators would
+        xsets = list(p.sets)
+    for (i, a), (j, b) in combinations(enumerate(xsets, start=1), 2):
         if _unlinked_sorted(a, b):
             continue
-        shared = tuple(values[r] for r in sorted(set(a) & set(b)))
+        shared = tuple(sorted(set(p.sets[i - 1]).intersection(p.sets[j - 1])))
         if shared:
             violations.append(Violation(
                 "P2-not-disjoint", (i, j, shared),
@@ -183,7 +189,7 @@ def validate_portrait(p: Portrait) -> ValidationResult:
 
     if any(rs is None for rs in classified):
         notes.append("P3 and P4 skipped: rotation numbers unavailable while P1 fails")
-        return ValidationResult(tuple(violations), tuple(notes))
+        return ValidationResult(tuple(violations), tuple(notes)), xsets
 
     # a shift-0 set has d*a = a, so each of its angles is a fixed angle
     # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
@@ -201,8 +207,8 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     if any(v.code.startswith("P2") for v in violations):
         notes.append("P4 skipped: separation is ill-defined while P2 fails")
     else:
-        blocks = [ranked[i - 1] for i, _ in fixed_members]
-        signature = {i: tuple(gap_index(b, ranked[i - 1][0]) for b in blocks)
+        blocks = [xsets[i - 1] for i, _ in fixed_members]
+        signature = {i: tuple(gap_index(b, xsets[i - 1][0]) for b in blocks)
                      for i, rs in enumerate(classified, start=1) if not rs.is_fixed}
         for i, j in combinations(signature, 2):
             if signature[i] == signature[j]:
@@ -211,7 +217,7 @@ def validate_portrait(p: Portrait) -> ValidationResult:
                     f"rotating sets {i} and {j} are separated by no "
                     f"rotation-number-zero set"))
 
-    return ValidationResult(tuple(violations), tuple(notes), tuple(classified))
+    return ValidationResult(tuple(violations), tuple(notes), tuple(classified)), xsets
 
 
 def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:

@@ -50,15 +50,16 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     the marked sector after exactly 2 * |edges| steps.
     """
     t = ct.tree
+    order = t.circular_order
     start = Sector(*ct.marked_sector)
     walk: list[Sector] = []
     v, k = start.vertex, start.index
     limit = 2 * len(t.edges) + 1
     for _ in range(limit):
         walk.append(Sector(v, k))
-        u = t.circular_order[v][k]           # leave along the sector's ccw edge
-        j = t.circular_order[u].index(v)     # arrive at u along that edge
-        v, k = u, (j + 1) % t.degree_of(u)
+        u = order[v][k]                      # leave along the sector's ccw edge
+        j = order[u].index(v)                # arrive at u along that edge
+        v, k = u, (j + 1) % len(order[u])
         if (v, k) == (start.vertex, start.index):
             break
     else:

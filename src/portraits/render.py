@@ -1,11 +1,14 @@
 """Deterministic SVG diagram of a constructed tree.
 
 Exact combinatorics lives upstream; this module is the only place floating
-point appears.  The drawing shows the unit circle, each set's star (dashed
-spokes from its circle points to their barycenter - decoration, not tree),
-the tree vertices and solid edges, local degrees, and dotted arrows for the
-vertices the dynamics actually moves.  Output is byte-for-byte reproducible
-for a given input.
+point appears.  Each angle enters it as one correctly rounded integer
+division, with no ``Fraction`` arithmetic: a circle point as its numerator
+over its denominator, an arc midpoint as one integer ratio over twice the
+arcs' common denominator.  The drawing shows the unit circle, each set's
+star (dashed spokes from its circle points to their barycenter -
+decoration, not tree), the tree vertices and solid edges, local degrees,
+and dotted arrows for the vertices the dynamics actually moves.  Output is
+byte-for-byte reproducible for a given input.
 """
 
 from __future__ import annotations
@@ -21,50 +24,8 @@ _CENTER = _SIZE / 2
 _RADIUS = 230.0
 
 
-def _point(theta) -> tuple[float, float]:
-    x = math.cos(2 * math.pi * float(theta))
-    y = math.sin(2 * math.pi * float(theta))
-    return (_CENTER + _RADIUS * x, _CENTER - _RADIUS * y)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.3f}"
-
-
-def _line(x1, y1, x2, y2, cls: str) -> str:
-    return (f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" />')
-
-
 def _text(x, y, content: str, cls: str) -> str:
-    return f'<text class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}">{content}</text>'
-
-
-def _barycenter(angles) -> tuple[float, float]:
-    xs = [_point(a) for a in angles]
-    return (sum(x for x, _ in xs) / len(xs), sum(y for _, y in xs) / len(xs))
-
-
-def _arc_midpoint(arc) -> float:
-    span = (arc.end - arc.start) % 1
-    if span == 0:
-        span = 1
-    return float((arc.start + span / 2) % 1)
-
-
-def _region_center(region: Region, anchors: dict[int, tuple[float, float]]) -> tuple[float, float]:
-    # pull the region vertex off the circle: average its arc midpoints with
-    # the barycenters of its boundary stars
-    points = []
-    for arc in region.arcs:
-        mid = _arc_midpoint(arc)
-        x = _CENTER + 0.84 * _RADIUS * math.cos(2 * math.pi * mid)
-        y = _CENTER - 0.84 * _RADIUS * math.sin(2 * math.pi * mid)
-        points.append((x, y))
-    for j in region.boundary_sets:
-        points.append(anchors[j])
-    return (sum(x for x, _ in points) / len(points),
-            sum(y for _, y in points) / len(points))
+    return f'<text class="{cls}" x="{x:.3f}" y="{y:.3f}">{content}</text>'
 
 
 def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
@@ -88,55 +49,71 @@ def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
         'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#c04040" /></marker></defs>',
-        f'<circle class="circle" cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" '
-        f'r="{_fmt(_RADIUS)}" />',
+        f'<circle class="circle" cx="{_CENTER:.3f}" cy="{_CENTER:.3f}" '
+        f'r="{_RADIUS:.3f}" />',
     ]
 
     positions: dict[str, tuple[float, float]] = {}
-    set_barycenter: dict[int, tuple[float, float]] = {}
-
-    for j in sorted(ct.julia_vertex_of_set):
-        v = ct.julia_vertex_of_set[j]
+    v_of = ct.julia_vertex_of_set
+    for j in sorted(v_of):
+        v = v_of[j]
         angles = ct.arc_anchor[v]
-        bary = _barycenter(angles)
-        set_barycenter[j] = bary
-        positions[v] = bary
-        if len(angles) >= 2:
-            for a in angles:
-                px, py = _point(a)
-                parts.append(_line(px, py, bary[0], bary[1], "star"))
+        units = []
         for a in angles:
-            px, py = _point(a)
-            ox = _CENTER + (_RADIUS + 16) * math.cos(2 * math.pi * float(a))
-            oy = _CENTER - (_RADIUS + 16) * math.sin(2 * math.pi * float(a))
+            turn = 2 * math.pi * (a.numerator / a.denominator)
+            units.append((math.cos(turn), math.sin(turn)))
+        points = [(_CENTER + _RADIUS * c, _CENTER - _RADIUS * s) for c, s in units]
+        bx = sum(x for x, _ in points) / len(points)
+        by = sum(y for _, y in points) / len(points)
+        positions[v] = (bx, by)
+        if len(angles) >= 2:
+            parts.extend(f'<line class="star" x1="{x:.3f}" y1="{y:.3f}" '
+                         f'x2="{bx:.3f}" y2="{by:.3f}" />' for x, y in points)
+        for a, (c, s) in zip(angles, units):
+            ox = _CENTER + (_RADIUS + 16) * c
+            oy = _CENTER - (_RADIUS + 16) * s
             parts.append(_text(ox - 9, oy + 4, format_angle(a), "ray"))
 
+    # pull each region vertex off the circle: average its arc midpoints with
+    # the barycenters of its boundary stars.  With s and e the arc's ends as
+    # numerators over q, its midpoint is ((2s + span) mod 2q) / 2q, span =
+    # (e - s) mod q (a whole turn when the arc is the circle minus a point).
+    q = math.lcm(*(x.denominator for r in regions for arc in r.arcs for x in arc))
     for r in regions:
-        w = ct.fatou_vertex_of_region[r.index]
-        positions[w] = _region_center(r, set_barycenter)
+        points = []
+        for start, end in r.arcs:
+            s = start.numerator * (q // start.denominator)
+            span = (end.numerator * (q // end.denominator) - s) % q or q
+            mid = (2 * s + span) % (2 * q) / (2 * q)
+            points.append((_CENTER + 0.84 * _RADIUS * math.cos(2 * math.pi * mid),
+                           _CENTER - 0.84 * _RADIUS * math.sin(2 * math.pi * mid)))
+        points.extend(positions[v_of[j]] for j in r.boundary_sets)
+        positions[ct.fatou_vertex_of_region[r.index]] = (
+            sum(x for x, _ in points) / len(points),
+            sum(y for _, y in points) / len(points))
 
     for a, b in t.edges:
         (x1, y1), (x2, y2) = positions[a], positions[b]
-        parts.append(_line(x1, y1, x2, y2, "edge"))
+        parts.append(f'<line class="edge" x1="{x1:.3f}" y1="{y1:.3f}" '
+                     f'x2="{x2:.3f}" y2="{y2:.3f}" />')
 
+    tau, delta = t.tau, t.delta
     for v in t.vertices:
-        if t.tau[v] == v:
+        if tau[v] == v:
             continue
-        (x1, y1), (x2, y2) = positions[v], positions[t.tau[v]]
+        (x1, y1), (x2, y2) = positions[v], positions[tau[v]]
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
         nx, ny = -(y2 - y1), (x2 - x1)
         norm = math.hypot(nx, ny) or 1.0
         cx, cy = mx + 24 * nx / norm, my + 24 * ny / norm
-        parts.append(f'<path class="tau" d="M {_fmt(x1)} {_fmt(y1)} '
-                     f'Q {_fmt(cx)} {_fmt(cy)} {_fmt(x2)} {_fmt(y2)}" />')
+        parts.append(f'<path class="tau" d="M {x1:.3f} {y1:.3f} '
+                     f'Q {cx:.3f} {cy:.3f} {x2:.3f} {y2:.3f}" />')
 
     for v in t.vertices:
         x, y = positions[v]
-        if v.startswith("v"):
-            parts.append(f'<circle class="julia" cx="{_fmt(x)}" cy="{_fmt(y)}" r="4.0" />')
-        else:
-            parts.append(f'<circle class="fatou" cx="{_fmt(x)}" cy="{_fmt(y)}" r="6.0" />')
-        parts.append(_text(x + 8, y - 6, f"{v} &#948;={t.delta[v]}", "label"))
+        kind, size = ("julia", "4.0") if v.startswith("v") else ("fatou", "6.0")
+        parts.append(f'<circle class="{kind}" cx="{x:.3f}" cy="{y:.3f}" r="{size}" />')
+        parts.append(_text(x + 8, y - 6, f"{v} &#948;={delta[v]}", "label"))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .angles import format_angle
 from .builder import ConstructedTree, Region, _construct
 from .fileio import format_portrait
-from .portrait import Portrait, ValidationResult, validate_portrait
+from .portrait import Portrait, ValidationResult, _validate
 from .recovery import recover_portrait
 from .rotation import RotationSet
 from .tree import (TreeViolation, VertexClass, check_degree_angle,
@@ -58,8 +58,8 @@ def analyze(p: Portrait) -> Analysis:
     Raises InvalidPortraitError, carrying the violations, when the portrait
     fails validation.
     """
-    validation = validate_portrait(p)
-    ct = _construct(p, validation.valid_sets())
+    validation, xsets = _validate(p)
+    ct = _construct(p, validation.valid_sets(), xsets)
     t = ct.tree
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)

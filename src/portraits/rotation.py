@@ -22,16 +22,18 @@ Classification runs on integers.  The covering map's n-th iterate fixes
 every angle of an n-element rotation set, so every denominator divides
 d**n - 1; a set failing that is refused before anything is multiplied out.
 The angles are then numerators x over their common denominator q, and the
-image of x/q is (d*x mod q)/q.
+image of x/q is (d*x mod q)/q.  One kernel, ``_shift``, serves
+``classify_rotation_set``, the portrait validator and the self-check of
+``generate_rotation_set``, which needs no ``Fraction`` until it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .angles import Angle, _scaled, as_angle_tuple, check_degree
+from .angles import Angle, as_angle_tuple, check_degree
 from .errors import CapacityError
 
 # Most (cardinality, shift, deployment) candidates one enumeration may try;
@@ -78,6 +80,29 @@ class RotationSet(NamedTuple):
         return self.cardinality // gcd(self.shift, self.cardinality)
 
 
+def _numerators(d: int, sets: Sequence[Sequence[Angle]]) -> tuple[int, list]:
+    """(q, xsets): each set as numerators over q, the common denominator of
+    the sets whose denominators all divide d**n - 1 (n the set's size).  A
+    set failing that cannot be a rotation set; it gets None, and its
+    denominators are never multiplied out."""
+    periodic = [not any((pow(d, len(s), a.denominator) - 1) % a.denominator for a in s)
+                for s in sets]
+    q = lcm(*(a.denominator for s, ok in zip(sets, periodic) if ok for a in s))
+    return q, [tuple(a.numerator * (q // a.denominator) for a in s) if ok else None
+               for s, ok in zip(sets, periodic)]
+
+
+def _shift(d: int, q: int, xs: Sequence[int]) -> Optional[int]:
+    """The shift m with d*xs[i] = xs[(i+m) % n] (mod q) for every i, or
+    None; ``xs`` are strictly increasing numerators over q."""
+    index = {x: i for i, x in enumerate(xs)}
+    images = [index.get(d * x % q) for x in xs]
+    m = images[0]
+    if m is None or images != [*range(m, len(xs)), *range(m)]:
+        return None
+    return m
+
+
 def classify_rotation_set(angles: Sequence[Angle], degree: int) -> Optional[tuple[int, int]]:
     """Find the unique shift m with f_d(theta_i) = theta_((i+m) mod n).
 
@@ -87,20 +112,9 @@ def classify_rotation_set(angles: Sequence[Angle], degree: int) -> Optional[tupl
     """
     d = check_degree(degree)
     th = as_angle_tuple(angles)
-    n = len(th)
-    # f**n fixes every angle of a rotation set, so each denominator divides
-    # d**n - 1; testing that first bounds the common denominator below
-    if any((pow(d, n, a.denominator) - 1) % a.denominator for a in th):
-        return None
-    q, xs = _scaled(th)
-    index = {x: i for i, x in enumerate(xs)}
-    m = index.get(d * xs[0] % q)
-    if m is None:
-        return None
-    for i, x in enumerate(xs):
-        if index.get(d * x % q) != (i + m) % n:
-            return None
-    return m, n
+    q, (xs,) = _numerators(d, [th])
+    m = None if xs is None else _shift(d, q, xs)
+    return None if m is None else (m, len(th))
 
 
 def deployment_vector(rs: RotationSet) -> tuple[int, ...]:
@@ -227,7 +241,8 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
                   for i in range(n)]
     if numerators[-1] >= q or any(a >= b for a, b in zip(numerators, numerators[1:])):
         return None
-    rs = RotationSet(d, tuple(Fraction(x, q) for x in numerators), shift)
-    if classify_rotation_set(rs.angles, d) != (shift, n) or deployment_vector(rs) != dep:
+    # the numerators increase, so their blocks list the deployment in order
+    if (_shift(d, q, numerators) != shift
+            or [(d - 1) * x // q for x in numerators] != blocks):
         return None
-    return rs
+    return RotationSet(d, tuple(Fraction(x, q) for x in numerators), shift)

@@ -206,18 +206,19 @@ def image_germs(t: AngledTree, v: str) -> tuple[str, ...]:
     neighbor of tau(v) it hangs off; the germ of edge v-u is the label of
     tau(u).
     """
-    root = t.tau[v]
+    order, tau = t.circular_order, t.tau
+    root = tau[v]
     branch = {root: root}
     queue = deque([root])
     while queue:
         y = queue.popleft()
-        for z in t.circular_order[y]:
+        for z in order[y]:
             if z not in branch:
                 branch[z] = z if y == root else branch[y]
                 queue.append(z)
     germs = []
-    for u in t.circular_order[v]:
-        image = t.tau[u]
+    for u in order[v]:
+        image = tau[u]
         if image == root:
             raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
         if image not in branch:
@@ -236,11 +237,12 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
     """
     out: list[TreeViolation] = []
-    for v in t.vertices:
-        nbrs = t.circular_order[v]
-        if len(nbrs) < 2:
-            continue
-        (L, at_v), (M, at_image) = t.angles_at(v), t.angles_at(t.tau[v])
+    order, tau, delta = t.circular_order, t.tau, t.delta
+    inner = [v for v in t.vertices if len(order[v]) >= 2]
+    angles = {x: t.angles_at(x) for x in {*inner, *(tau[v] for v in inner)}}
+    for v in inner:
+        nbrs = order[v]
+        (L, at_v), (M, at_image) = angles[v], angles[tau[v]]
         germs = image_germs(t, v)
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
@@ -248,7 +250,7 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
                     continue
                 lhs = 0 if germs[i] == germs[j] else at_image(germs[i], germs[j])
                 ang = at_v(nbrs[i], nbrs[j])
-                rhs = t.delta[v] * ang % L
+                rhs = delta[v] * ang % L
                 if lhs * L != rhs * M:
                     out.append(TreeViolation(
                         "degree-angle",
@@ -263,17 +265,18 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
     classes: dict[str, VertexClass] = {}
     cycles: list[tuple[str, ...]] = []
     cycle_of: dict[str, int] = {}
+    tau, delta = t.tau, t.delta
 
     for v in t.vertices:
         x = v
         for _ in range(len(t.vertices)):
-            x = t.tau[x]
+            x = tau[x]
         if x not in cycle_of:
             cycle = [x]
-            y = t.tau[x]
+            y = tau[x]
             while y != x:
                 cycle.append(y)
-                y = t.tau[y]
+                y = tau[y]
             cid = len(cycles)
             cycles.append(tuple(cycle))
             for c in cycle:
@@ -284,10 +287,10 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
         x = v
         while x not in cycle_of:
             preperiod += 1
-            x = t.tau[x]
+            x = tau[x]
         cid = cycle_of[x]
         cycle = cycles[cid]
-        kind = "fatou" if any(t.delta[c] > 1 for c in cycle) else "julia"
+        kind = "fatou" if any(delta[c] > 1 for c in cycle) else "julia"
         classes[v] = VertexClass(kind, cid, preperiod, len(cycle))
     return classes
 
@@ -306,13 +309,14 @@ def check_expanding(t: AngledTree,
         classes = classify_vertices(t)
 
     bound = len(t.vertices) ** 2
+    order, tau = t.circular_order, t.tau
     for a, b in t.edges:
         if classes[a].kind != "julia" or classes[b].kind != "julia":
             continue
         x, y = a, b
         for _ in range(bound):
-            x, y = t.tau[x], t.tau[y]
-            if x != y and y not in t.circular_order[x]:
+            x, y = tau[x], tau[y]
+            if x != y and y not in order[x]:
                 break
         else:
             return False, (a, b)

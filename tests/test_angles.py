@@ -31,6 +31,12 @@ class TestNormalize:
     def test_negative_numerator_wraps(self):
         assert normalize_angle(-1, 4) == F(3, 4)
 
+    def test_matches_fraction_mod_one(self):
+        # the expression normalize_angle used before it built one Fraction
+        for q in (1, 2, 3, 4, 6, 7, 12, 10 ** 30 + 1):
+            for p in (-3 * q - 1, -q, -q + 1, -1, 0, 1, q - 1, q, q + 1, 5 * q + 2):
+                assert normalize_angle(p, q) == F(p, q) % 1
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(MalformedAngleError):
             normalize_angle(1, 0)

@@ -1,11 +1,56 @@
+import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
-from portraits import Portrait, construct_tree, render_svg
+import pytest
+
+import portraits.render
+from portraits import Portrait, construct_tree, enumerate_portraits, render_svg
 
 
 def render(p):
     ct = construct_tree(p)
     return render_svg(ct, ct.regions)
+
+
+def fraction_arc_midpoint(arc):
+    """Oracle: the midpoint the renderer took with Fraction arithmetic
+    before it wrote each midpoint as one integer ratio."""
+    span = (arc.end - arc.start) % 1
+    if span == 0:
+        span = 1
+    return float((arc.start + span / 2) % 1)
+
+
+def cos_arguments(monkeypatch, ct):
+    """Every argument ``render_svg`` hands to ``math.cos``, in call order."""
+    seen = []
+
+    def cos(x):
+        seen.append(x)
+        return math.cos(x)
+
+    monkeypatch.setattr(portraits.render, "math", SimpleNamespace(
+        cos=cos, sin=math.sin, pi=math.pi, lcm=math.lcm, hypot=math.hypot))
+    render_svg(ct, ct.regions)
+    return seen
+
+
+class TestArcMidpoints:
+    @pytest.mark.parametrize("degree", [None, 2, 3, 4])
+    def test_floats_match_fraction_oracle(self, monkeypatch, degree):
+        # bit for bit, over the single-angle portrait or a period-3 census:
+        # circle points first, then each region's arc midpoints
+        family = ([Portrait.create(2, [[F(0)]])] if degree is None
+                  else enumerate_portraits(degree, 3))
+        for portrait in family:
+            ct = construct_tree(portrait)
+            anchors = [2 * math.pi * float(a)
+                       for j in sorted(ct.julia_vertex_of_set)
+                       for a in ct.arc_anchor[ct.julia_vertex_of_set[j]]]
+            midpoints = [2 * math.pi * fraction_arc_midpoint(arc)
+                         for r in ct.regions for arc in r.arcs]
+            assert cos_arguments(monkeypatch, ct) == anchors + midpoints
 
 
 class TestSvg:

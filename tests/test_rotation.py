@@ -9,7 +9,9 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        as_angle_tuple, classify_rotation_set, deployment_vector,
                        enumerate_portraits, enumerate_rotation_sets,
                        fixed_angles, generate_rotation_set, validate_portrait)
-from portraits.rotation import _CANDIDATE_CEILING, _candidate_count, _shapes
+import portraits.rotation
+from portraits.rotation import (_CANDIDATE_CEILING, _candidate_count,
+                                _deployments, _shapes)
 
 
 def map_angle(theta, degree):
@@ -42,6 +44,28 @@ def fraction_classify(angles, degree):
         if index.get(map_angle(a, degree)) != (i + m) % n:
             return None
     return m, n
+
+
+def fraction_generate(degree, cardinality, shift, deployment):
+    """Oracle: Goldberg's closed form checked as ``generate_rotation_set``
+    checked it before its self-check moved to integers, by classifying the
+    built Fractions and reading their deployment vector."""
+    n = cardinality
+    if sum(deployment) != n:
+        return None
+    blocks = [b for b, c in enumerate(deployment) for _ in range(c)]
+    digits = [blocks[i] + (i + shift >= n) for i in range(n)]
+    p = n // math.gcd(shift, n)
+    q = degree ** p - 1
+    angles = tuple(F(sum(digits[(i + j * shift) % n] * degree ** (p - 1 - j)
+                         for j in range(p)), q) for i in range(n))
+    if angles[-1] >= 1 or any(a >= b for a, b in zip(angles, angles[1:])):
+        return None
+    rs = RotationSet(degree, angles, shift)
+    if (classify_rotation_set(angles, degree) != (shift, n)
+            or deployment_vector(rs) != tuple(deployment)):
+        return None
+    return rs
 
 
 def brute_force_rotation_sets(degree, period, max_size):
@@ -178,6 +202,30 @@ class TestClassifyOracle:
         assert classify_rotation_set(angles, 2) is None
         assert validate_portrait(portrait).codes == ("P1",)
         assert time.perf_counter() - start < 1.0
+
+    def test_hostile_set_beside_a_valid_one(self, monkeypatch):
+        # the same 2000 angles plus the singleton {0}: the common
+        # denominator is taken over the singleton alone, and P2 compares
+        # the Fractions; a common denominator of all 2001 angles took
+        # seconds to compute
+        primes = [n for n in range(2, 17400)
+                  if all(n % k for k in range(2, math.isqrt(n) + 1))][:2000]
+        angles = sorted(F(1, p ** math.ceil(99 / math.log10(p))) for p in primes)
+        portrait = Portrait.create(2, [angles, [F(0)]])
+        taken = []
+
+        def lcm(*args):
+            taken.extend(args)
+            return math.lcm(*args)
+
+        monkeypatch.setattr(portraits.rotation, "lcm", lcm)
+        start = time.perf_counter()
+        result = validate_portrait(portrait)
+        elapsed = time.perf_counter() - start
+        assert result.codes == ("P1",)
+        assert result.violations[0].witness[0] == 2
+        assert taken == [1]
+        assert elapsed < 2.0
 
 
 class TestDeployment:
@@ -317,6 +365,20 @@ class TestGenerate:
                 assert key not in seen, (
                     f"d={d}: {seen.get(key)} and {rs.angles} share {key}")
                 seen[key] = rs.angles
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_self_check_matches_fraction_oracle(self, d):
+        # every (n, m, deployment) with n <= 6: the integer self-check
+        # accepts exactly the candidates the Fraction self-check accepts
+        accepted = rejected = 0
+        for n in range(1, 7):
+            for m in range(n):
+                for dep in _deployments(n, d - 1):
+                    expected = fraction_generate(d, n, m, dep)
+                    assert generate_rotation_set(d, n, m, dep) == expected
+                    accepted += expected is not None
+                    rejected += expected is None
+        assert accepted and rejected
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

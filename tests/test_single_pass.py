@@ -8,8 +8,12 @@ for each vertex the degree-angle check visits (those with two or more
 edges) and one for each of the k fixed Julia vertices recovery reads a
 sector shift off.
 
-``classify_rotation_set`` is not counted: recovery confirms every set it
-rebuilds with it.
+Validation classifies each member set with one call of the shift kernel
+``rotation._shift``, counted through the validator's binding only:
+recovery's ``generate_rotation_set`` self-checks every set it rebuilds
+with the same kernel.  Validation is counted at ``portrait._validate``,
+which ``validate_portrait``, ``construct_tree`` and ``analyze`` all go
+through.
 """
 
 import sys
@@ -17,7 +21,8 @@ import sys
 import pytest
 
 import portraits.cli
-from portraits import (Portrait, RotationSet, analyze, construct_tree,
+import portraits.portrait
+from portraits import (Portrait, analyze, construct_tree,
                        enumerate_portraits, render_report, report_data)
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
@@ -49,10 +54,8 @@ def count_calls(monkeypatch, owners, name, wrap=lambda f: f):
 @pytest.fixture
 def counts(monkeypatch):
     return {
-        "from_angles": count_calls(monkeypatch, [RotationSet], "from_angles",
-                                   staticmethod),
-        "validate": count_calls(monkeypatch, binders("validate_portrait"),
-                                "validate_portrait"),
+        "shift": count_calls(monkeypatch, [portraits.portrait], "_shift"),
+        "validate": count_calls(monkeypatch, binders("_validate"), "_validate"),
         "partition": count_calls(monkeypatch, binders("_partition"), "_partition"),
         "classify": count_calls(monkeypatch, binders("classify_vertices"),
                                 "classify_vertices"),
@@ -64,7 +67,7 @@ def counts(monkeypatch):
 def test_analyze_computes_each_fact_once(counts, p):
     an = analyze(p)
     assert an.all_ok
-    assert len(counts["from_angles"]) == p.k
+    assert len(counts["shift"]) == p.k
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == 1
@@ -82,7 +85,7 @@ def test_analyze_computes_each_fact_once(counts, p):
 @pytest.mark.parametrize("p", PORTRAITS, ids=lambda p: f"d{p.degree}k{p.k}")
 def test_construct_tree_validates_and_partitions_once(counts, p):
     ct = construct_tree(p)
-    assert len(counts["from_angles"]) == p.k
+    assert len(counts["shift"]) == p.k
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert not counts["classify"]
@@ -107,4 +110,4 @@ def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == classifications
     assert len(counts["germs"]) == germ_passes
-    assert len(counts["from_angles"]) == 4
+    assert len(counts["shift"]) == 4
