@@ -10,16 +10,16 @@ order, sums and the covering map are plain integer operations (x/q < y/q
 iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
 portrait's sets that way once (``rotation._numerators``), for its own
 classification, P2 and P4 and for the builder's partition.  Rotation-set
-generation checks its own numerators over d**p - 1, the SVG renderer makes
-each arc midpoint one integer ratio, and ``_scaled`` serves the tree checks.
-Fractions are built again only where a value is reported.
+generation writes numerators over d**p - 1, enumeration compares its pool
+over their lcm, the SVG renderer makes each arc midpoint one integer ratio,
+and the angled tree stores integer gaps.  Fractions are built again only
+where a value is reported.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import MalformedAngleError, MalformedSetError
@@ -51,13 +51,6 @@ def fixed_angles(degree: int) -> tuple[Angle, ...]:
     """
     d = check_degree(degree)
     return tuple(Fraction(i, d - 1) for i in range(d - 1))
-
-
-def _scaled(angles: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(q, numerators): the least common denominator of ``angles`` and each
-    angle as a numerator over it, in the given order."""
-    q = lcm(*(a.denominator for a in angles))
-    return q, [a.numerator * (q // a.denominator) for a in angles]
 
 
 def gap_index(points: Sequence[Angle], theta: Angle) -> int:

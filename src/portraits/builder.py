@@ -29,7 +29,6 @@ shift m.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .angles import Angle
@@ -221,8 +220,7 @@ def _construct(p: Portrait, sets: Sequence[RotationSet],
     edges = tuple(sorted(edges_from_gaps))
     circular_order = {v: tuple(nbrs) for v, nbrs in
                       list(order_at_v.items()) + list(order_at_w.items())}
-    gap_angles = {v: tuple([Fraction(1, len(nbrs))] * len(nbrs))
-                  for v, nbrs in circular_order.items()}
+    gap_angles = {v: (len(nbrs), (1,) * len(nbrs)) for v, nbrs in circular_order.items()}
     delta = {v_label[j]: 1 for j in v_label}
     delta.update({w_label[r.index]: r.cc + 1 for r in regions})
     tau = {v: moved.get(v, v) for v in vertices}

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
@@ -261,20 +262,20 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     block lie in disjoint arcs, so each fits in one gap of the other.  The
     rotating sets that may join a cover are the pool sets unlinked with
     every block, and a valid portrait takes at most one of them per
-    signature.  Angles are replaced by their ranks among all the angles
-    involved, which keeps their order, so the gap tests and the final sort
-    compare integers.
+    signature.  Angles are numerators over q = lcm(d**p - 1 : p <=
+    max_period), which every denominator involved divides; that keeps their
+    order, so the gap tests and the final sort compare integers.
     """
     d = check_degree(degree)
     pool = [rs.angles for rs in enumerate_rotation_sets(
         d, (d - 1) * max_period, max_period) if not rs.is_fixed]
-    fixed = fixed_angles(d)
-    values = sorted(set(fixed).union(*pool))
-    rank = {a: r for r, a in enumerate(values)}
-    sets = [tuple(rank[a] for a in s) for s in pool]
+    q = lcm(*(d ** p - 1 for p in range(1, max_period + 1)))
+    fixed = [i * (q // (d - 1)) for i in range(d - 1)]
+    sets = [tuple(a.numerator * (q // a.denominator) for a in s) for s in pool]
+    angle = dict(zip(chain(fixed, *sets), chain(fixed_angles(d), *pool)))
 
     found: list[tuple[tuple[int, ...], ...]] = []
-    for cover in _noncrossing_partitions([rank[a] for a in fixed]):
+    for cover in _noncrossing_partitions(fixed):
         # per signature: take none of its sets (None) or one of them
         by_signature: dict[tuple[int, ...], list] = {}
         for s in sets:
@@ -288,5 +289,5 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     found.sort(key=lambda f: (len(f), f))
     # each family is already canonical, so Portrait.create would only
     # re-sort and re-validate it
-    return [Portrait(d, tuple(tuple(values[r] for r in s) for s in f))
+    return [Portrait(d, tuple(tuple(angle[x] for x in s) for s in f))
             for f in found]

@@ -17,19 +17,21 @@ I*, 1992; see ``rotation``) writes its angles down directly.
 The input is the ``ConstructedTree`` of ``builder.construct_tree``.  Only
 its tree (with ``tau``) and its marked sector are read; the regions and arc
 anchors it also carries are for the reports and the SVG.  The boundary walk
-is a plain tuple of sectors, marked sector first.
+is a plain tuple of sectors, marked sector first.  The fixed rays are
+labelled in walk order and the closed form returns increasing angles, so
+the portrait is built directly and only its family needs sorting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .builder import ConstructedTree
 from .errors import InvariantViolationError
 from .portrait import Portrait
 from .rotation import generate_rotation_set
-from .tree import AngledTree, image_germs
+from .tree import image_germs
 
 
 class Sector(NamedTuple):
@@ -70,22 +72,6 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     return tuple(walk)
 
 
-def _sector_shift(t: AngledTree, v: str) -> int:
-    """Shift of the sector permutation at a fixed Julia vertex.
-
-    Sector k lies between edges k-1 and k and maps to the sector between
-    their germs, so the sectors rotate by s exactly when the germs are the
-    circular order rotated by s.  Anything else contradicts the construction.
-    """
-    order = t.circular_order[v]
-    germs = image_germs(t, v)
-    s = order.index(germs[0])
-    if germs != order[s:] + order[:s]:
-        raise InvariantViolationError(
-            f"sector permutation at {v} is not a rotation (germs {germs})")
-    return s
-
-
 def recover_portrait(ct: ConstructedTree) -> Portrait:
     """Read the portrait back off the tree.
 
@@ -94,6 +80,12 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     Goldberg's closed form (``generate_rotation_set``) from its sector count,
     sector shift and walk positions between the fixed rays.
     """
+    return _recover(ct, lambda v: image_germs(ct.tree, v))
+
+
+def _recover(ct: ConstructedTree, germs_at: Callable[[str], tuple[str, ...]]
+             ) -> Portrait:
+    """``recover_portrait`` with the germs at v given as germs_at(v)."""
     t = ct.tree
     d = t.total_degree()
     # a fixed vertex is its own cycle, which is Julia iff it is not critical
@@ -102,11 +94,16 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}
     for v in julia_fixed:
-        shift = _sector_shift(t, v)
-        if shift == 0:
+        # the sectors rotate by s iff the germs are the order rotated by s
+        order, germs = t.circular_order[v], germs_at(v)
+        s = order.index(germs[0])
+        if germs != order[s:] + order[:s]:
+            raise InvariantViolationError(
+                f"sector permutation at {v} is not a rotation (germs {germs})")
+        if s == 0:
             fixed_vertices.append(v)
         else:
-            rotating[v] = shift
+            rotating[v] = s
 
     fixed_sector_count = sum(t.degree_of(v) for v in fixed_vertices)
     if fixed_sector_count != d - 1:
@@ -130,8 +127,7 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
         raise InvariantViolationError(
             f"walk assigned {counter} fixed rays, expected {d - 1}")
 
-    sets: list[tuple[Fraction, ...]] = [tuple(sorted(assigned[v]))
-                                        for v in fixed_vertices]
+    sets: list[tuple[Fraction, ...]] = [tuple(assigned[v]) for v in fixed_vertices]
     for v, shift in rotating.items():
         n = t.degree_of(v)
         rs = generate_rotation_set(d, n, shift, tuple(buckets[v]))
@@ -140,4 +136,4 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
                 f"no rotation set matches shift={shift} cardinality={n} "
                 f"deployment={tuple(buckets[v])} read off {v}")
         sets.append(rs.angles)
-    return Portrait.create(d, sets)
+    return Portrait(d, tuple(sorted(sets)))

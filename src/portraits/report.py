@@ -3,23 +3,25 @@
 ``analyze`` runs the whole pipeline - validation, regions, tree assembly,
 dynamics, every tree check, and the recovery round trip - and keeps each
 result, so the report and the CLI's exit status are pure functions of the
-portrait.  It validates once and partitions the disk once; the reports read
-the classified sets and the regions from the ``Analysis``.
+portrait.  It validates once, partitions the disk once and takes the germs
+at each vertex once; the reports read the classified sets and the regions
+from the ``Analysis``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .angles import format_angle
 from .builder import ConstructedTree, Region, _construct
 from .fileio import format_portrait
 from .portrait import Portrait, ValidationResult, _validate
-from .recovery import recover_portrait
+from .recovery import _recover
 from .rotation import RotationSet
-from .tree import (TreeViolation, VertexClass, check_degree_angle,
-                   check_expanding, check_julia_normalization,
-                   check_tree_axioms, classify_vertices, count_fixed_points)
+from .tree import (TreeViolation, VertexClass, _degree_angle, check_expanding,
+                   check_julia_normalization, check_tree_axioms,
+                   classify_vertices, count_fixed_points, image_germs)
 
 
 class Analysis(NamedTuple):
@@ -63,14 +65,15 @@ def analyze(p: Portrait) -> Analysis:
     t = ct.tree
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)
-    recovered = recover_portrait(ct)
+    germs_at = cache(lambda v: image_germs(t, v))
+    recovered = _recover(ct, germs_at)
     return Analysis(
         portrait=p,
         validation=validation,
         ct=ct,
         classes=classes,
         axiom_violations=check_tree_axioms(t),
-        degree_angle_violations=check_degree_angle(t),
+        degree_angle_violations=_degree_angle(t, germs_at),
         normalization_violations=check_julia_normalization(t, classes),
         expanding=expanding,
         expanding_witness=witness,

@@ -23,8 +23,7 @@ every angle of an n-element rotation set, so every denominator divides
 d**n - 1; a set failing that is refused before anything is multiplied out.
 The angles are then numerators x over their common denominator q, and the
 image of x/q is (d*x mod q)/q.  One kernel, ``_shift``, serves
-``classify_rotation_set``, the portrait validator and the self-check of
-``generate_rotation_set``, which needs no ``Fraction`` until it returns.
+``classify_rotation_set`` and the validator; generation needs none.
 """
 
 from __future__ import annotations
@@ -213,10 +212,13 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
     """The unique rotation set with the given shift, cardinality and deployment.
 
     Goldberg's closed form (module docstring) gives the only candidate in
-    O(n * p) steps.  It is returned if it is strictly increasing in [0, 1),
-    rotates by ``shift`` and has ``deployment``; otherwise no rotation set has
-    these data and the result is None (so whenever the deployment does not
-    sum to the cardinality).
+    O(n * p) steps, as numerators x_i over q = d**p - 1.  It is returned if
+    it is strictly increasing in [0, 1); otherwise no rotation set has these
+    data and the result is None (so whenever the deployment does not sum to
+    the cardinality).  Nothing else needs checking: as p*m = 0 mod n,
+    d*x_i = x_((i+m) mod n) + k_i*q, so the set rotates by m; and
+    (d-1)*theta_i = k_i + theta_((i+m) mod n) - theta_i has floor b_i, as
+    that difference of increasing angles is negative iff i + m wraps past n.
     """
     d = check_degree(degree)
     n = cardinality
@@ -240,9 +242,5 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
     numerators = [sum(digits[(i + j * shift) % n] * w for j, w in enumerate(powers))
                   for i in range(n)]
     if numerators[-1] >= q or any(a >= b for a, b in zip(numerators, numerators[1:])):
-        return None
-    # the numerators increase, so their blocks list the deployment in order
-    if (_shift(d, q, numerators) != shift
-            or [(d - 1) * x // q for x in numerators] != blocks):
         return None
     return RotationSet(d, tuple(Fraction(x, q) for x in numerators), shift)

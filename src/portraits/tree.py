@@ -6,11 +6,11 @@ edges is the sum of the gaps walked counterclockwise from one to the other.
 Additivity then holds by construction, and skew-symmetry reduces to the gap
 total being a whole number of turns.
 
-The checks run on integers: a vertex's gaps are written as numerators over
-the least common denominator L of their denominators (``angles_at``), so
-angles are residues mod L, and angles over different denominators L and M
-are compared by cross-multiplying.  A ``Fraction`` is built only for the
-detail string of a violation.
+The tree is integer-valued: each vertex carries its gaps as numerators
+over its own denominator L (one L per tree, the lcm of the vertex degrees,
+can grow exponentially), so angles are residues mod L, and angles over
+different denominators L and M are compared by cross-multiplying.  A
+``Fraction`` is built only by ``angle_between`` and for violation details.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
-from .angles import _scaled
 from .errors import InvariantViolationError
 
 
@@ -28,16 +27,16 @@ class AngledTree(NamedTuple):
     """A finite tree with circular edge orders, gap angles, dynamics and degrees.
 
     ``circular_order[v]`` lists v's neighbors counterclockwise (the tree is
-    simple, so a neighbor identifies an edge).  ``gap_angles[v][i]`` is the
-    angle from edge i to edge i+1 (cyclically); a one-edge vertex carries the
-    single full-turn gap 1.  ``tau`` is the vertex dynamics and ``delta`` the
-    local degree function.
+    simple, so a neighbor identifies an edge).  ``gap_angles[v]`` is a pair
+    (L, gaps) of integers: gaps[i] / L is the angle from edge i to edge i+1
+    (cyclically); a one-edge vertex carries one full-turn gap, (L, (L,)).
+    ``tau`` is the vertex dynamics and ``delta`` the local degree function.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     circular_order: dict[str, tuple[str, ...]]
-    gap_angles: dict[str, tuple[Fraction, ...]]
+    gap_angles: dict[str, tuple[int, tuple[int, ...]]]
     tau: dict[str, str]
     delta: dict[str, int]
 
@@ -52,14 +51,13 @@ class AngledTree(NamedTuple):
     def angles_at(self, v: str) -> tuple[int, Callable[[str, str], int]]:
         """``angle_between`` at v for every pair: O(degree) once, O(1) a pair.
 
-        Returns (L, angle): L is the least common denominator of v's gap
-        angles and angle(a, b) / L is ``angle_between(v, a, b)``, with
-        0 <= angle(a, b) < L.  The gaps walked counterclockwise from edge i
-        to edge j sum to prefix[j] - prefix[i], plus the gap total when the
-        walk wraps.
+        Returns (L, angle): L is v's gap denominator and angle(a, b) / L is
+        ``angle_between(v, a, b)``, with 0 <= angle(a, b) < L.  The gaps
+        walked counterclockwise from edge i to edge j sum to
+        prefix[j] - prefix[i], plus the gap total when the walk wraps.
         """
         pos = {u: i for i, u in enumerate(self.circular_order[v])}
-        denominator, gaps = _scaled(self.gap_angles[v])
+        denominator, gaps = self.gap_angles[v]
         prefix = list(accumulate(gaps, initial=0))
         total = prefix[-1]
 
@@ -114,10 +112,11 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     """Verify every structural axiom, reporting each failure with a witness.
 
     Checks: map domains agree with the vertex set, edges match the circular
-    orders, the graph is a connected tree, every gap angle is positive with
-    integral total and no proper partial sum integral (so the pairwise angle
-    vanishes only on equal edges), tau never collapses an edge, the local
-    degrees are >= 1 with total degree >= 2, and a critical vertex exists.
+    orders, the graph is a connected tree, gap denominators are positive,
+    every gap angle is positive with integral total and no proper partial sum
+    integral (so the pairwise angle vanishes only on equal edges), tau never
+    collapses an edge, the local degrees are >= 1 with total degree >= 2, and
+    a critical vertex exists.
     """
     out: list[TreeViolation] = []
     vset = set(t.vertices)
@@ -138,7 +137,10 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
         for u in order:
             if (v, u) not in incident:
                 out.append(TreeViolation("structure", f"order at {v} lists non-edge {u}"))
-        if len(t.gap_angles[v]) != len(order):
+        L, gaps = t.gap_angles[v]
+        if L <= 0:
+            out.append(TreeViolation("structure", f"gap denominator at {v} is {L} <= 0"))
+        if len(gaps) != len(order):
             out.append(TreeViolation("structure", f"gap count at {v} differs from degree"))
     for a, b in t.edges:
         if a == b:
@@ -155,11 +157,11 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
         out.append(TreeViolation("not-connected", "the graph is disconnected"))
 
     for v in t.vertices:
-        gaps = t.gap_angles[v]
-        L, nums = _scaled(gaps)
-        for i, (g, x) in enumerate(zip(gaps, nums)):
+        L, nums = t.gap_angles[v]
+        for i, x in enumerate(nums):
             if x <= 0:
-                out.append(TreeViolation("angle-gap", f"gap {i} at {v} is {g} <= 0"))
+                out.append(TreeViolation("angle-gap",
+                                         f"gap {i} at {v} is {Fraction(x, L)} <= 0"))
         total = sum(nums)
         if total % L or total < L:
             out.append(TreeViolation(
@@ -236,6 +238,12 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     case that angle is zero.  With L and M the denominators at v and at
     tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
     """
+    return _degree_angle(t, lambda v: image_germs(t, v))
+
+
+def _degree_angle(t: AngledTree, germs_at: Callable[[str], tuple[str, ...]]
+                  ) -> tuple[TreeViolation, ...]:
+    """``check_degree_angle`` with the germs at v given as germs_at(v)."""
     out: list[TreeViolation] = []
     order, tau, delta = t.circular_order, t.tau, t.delta
     inner = [v for v in t.vertices if len(order[v]) >= 2]
@@ -243,7 +251,7 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     for v in inner:
         nbrs = order[v]
         (L, at_v), (M, at_image) = angles[v], angles[tau[v]]
-        germs = image_germs(t, v)
+        germs = germs_at(v)
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
                 if i == j:

@@ -194,10 +194,15 @@ class TestAssembly:
             assert ct.tree.degree_of(w) == len(r.boundary_sets)
 
     def test_uniform_gap_angles(self, degree5_portrait):
+        # consecutive edges at a vertex with m edges sit 1/m apart: m unit
+        # gaps over the vertex's own denominator m
         t = construct_tree(degree5_portrait).tree
         for v in t.vertices:
             m = t.degree_of(v)
-            assert t.gap_angles[v] == tuple([F(1, m)] * m)
+            assert t.gap_angles[v] == (m, (1,) * m)
+            order = t.circular_order[v]
+            assert [t.angle_between(v, order[i], order[(i + 1) % m])
+                    for i in range(m)] == [F(1, m) % 1] * m
 
     def test_marked_sector(self, degree5_portrait):
         ct = construct_tree(degree5_portrait)

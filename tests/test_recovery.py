@@ -1,11 +1,12 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from portraits import (Portrait, RotationSet, analyze, boundary_walk,
-                       classify_rotation_set, construct_tree, deployment_vector,
-                       enumerate_portraits, fixed_angles, image_germs,
-                       recover_portrait)
+from portraits import (InvariantViolationError, Portrait, RotationSet, analyze,
+                       boundary_walk, classify_rotation_set, construct_tree,
+                       deployment_vector, enumerate_portraits, fixed_angles,
+                       image_germs, recover_portrait)
 
 from conftest import orbit
 
@@ -108,6 +109,18 @@ class TestRecovery:
             for p in enumerate_portraits(d, 3):
                 assert recover_portrait(construct_tree(p)) == p
 
+    def test_direct_portrait_matches_create_over_census(self):
+        # recovery builds its Portrait without Portrait.create: each set
+        # must come out increasing and the family in create's order
+        count = 0
+        for d, period in ((2, 6), (3, 4), (4, 3), (5, 2)):
+            for p in enumerate_portraits(d, period):
+                rec = recover_portrait(construct_tree(p))
+                shuffled = [tuple(reversed(s)) for s in reversed(rec.sets)]
+                assert rec == Portrait.create(rec.degree, shuffled) == p
+                count += 1
+        assert count == 944
+
     def test_round_trip_degree_four(self):
         # beyond the exhaustive small-degree suite: several rotating sets
         # and capacity-2 regions show up here
@@ -144,3 +157,59 @@ class TestValidInputsAccepted:
         an = analyze(p)
         assert an.all_ok
         assert an.recovered == p
+
+
+def edited(ct, **fields):
+    """``ct`` with single tree fields replaced."""
+    return ct._replace(tree=ct.tree._replace(**fields))
+
+
+class TestRecoveryErrors:
+    """Each reachable raise of recovery, reached by a single-field edit of a
+    census tree.  The remaining one, fewer fixed rays on the walk than fixed
+    sectors, needs a walk that misses a fixed sector while closing up after
+    2 * |edges| steps, which no single edit produces."""
+
+    def check(self, ct, message):
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            recover_portrait(ct)
+
+    def test_fixed_sector_count(self, degree5_portrait):
+        # v1 turns critical: it is no longer a Julia vertex, and d becomes 6
+        ct = construct_tree(degree5_portrait)
+        self.check(edited(ct, delta={**ct.tree.delta, "v1": 2}),
+                   "2 fixed sectors found, expected 5")
+
+    def test_marked_sector_not_fixed(self, degree5_portrait):
+        # v2 carries the rotating pair
+        ct = construct_tree(degree5_portrait)._replace(marked_sector=("v2", 0))
+        self.check(ct, "the marked sector is not a fixed sector")
+
+    def test_sector_permutation_not_a_rotation(self, basilica):
+        ct = construct_tree(basilica)
+        self.check(edited(ct, tau={**ct.tree.tau, "w1": "w1"}),
+                   "sector permutation at v2 is not a rotation (germs ('w1', 'w1'))")
+
+    def test_edge_collapses(self, basilica):
+        ct = construct_tree(basilica)
+        self.check(edited(ct, tau={**ct.tree.tau, "w2": "v2"}),
+                   "edge v2-w2 collapses under tau")
+
+    def test_walk_longer_than_the_edges_allow(self, basilica):
+        ct = construct_tree(basilica)
+        self.check(edited(ct, edges=ct.tree.edges[:-1]),
+                   "boundary walk failed to close up")
+
+    def test_walk_shorter_than_the_edges_demand(self, degree5_portrait):
+        ct = construct_tree(degree5_portrait)
+        self.check(edited(ct, edges=ct.tree.edges + (("v1", "v2"),)),
+                   "boundary walk has 12 steps, expected 14")
+
+    def test_no_rotation_set_matches(self):
+        # delta 0 at v3 lowers d to 2, where no 4-element set has shift 2
+        p = Portrait.create(3, [[F(0)], [F(1, 8), F(1, 4), F(3, 8), F(3, 4)],
+                                [F(1, 2)]])
+        ct = construct_tree(p)
+        self.check(edited(ct, delta={**ct.tree.delta, "v3": 0}),
+                   "no rotation set matches shift=2 cardinality=4 "
+                   "deployment=(4,) read off v2")

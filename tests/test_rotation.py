@@ -48,8 +48,9 @@ def fraction_classify(angles, degree):
 
 def fraction_generate(degree, cardinality, shift, deployment):
     """Oracle: Goldberg's closed form checked as ``generate_rotation_set``
-    checked it before its self-check moved to integers, by classifying the
-    built Fractions and reading their deployment vector."""
+    once checked it, by classifying the built Fractions and reading their
+    deployment vector (the library now relies on the proof in its
+    docstring instead)."""
     n = cardinality
     if sum(deployment) != n:
         return None
@@ -366,12 +367,13 @@ class TestGenerate:
                     f"d={d}: {seen.get(key)} and {rs.angles} share {key}")
                 seen[key] = rs.angles
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_self_check_matches_fraction_oracle(self, d):
-        # every (n, m, deployment) with n <= 6: the integer self-check
-        # accepts exactly the candidates the Fraction self-check accepts
+        # every (n, m, deployment) with n <= 8: the increasing test alone
+        # accepts exactly the candidates that the Fraction self-check
+        # (classification and deployment vector) accepts
         accepted = rejected = 0
-        for n in range(1, 7):
+        for n in range(1, 9):
             for m in range(n):
                 for dep in _deployments(n, d - 1):
                     expected = fraction_generate(d, n, m, dep)

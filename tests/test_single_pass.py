@@ -3,17 +3,16 @@ classifies each member set once and partitions the disk once, one
 ``analyze`` classifies the tree's vertices once (``construct_tree`` never
 does), and the reports and the command line add no second pass.
 
-The germs at a vertex take one ``image_germs`` pass: ``analyze`` makes one
-for each vertex the degree-angle check visits (those with two or more
-edges) and one for each of the k fixed Julia vertices recovery reads a
-sector shift off.
+The germs at a vertex take one ``image_germs`` pass, however many readers
+they have: ``analyze`` makes exactly one for each vertex that needs germs,
+the vertices the degree-angle check visits (those with two or more edges)
+and the k fixed Julia vertices recovery reads a sector shift off.
 
 Validation classifies each member set with one call of the shift kernel
-``rotation._shift``, counted through the validator's binding only:
-recovery's ``generate_rotation_set`` self-checks every set it rebuilds
-with the same kernel.  Validation is counted at ``portrait._validate``,
-which ``validate_portrait``, ``construct_tree`` and ``analyze`` all go
-through.
+``rotation._shift``, and nothing else calls it: recovery rebuilds its
+rotating sets by Goldberg's closed form, which needs no classification.
+Validation is counted at ``portrait._validate``, which
+``validate_portrait``, ``construct_tree`` and ``analyze`` all go through.
 """
 
 import sys
@@ -54,7 +53,7 @@ def count_calls(monkeypatch, owners, name, wrap=lambda f: f):
 @pytest.fixture
 def counts(monkeypatch):
     return {
-        "shift": count_calls(monkeypatch, [portraits.portrait], "_shift"),
+        "shift": count_calls(monkeypatch, binders("_shift"), "_shift"),
         "validate": count_calls(monkeypatch, binders("_validate"), "_validate"),
         "partition": count_calls(monkeypatch, binders("_partition"), "_partition"),
         "classify": count_calls(monkeypatch, binders("classify_vertices"),
@@ -72,7 +71,9 @@ def test_analyze_computes_each_fact_once(counts, p):
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == 1
     t = an.ct.tree
-    assert len(counts["germs"]) == sum(t.degree_of(v) >= 2 for v in t.vertices) + p.k
+    needs_germs = ({v for v in t.vertices if t.degree_of(v) >= 2}
+                   | {v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1})
+    assert sorted(v for _, v in counts["germs"]) == sorted(needs_germs)
     assert an.regions == an.ct.regions
 
     for key in counts:
@@ -94,7 +95,8 @@ def test_construct_tree_validates_and_partitions_once(counts, p):
 
 
 @pytest.mark.parametrize("command, expected, classifications, germ_passes", [
-    ("build", "round trip: ok", 1, 4 + 4),   # one analyze: 4 vertices of degree 2+
+    ("build", "round trip: ok", 1, 4 + 2),   # one analyze: 4 vertices of
+                                             # degree 2+ and the leaves v3, v4
     ("roundtrip", "set 1/8 5/8", 0, 4),      # construct_tree and recovery only
 ], ids=["build", "roundtrip"])
 def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -12,21 +13,36 @@ from portraits import (AngledTree, InvariantViolationError, Portrait,
 from conftest import path_germ, tree_path
 
 
+def _scaled(gaps):
+    """(L, numerators): the least common denominator of the ``Fraction``
+    gaps and each gap as a numerator over it, in the given order."""
+    L = lcm(*(g.denominator for g in gaps))
+    return L, tuple(g.numerator * (L // g.denominator) for g in gaps)
+
+
 def make_tree(vertices, edges, order, gaps, tau, delta):
+    """An ``AngledTree`` from gaps given as ``Fraction``s."""
     return AngledTree(tuple(vertices), tuple(sorted(edges)),
                       {v: tuple(n) for v, n in order.items()},
-                      {v: tuple(g) for v, g in gaps.items()}, dict(tau),
+                      {v: _scaled(g) for v, g in gaps.items()}, dict(tau),
                       dict(delta))
+
+
+def fraction_gaps(t, v):
+    """The gaps at v as ``Fraction``s."""
+    L, gaps = t.gap_angles[v]
+    return [F(x, L) for x in gaps]
 
 
 def walked_angle(t, v, a, b):
     """Oracle: sum the gaps at v one by one from the edge toward a to b."""
     order = t.circular_order[v]
+    gaps = fraction_gaps(t, v)
     i, j = order.index(a), order.index(b)
     total = F(0)
     k = i
     while k != j:
-        total += t.gap_angles[v][k]
+        total += gaps[k]
         k = (k + 1) % len(order)
     return total % 1
 
@@ -36,7 +52,7 @@ def fraction_angle_axioms(t):
     ``check_tree_axioms`` on Fractions, as they ran before integer residues."""
     out = []
     for v in t.vertices:
-        gaps = t.gap_angles[v]
+        gaps = fraction_gaps(t, v)
         for i, g in enumerate(gaps):
             if g <= 0:
                 out.append(TreeViolation("angle-gap", f"gap {i} at {v} is {g} <= 0"))
@@ -199,6 +215,13 @@ class TestAxioms:
         codes = {v.code for v in check_tree_axioms(t)}
         assert "angle-zero" in codes
 
+    def test_nonpositive_denominator_reported(self):
+        t = two_vertex_tree()
+        for L in (0, -2):
+            bad = t._replace(gap_angles={**t.gap_angles, "a": (L, (L,))})
+            assert check_tree_axioms(bad) == (
+                TreeViolation("structure", f"gap denominator at a is {L} <= 0"),)
+
     def test_non_integral_total_reported(self):
         t = make_tree(["a", "b"], [("a", "b")],
                       {"a": ["b"], "b": ["a"]},
@@ -313,10 +336,18 @@ class TestFractionOracles:
                 assert check_against_fraction_oracles(construct_tree(p).tree) == ()
 
     def test_random_trees(self):
+        # each vertex's denominator is its own: scaling one vertex's gaps
+        # and denominator by a common factor changes no finding
         rng = random.Random(20261018)
         codes = set()
         for _ in range(400):
-            codes.update(v.code for v in check_against_fraction_oracles(random_tree(rng)))
+            t = random_tree(rng)
+            found = check_against_fraction_oracles(t)
+            scaled = {v: (L * c, tuple(x * c for x in gaps))
+                      for v, (L, gaps) in t.gap_angles.items()
+                      for c in [rng.randint(1, 4)]}
+            assert check_against_fraction_oracles(t._replace(gap_angles=scaled)) == found
+            codes.update(v.code for v in found)
         assert codes == {"angle-gap", "angle-total", "angle-zero", "degree-angle",
                          "julia-angle"}
 
