@@ -8,7 +8,7 @@ zero set (P4).  This script trips each condition on purpose.
 
 from fractions import Fraction as F
 
-from portraits import Portrait, unlinked, separates, validate_portrait
+from portraits import Portrait, validate_portrait
 
 
 def show(label, portrait):
@@ -29,19 +29,17 @@ show("degree-5 example", good)
 show("\nnon-rotating member", Portrait.create(5, [[F(1, 8), F(1, 4)]]))
 
 # P2: {0, 1/2} and {1/4, 3/4} interleave, so their hulls cross
-print("\nunlinked({0,1/2}, {1/4,3/4}):",
-      unlinked((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
-show("crossing chords", Portrait.create(5, [[F(0), F(1, 2)], [F(1, 4), F(3, 4)]]))
+show("\ncrossing chords", Portrait.create(5, [[F(0), F(1, 2)], [F(1, 4), F(3, 4)]]))
 
 # P3: nothing covers the fixed angles 0, 1/4, 1/2, 3/4
 show("\nuncovered fixed angles", Portrait.create(5, [[F(1, 8), F(5, 8)]]))
 
 # P4: two rotating pairs, but the zero sets are singletons and a singleton
 # never separates anything
-print("\nseparates({0}, {1/8,3/8}, {5/8,7/8}):",
-      separates((F(0),), (F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))))
-print("separates({0,1/2}, {1/8,3/8}, {5/8,7/8}):",
-      separates((F(0), F(1, 2)), (F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))))
-show("unseparated rotating pairs",
+show("\nunseparated rotating pairs",
      Portrait.create(3, [[F(0)], [F(1, 2)],
+                         [F(1, 8), F(3, 8)], [F(5, 8), F(7, 8)]]))
+# joined into the chord {0, 1/2}, the zero set puts the pairs in different gaps
+show("separated rotating pairs",
+     Portrait.create(3, [[F(0), F(1, 2)],
                          [F(1, 8), F(3, 8)], [F(5, 8), F(7, 8)]]))

@@ -18,11 +18,10 @@ class CapacityError(PortraitsError):
 
 
 class InvariantViolationError(PortraitsError):
-    """A structural guarantee failed; the input exposed an internal bug."""
+    """A tree handed to recovery or to ``image_germs`` is malformed.
 
-
-class InternalContradictionError(InvariantViolationError):
-    """Two independent computations of the same quantity disagreed."""
+    Trees the builder makes never raise it; a hand-edited tree can.
+    """
 
 
 class InvalidPortraitError(PortraitsError, ValueError):

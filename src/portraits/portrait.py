@@ -95,49 +95,18 @@ class ValidationResult(NamedTuple):
         return self.sets
 
 
-def unlinked(first: Sequence[Angle], second: Sequence[Angle]) -> bool:
-    """True iff the two angle sets are disjoint and neither crosses the other.
-
-    Equivalently: ``second`` fits inside a single gap of ``first`` (their
+def _unlinked_sorted(a: Sequence, b: Sequence) -> bool:
+    """True iff two strictly increasing tuples of any ordered values are
+    disjoint and the second fits inside a single gap of the first (their
     convex hulls in the disk are disjoint).  A singleton has one gap, the
     whole circle minus a point, so it is unlinked with anything disjoint
-    from it.
-    """
-    return _unlinked_sorted(as_angle_tuple(sorted(first)),
-                            as_angle_tuple(sorted(second)))
-
-
-def _unlinked_sorted(a: Sequence, b: Sequence) -> bool:
-    """``unlinked`` on two strictly increasing tuples of any ordered values."""
+    from it."""
     if set(a) & set(b):
         return False
     if len(a) == 1:
         return True
     g = gap_index(a, b[0])
     return all(gap_index(a, x) == g for x in b[1:])
-
-
-def separates(separator: Sequence[Angle], left: Sequence[Angle],
-              right: Sequence[Angle]) -> bool:
-    """True iff left and right lie in different gaps of the separator.
-
-    Requires left != right and each of them unlinked with the separator, so
-    that "the gap containing the set" is well defined.  A singleton
-    separator has a connected complement and never separates anything.
-    """
-    sep = as_angle_tuple(sorted(separator))
-    lt = as_angle_tuple(sorted(left))
-    rt = as_angle_tuple(sorted(right))
-    if lt == rt:
-        raise ValueError("the two sets to separate must be distinct")
-    if len(sep) == 1:
-        return False
-    gl = {gap_index(sep, x) for x in lt}
-    gr = {gap_index(sep, x) for x in rt}
-    if len(gl) != 1 or len(gr) != 1:
-        raise ValueError("separates() needs each set inside a single gap "
-                         "of the separator (sets must be unlinked with it)")
-    return gl != gr
 
 
 def validate_portrait(p: Portrait) -> ValidationResult:

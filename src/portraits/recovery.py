@@ -19,7 +19,9 @@ its tree (with ``tau``) and its marked sector are read; the regions and arc
 anchors it also carries are for the reports and the SVG.  The boundary walk
 is a plain tuple of sectors, marked sector first.  The fixed rays are
 labelled in walk order and the closed form returns increasing angles, so
-the portrait is built directly and only its family needs sorting.
+the portrait is built directly and only its family needs sorting.  A tree
+from elsewhere (a hand edit, say) may be malformed; recovery then raises
+``InvariantViolationError`` naming the vertex or edge at fault.
 """
 
 from __future__ import annotations
@@ -56,11 +58,19 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     start = Sector(*ct.marked_sector)
     walk: list[Sector] = []
     v, k = start.vertex, start.index
+    if not 0 <= k < len(order[v]):
+        raise InvariantViolationError(
+            f"marked sector {k} at {v} is not one of its {len(order[v])} sectors")
     limit = 2 * len(t.edges) + 1
     for _ in range(limit):
         walk.append(Sector(v, k))
         u = order[v][k]                      # leave along the sector's ccw edge
-        j = order[u].index(v)                # arrive at u along that edge
+        try:
+            j = order[u].index(v)            # arrive at u along that edge
+        except ValueError:
+            raise InvariantViolationError(
+                f"the order at {v} lists {u}, but the order at {u} "
+                f"does not list {v}") from None
         v, k = u, (j + 1) % len(order[u])
         if (v, k) == (start.vertex, start.index):
             break
@@ -96,6 +106,8 @@ def _recover(ct: ConstructedTree, germs_at: Callable[[str], tuple[str, ...]]
     for v in julia_fixed:
         # the sectors rotate by s iff the germs are the order rotated by s
         order, germs = t.circular_order[v], germs_at(v)
+        if not order:
+            raise InvariantViolationError(f"the order at {v} is empty")
         s = order.index(germs[0])
         if germs != order[s:] + order[:s]:
             raise InvariantViolationError(

@@ -61,7 +61,7 @@ def analyze(p: Portrait) -> Analysis:
     fails validation.
     """
     validation, xsets = _validate(p)
-    ct = _construct(p, validation.valid_sets(), xsets)
+    ct = _construct(validation.valid_sets(), xsets)
     t = ct.tree
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)

@@ -11,7 +11,9 @@ current ``src/`` after an intended output change::
     PYTHONPATH=src python tests/enumeration_digest.py
     PYTHONPATH=src python tests/enumeration_digest.py --write
 
-Checking exits 1 on a mismatch.
+Every portrait must also build, pass every tree check and round-trip: the
+first one that does not is printed, and the script exits 1 before it
+compares or writes the digest.  Checking exits 1 on a mismatch as well.
 """
 
 import argparse
@@ -28,12 +30,22 @@ ENUMERATION = ((2, 8), (3, 5), (4, 4), (5, 3), (6, 2))
 
 
 def digest() -> tuple[int, str]:
-    """(number of portraits, hex digest) over the enumeration."""
+    """(number of portraits, hex digest) over the enumeration; exits 1 at
+    the first portrait that raises, fails a check or fails its round trip."""
     h = hashlib.sha256()
     count = 0
     for degree, period in ENUMERATION:
         for p in enumerate_portraits(degree, period):
-            an = analyze(p)
+            try:
+                an = analyze(p)
+                failure = (None if an.all_ok and an.recovered == p
+                           else "fails its checks or its round trip")
+            except Exception as exc:
+                failure = f"raises {type(exc).__name__}: {exc}"
+            if failure:
+                print(f"portrait {count + 1} of the enumeration {failure}:\n"
+                      f"{format_portrait(p)}", file=sys.stderr)
+                sys.exit(1)
             for text in (format_portrait(p), render_report(an),
                          json.dumps(report_data(an), indent=2) + "\n",
                          render_svg(an.ct, an.regions)):

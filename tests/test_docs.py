@@ -1,4 +1,5 @@
-"""The README's Python examples run, and ``__all__`` names only real objects."""
+"""The README's Python examples run, and ``__all__`` is pinned and names only
+real objects."""
 
 import re
 from pathlib import Path
@@ -21,3 +22,24 @@ def test_readme_python_block_runs(block):
 
 def test_star_import_resolves_every_name():
     exec("from portraits import *", {})
+
+
+def test_public_api_is_pinned():
+    # a name joins or leaves the API only together with an edit here
+    import portraits
+    assert sorted(portraits.__all__) == [
+        "Analysis", "Angle", "AngledTree", "CapacityError", "ConstructedTree",
+        "ElementaryArc", "InvalidPortraitError", "InvariantViolationError",
+        "MalformedAngleError", "MalformedSetError", "Portrait",
+        "PortraitParseError", "PortraitsError", "Region", "RotationSet",
+        "Sector", "TreeViolation", "ValidationResult", "VertexClass",
+        "Violation", "analyze", "as_angle_tuple", "boundary_walk",
+        "check_degree", "check_degree_angle", "check_expanding",
+        "check_julia_normalization", "check_tree_axioms",
+        "classify_rotation_set", "classify_vertices", "construct_tree",
+        "count_fixed_points", "deployment_vector", "enumerate_portraits",
+        "enumerate_rotation_sets", "fixed_angles", "format_angle",
+        "format_portrait", "generate_rotation_set", "image_germs",
+        "normalize_angle", "parse_angle", "parse_portrait", "recover_portrait",
+        "render_report", "render_svg", "report_data", "validate_portrait",
+    ]

@@ -1,4 +1,5 @@
 import time
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -6,14 +7,41 @@ from math import comb
 import pytest
 
 from portraits import (InvalidPortraitError, Portrait, Violation,
-                       enumerate_portraits,
-                       enumerate_rotation_sets, format_angle, separates,
-                       unlinked, validate_portrait)
+                       enumerate_portraits, enumerate_rotation_sets,
+                       format_angle, validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
 from portraits.portrait import _noncrossing_partitions, _unlinked_sorted
 from portraits.rotation import RotationSet
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
+
+
+def gap_of(points, x):
+    """Gap of increasing ``points`` holding x (gap i opens at points[i]; the
+    last gap wraps past 1).  A singleton's one gap is the whole circle."""
+    return (bisect_right(points, x) - 1) % len(points)
+
+
+def unlinked(first, second) -> bool:
+    """Oracle for P2: the two angle sets are disjoint and ``second`` fits
+    inside a single gap of ``first`` (their convex hulls are disjoint)."""
+    a = sorted(first)
+    return not set(a) & set(second) and len({gap_of(a, x) for x in second}) == 1
+
+
+def separates(separator, left, right) -> bool:
+    """Oracle for P4: left and right lie in different gaps of the separator.
+
+    Requires left != right, each inside one gap of the separator.  A
+    singleton separator has one gap, so it never separates anything.
+    """
+    if sorted(left) == sorted(right):
+        raise ValueError("the two sets to separate must be distinct")
+    sep = sorted(separator)
+    gl, gr = ({gap_of(sep, x) for x in s} for s in (left, right))
+    if len(gl) != 1 or len(gr) != 1:
+        raise ValueError("each set must lie inside a single gap of the separator")
+    return gl != gr
 
 
 def set_partitions(items: list) -> list[list[list]]:
@@ -212,6 +240,8 @@ class TestP2P4Oracle:
 
 
 class TestUnlinked:
+    """The P2 oracle ``unlinked`` above."""
+
     def test_examples(self):
         assert unlinked((F(0), F(3, 4)), (F(1, 8), F(5, 8)))
         assert not unlinked((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
@@ -227,6 +257,8 @@ class TestUnlinked:
 
 
 class TestSeparates:
+    """The P4 oracle ``separates`` above."""
+
     def test_examples(self):
         assert separates((F(0), F(1, 2)), (F(1, 8), F(3, 8)), (F(5, 8), F(7, 8)))
         # a singleton's complement is connected: it never separates

@@ -168,7 +168,8 @@ class TestRecoveryErrors:
     """Each reachable raise of recovery, reached by a single-field edit of a
     census tree.  The remaining one, fewer fixed rays on the walk than fixed
     sectors, needs a walk that misses a fixed sector while closing up after
-    2 * |edges| steps, which no single edit produces."""
+    2 * |edges| steps, which no single edit produces.  A malformed tree
+    raises ``InvariantViolationError`` and nothing else."""
 
     def check(self, ct, message):
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
@@ -204,6 +205,42 @@ class TestRecoveryErrors:
         ct = construct_tree(degree5_portrait)
         self.check(edited(ct, edges=ct.tree.edges + (("v1", "v2"),)),
                    "boundary walk has 12 steps, expected 14")
+
+    def test_order_not_symmetric(self):
+        # w2 put first in w1's order, although w2's order lists only v1
+        ct = construct_tree(Portrait.create(3, [[F(0), F(1, 2)]]))
+        order = ct.tree.circular_order
+        self.check(edited(ct, circular_order={**order, "w1": ("w2",) + order["w1"]}),
+                   "the order at w1 lists w2, but the order at w2 does not list w1")
+
+    def test_order_empty(self, degree5_portrait):
+        ct = construct_tree(degree5_portrait)
+        ct = edited(ct, circular_order={**ct.tree.circular_order, "v1": ()})
+        self.check(ct, "the order at v1 is empty")
+        with pytest.raises(InvariantViolationError,
+                           match="^marked sector 0 at v1 is not one of its 0 sectors$"):
+            boundary_walk(ct)
+
+    def test_single_neighbor_edits_raise_only_invariant_violations(self):
+        # every insertion of a new neighbor into one circular order, at every
+        # position, and every removal of one neighbor, on the (3, 2) census
+        edits = 0
+        for p in enumerate_portraits(3, 2):
+            ct = construct_tree(p)
+            t = ct.tree
+            for v, order in t.circular_order.items():
+                changed = [order[:i] + order[i + 1:] for i in range(len(order))]
+                changed += [order[:i] + (u,) + order[i:] for u in t.vertices
+                            if u != v and u not in order for i in range(len(order) + 1)]
+                for new in changed:
+                    edits += 1
+                    try:
+                        rec = recover_portrait(
+                            edited(ct, circular_order={**t.circular_order, v: new}))
+                    except InvariantViolationError:
+                        continue
+                    assert isinstance(rec, Portrait)
+        assert edits == 466
 
     def test_no_rotation_set_matches(self):
         # delta 0 at v3 lowers d to 2, where no 4-element set has shift 2
