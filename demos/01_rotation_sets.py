@@ -28,7 +28,9 @@ print("classify {1/8, 1/4} at degree 5:",
 # positions relative to the 4 fixed angles 0, 1/4, 1/2, 3/4 of degree 5
 from portraits import RotationSet
 
-rs = RotationSet.from_angles((F(1, 8), F(5, 8)), 5)
+angles = (F(1, 8), F(5, 8))
+shift, _ = classify_rotation_set(angles, 5)
+rs = RotationSet(5, angles, shift)
 print("deployment of {1/8, 5/8}:", deployment_vector(rs))
 
 # --- enumeration -------------------------------------------------------------

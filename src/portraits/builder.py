@@ -14,11 +14,11 @@ degrees, and vertex dynamics.
 Naming is deterministic: sets are numbered in the portrait's canonical
 order (v1, v2, ...), regions by their least arc start (w1, w2, ...).
 
-``construct_tree`` is the one public way in.  It validates once, partitions
-the disk once, and reads the tree and its dynamics off the regions in one
-pass over each set's gaps; ``report.analyze``, which already holds the
-validated sets, calls ``_construct`` directly.  The regions travel on in
-``ConstructedTree.regions``, and their arcs are the elementary arcs.
+``construct_tree`` is the one way in, and ``report.analyze`` goes through it
+too.  It validates once, partitions the disk once, and reads the tree and
+its dynamics off the regions in one pass over each set's gaps.  The
+classified sets and the regions travel on in ``ConstructedTree.sets`` and
+``ConstructedTree.regions``; the regions' arcs are the elementary arcs.
 
 The partition orders the support points by the numerators validation wrote
 over the sets' common denominator; arcs and regions keep their ``Fraction``
@@ -93,18 +93,16 @@ class Region(NamedTuple):
 class ConstructedTree(NamedTuple):
     """An angled tree plus the embedding data recovery and rendering need.
 
-    ``arc_anchor[v]`` lists, for a set vertex v, the circle angle sitting in
-    each of its edge sectors (sector i lies between circular edges i-1 and
-    i, which is where the spoke to that angle leaves the barycenter).  The
-    marked sector is the one spanning circle point 0.  ``regions`` are the
-    disk regions the tree was built from, indexed as in
-    ``fatou_vertex_of_region``.
+    ``sets`` are the classified member sets in the portrait's order, and set
+    j is vertex ``vj``.  Sector i of ``vj`` (between its circular edges i-1
+    and i, which is where the spoke to that angle leaves the barycenter)
+    holds the angle ``sets[j-1].angles[i]``.  The marked sector is the one
+    holding circle point 0.  ``regions`` are the disk regions the tree was
+    built from, and region i is vertex ``wi``.
     """
 
     tree: AngledTree
-    julia_vertex_of_set: dict[int, str]
-    fatou_vertex_of_region: dict[int, str]
-    arc_anchor: dict[str, tuple[Angle, ...]]
+    sets: tuple[RotationSet, ...]
     marked_sector: tuple[str, int]
     regions: tuple[Region, ...]
 
@@ -168,45 +166,32 @@ def construct_tree(p: Portrait) -> ConstructedTree:
     polynomial maps I*, 1992).  Every other vertex stays put.
     """
     validation, xsets = _validate(p)
-    return _construct(validation.valid_sets(), xsets)
-
-
-def _construct(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
-               ) -> ConstructedTree:
-    """``construct_tree`` for a caller holding ``portrait._validate``'s output.
-
-    The disk is partitioned once, and one pass over each set's gaps yields
-    both its edges and, for a rotating set, the images of its regions.
-    """
+    sets = validation.valid_sets()
+    # one pass over each set's gaps yields both its edges and, for a
+    # rotating set, the images of its regions
     regions, gaps = _partition(sets, xsets)
-    v_label = {j: f"v{j}" for j in range(1, len(sets) + 1)}
-    w_label = {r.index: f"w{r.index}" for r in regions}
 
-    # one edge per gap of each set
     order_at_v: dict[str, list[str]] = {}
     moved: dict[str, str] = {}
     for j, (rs, gap_regions) in enumerate(zip(sets, gaps), start=1):
+        ws = [f"w{r}" for r in gap_regions]
         if not rs.is_fixed:
             n = rs.cardinality
-            for i, r in enumerate(gap_regions):
-                moved[w_label[r]] = w_label[gap_regions[(i + rs.shift) % n]]
-        order_at_v[v_label[j]] = [w_label[r] for r in gap_regions]
-    order_at_w = {w_label[r.index]: [v_label[j] for j in r.boundary_cycle]
+            moved.update((w, ws[(i + rs.shift) % n]) for i, w in enumerate(ws))
+        order_at_v[f"v{j}"] = ws
+    order_at_w = {f"w{r.index}": [f"v{j}" for j in r.boundary_cycle]
                   for r in regions}
 
-    vertices = tuple([v_label[j] for j in sorted(v_label)]
-                     + [w_label[i] for i in sorted(w_label)])
+    vertices = tuple(order_at_v) + tuple(order_at_w)
     edges = tuple(sorted(edge_key(v, w) for v, ws in order_at_v.items() for w in ws))
-    circular_order = {v: tuple(nbrs) for v, nbrs in
-                      list(order_at_v.items()) + list(order_at_w.items())}
+    circular_order = {v: tuple(nbrs)
+                      for v, nbrs in {**order_at_v, **order_at_w}.items()}
     gap_angles = {v: (len(nbrs), (1,) * len(nbrs)) for v, nbrs in circular_order.items()}
-    delta = {v_label[j]: 1 for j in v_label}
-    delta.update({w_label[r.index]: r.cc + 1 for r in regions})
+    delta = dict.fromkeys(order_at_v, 1)
+    delta.update((f"w{r.index}", r.cc + 1) for r in regions)
     tau = {v: moved.get(v, v) for v in vertices}
 
     tree = AngledTree(vertices, edges, circular_order, gap_angles, tau, delta)
-    arc_anchor = {v_label[j]: rs.angles for j, rs in enumerate(sets, start=1)}
     # angle 0 is the least angle of the set holding it
     marked = next(j for j, xs in enumerate(xsets, start=1) if xs[0] == 0)
-    return ConstructedTree(tree, dict(v_label), dict(w_label), arc_anchor,
-                           (v_label[marked], 0), regions)
+    return ConstructedTree(tree, sets, (f"v{marked}", 0), regions)

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
                      format_angle, gap_index)
-from .errors import InvalidPortraitError
+from .errors import InvalidPortraitError, MalformedSetError
 from .rotation import RotationSet, _numerators, _shift, enumerate_rotation_sets
 
 
@@ -116,23 +116,41 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     (rotation numbers while P1 fails, separation while P2 fails) are
     skipped and recorded in ``notes``.
 
-    The portrait's sets are canonical, so P2 and P4 run on its angles as
-    integer numerators over the common denominator of its sets, which also
-    classify each set.  Once P2 holds, a fixed set separates two rotating
-    sets exactly when they lie in different gaps of it, so P4 compares each
-    rotating set's gap signature (its gap in every fixed set) instead of
-    testing separation pair by pair.
+    The portrait must be canonical, as ``Portrait.create`` makes it: a raw
+    ``Portrait(...)`` whose degree is not an integer >= 2 raises ValueError,
+    and one with an empty set, a set not strictly increasing in [0, 1) or
+    its family out of sorted order raises MalformedSetError.  P2 and P4 then
+    run on its angles as integer numerators over the common denominator of
+    its sets, which also classify each set.  Once P2 holds, a fixed set
+    separates two rotating sets exactly when they lie in different gaps of
+    it, so P4 compares each rotating set's gap signature (its gap in every
+    fixed set) instead of testing separation pair by pair.
     """
     return _validate(p)[0]
 
 
 def _validate(p: Portrait) -> tuple[ValidationResult, list]:
     """``validate_portrait``, plus the sets' numerators for the builder."""
-    d = p.degree
+    d = check_degree(p.degree)
     violations: list[Violation] = []
     notes: list[str] = []
 
+    # canonical form, checked on the numerators (their tuples sort as the
+    # angle tuples do); a set failing the divisor test has none
     q, xsets = _numerators(d, p.sets)
+    for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
+        if xs is None:
+            as_angle_tuple(s)
+        elif not xs:
+            raise MalformedSetError(f"set {idx} is empty")
+        elif xs[0] < 0 or xs[-1] >= q or any(a >= b for a, b in zip(xs, xs[1:])):
+            raise MalformedSetError(
+                f"set {idx} {_angles_text(s)} is not strictly increasing in [0, 1)")
+    # when a set has none, all compare as angle tuples (P1 fails anyway)
+    keys = list(p.sets) if None in xsets else xsets
+    if any(a > b for a, b in zip(keys, keys[1:])):
+        raise MalformedSetError("the portrait's sets are not in sorted order")
+
     classified: list[Optional[RotationSet]] = []
     for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
         m = None if xs is None else _shift(d, q, xs)
@@ -142,9 +160,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
                 f"set {idx} {_angles_text(s)} is not a degree-{d} rotation set"))
         classified.append(None if m is None else RotationSet(d, s, m))
 
-    if None in xsets:   # P1 fails; the angles order as numerators would
-        xsets = list(p.sets)
-    for (i, a), (j, b) in combinations(enumerate(xsets, start=1), 2):
+    for (i, a), (j, b) in combinations(enumerate(keys, start=1), 2):
         if _unlinked_sorted(a, b):
             continue
         shared = tuple(sorted(set(p.sets[i - 1]).intersection(p.sets[j - 1])))

@@ -15,13 +15,13 @@ rotation set, and Goldberg's closed form (*Fixed points of polynomial maps
 I*, 1992; see ``rotation``) writes its angles down directly.
 
 The input is the ``ConstructedTree`` of ``builder.construct_tree``.  Only
-its tree (with ``tau``) and its marked sector are read; the regions and arc
-anchors it also carries are for the reports and the SVG.  The boundary walk
-is a plain tuple of sectors, marked sector first.  The fixed rays are
-labelled in walk order and the closed form returns increasing angles, so
-the portrait is built directly and only its family needs sorting.  A tree
-from elsewhere (a hand edit, say) may be malformed; recovery then raises
-``InvariantViolationError`` naming the vertex or edge at fault.
+its tree (with ``tau``) and its marked sector are read, never its classified
+sets or its regions.  The boundary walk is a plain tuple of sectors, marked
+sector first.  The fixed rays are labelled in walk order and the closed
+form returns increasing angles, so the portrait is built directly and only
+its family needs sorting.  A tree from elsewhere (a hand edit, say) may be
+malformed; recovery then raises ``InvariantViolationError`` naming the
+vertex or edge at fault.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
 def recover_portrait(ct: ConstructedTree) -> Portrait:
     """Read the portrait back off the tree.
 
-    Recovery never consults the construction's arc anchors: the fixed rays
+    Recovery never consults the construction's sets: the fixed rays
     come from the walk order alone, and each rotating set is rebuilt by
     Goldberg's closed form (``generate_rotation_set``) from its sector count,
     sector shift and walk positions between the fixed rays.

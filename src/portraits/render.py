@@ -29,7 +29,11 @@ def _text(x, y, content: str, cls: str) -> str:
 
 
 def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
-    """Draw the constructed tree over its circle data as an SVG document."""
+    """Draw the constructed tree over its circle data as an SVG document.
+
+    Set j of ``ct.sets`` is drawn as vertex ``vj`` at the barycenter of its
+    circle points, and region i of ``regions`` as vertex ``wi``.
+    """
     t = ct.tree
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -54,10 +58,8 @@ def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
     ]
 
     positions: dict[str, tuple[float, float]] = {}
-    v_of = ct.julia_vertex_of_set
-    for j in sorted(v_of):
-        v = v_of[j]
-        angles = ct.arc_anchor[v]
+    for j, rs in enumerate(ct.sets, start=1):
+        angles = rs.angles
         units = []
         for a in angles:
             turn = 2 * math.pi * (a.numerator / a.denominator)
@@ -65,7 +67,7 @@ def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
         points = [(_CENTER + _RADIUS * c, _CENTER - _RADIUS * s) for c, s in units]
         bx = sum(x for x, _ in points) / len(points)
         by = sum(y for _, y in points) / len(points)
-        positions[v] = (bx, by)
+        positions[f"v{j}"] = (bx, by)
         if len(angles) >= 2:
             parts.extend(f'<line class="star" x1="{x:.3f}" y1="{y:.3f}" '
                          f'x2="{bx:.3f}" y2="{by:.3f}" />' for x, y in points)
@@ -87,8 +89,8 @@ def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
             mid = (2 * s + span) % (2 * q) / (2 * q)
             points.append((_CENTER + 0.84 * _RADIUS * math.cos(2 * math.pi * mid),
                            _CENTER - 0.84 * _RADIUS * math.sin(2 * math.pi * mid)))
-        points.extend(positions[v_of[j]] for j in r.boundary_sets)
-        positions[ct.fatou_vertex_of_region[r.index]] = (
+        points.extend(positions[f"v{j}"] for j in r.boundary_sets)
+        positions[f"w{r.index}"] = (
             sum(x for x, _ in points) / len(points),
             sum(y for _, y in points) / len(points))
 

@@ -3,9 +3,9 @@
 ``analyze`` runs the whole pipeline - validation, regions, tree assembly,
 dynamics, every tree check, and the recovery round trip - and keeps each
 result, so the report and the CLI's exit status are pure functions of the
-portrait.  It validates once, partitions the disk once and takes the germs
-at each vertex once; the reports read the classified sets and the regions
-from the ``Analysis``.
+portrait.  It goes through ``construct_tree``, which validates once and
+partitions the disk once, and it takes the germs at each vertex once; the
+reports read the classified sets and the regions the construction carries.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from functools import cache
 from typing import NamedTuple, Optional
 
 from .angles import format_angle
-from .builder import ConstructedTree, Region, _construct
+from .builder import ConstructedTree, Region, construct_tree
 from .fileio import format_portrait
-from .portrait import Portrait, ValidationResult, _validate
+from .portrait import Portrait
 from .recovery import _recover
 from .rotation import RotationSet
 from .tree import (TreeViolation, VertexClass, _degree_angle, check_expanding,
@@ -26,7 +26,6 @@ from .tree import (TreeViolation, VertexClass, _degree_angle, check_expanding,
 
 class Analysis(NamedTuple):
     portrait: Portrait
-    validation: ValidationResult
     ct: ConstructedTree
     classes: dict[str, VertexClass]
     axiom_violations: tuple[TreeViolation, ...]
@@ -40,7 +39,7 @@ class Analysis(NamedTuple):
 
     @property
     def sets(self) -> tuple[RotationSet, ...]:
-        return self.validation.sets
+        return self.ct.sets
 
     @property
     def regions(self) -> tuple[Region, ...]:
@@ -48,8 +47,7 @@ class Analysis(NamedTuple):
 
     @property
     def all_ok(self) -> bool:
-        return (self.validation.ok and not self.axiom_violations
-                and not self.degree_angle_violations
+        return (not self.axiom_violations and not self.degree_angle_violations
                 and not self.normalization_violations
                 and self.expanding and self.round_trip_ok)
 
@@ -60,8 +58,7 @@ def analyze(p: Portrait) -> Analysis:
     Raises InvalidPortraitError, carrying the violations, when the portrait
     fails validation.
     """
-    validation, xsets = _validate(p)
-    ct = _construct(validation.valid_sets(), xsets)
+    ct = construct_tree(p)
     t = ct.tree
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)
@@ -69,7 +66,6 @@ def analyze(p: Portrait) -> Analysis:
     recovered = _recover(ct, germs_at)
     return Analysis(
         portrait=p,
-        validation=validation,
         ct=ct,
         classes=classes,
         axiom_violations=check_tree_axioms(t),
@@ -155,8 +151,7 @@ def report_data(an: Analysis) -> dict:
             "shift": rs.shift,
             "cardinality": rs.cardinality,
         } for j, rs in enumerate(an.sets, start=1)],
-        "validation": {"ok": an.validation.ok,
-                       "codes": list(an.validation.codes)},
+        "validation": {"ok": True, "codes": []},
         "regions": [{
             "name": f"R{r.index}",
             "arcs": [[format_angle(a.start), format_angle(a.end)] for a in r.arcs],

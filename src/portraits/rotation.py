@@ -51,14 +51,6 @@ class RotationSet(NamedTuple):
     angles: tuple[Angle, ...]
     shift: int
 
-    @classmethod
-    def from_angles(cls, angles: Sequence[Angle], degree: int) -> Optional["RotationSet"]:
-        """Classify an angle set; None when it is not a rotation set."""
-        found = classify_rotation_set(angles, degree)
-        if found is None:
-            return None
-        return cls(degree, tuple(angles), found[0])
-
     @property
     def cardinality(self) -> int:
         return len(self.angles)
@@ -192,10 +184,10 @@ def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) 
     The result is sorted lexicographically by angle tuple.
     """
     d = check_degree(degree)
-    if max_cardinality < 1:
-        raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
+    if max_cardinality < 1:
+        raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
 
     if _candidate_count(d, max_cardinality, max_period) > _CANDIDATE_CEILING:
         raise CapacityError(
@@ -215,7 +207,8 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
     O(n * p) steps, as numerators x_i over q = d**p - 1.  It is returned if
     it is strictly increasing in [0, 1); otherwise no rotation set has these
     data and the result is None (so whenever the deployment does not sum to
-    the cardinality).  Nothing else needs checking: as p*m = 0 mod n,
+    the cardinality).  A deployment entry that is not an ``int`` raises
+    ValueError.  Nothing else needs checking: as p*m = 0 mod n,
     d*x_i = x_((i+m) mod n) + k_i*q, so the set rotates by m; and
     (d-1)*theta_i = k_i + theta_((i+m) mod n) - theta_i has floor b_i, as
     that difference of increasing angles is negative iff i + m wraps past n.
@@ -226,7 +219,9 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
         raise ValueError(f"cardinality must be >= 1, got {n}")
     if not 0 <= shift < n:
         raise ValueError(f"shift must satisfy 0 <= shift < {n}, got {shift}")
-    dep = tuple(int(c) for c in deployment)
+    dep = tuple(deployment)
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in dep):
+        raise ValueError(f"deployment entries must be integers, got {dep!r}")
     if len(dep) != d - 1:
         raise ValueError(f"deployment needs {d - 1} entries, got {len(dep)}")
     if any(c < 0 for c in dep):

@@ -81,7 +81,7 @@ def flank_image_tau(p):
     after, before = {}, {}
     for r in ct.regions:
         for a in r.arcs:
-            after[a.start] = before[a.end] = ct.fatou_vertex_of_region[r.index]
+            after[a.start] = before[a.end] = f"w{r.index}"
     tau = {v: v for v in ct.tree.vertices}
     for s in p.sets:
         if all(p.degree * a % 1 == a for a in s):
@@ -197,10 +197,9 @@ class TestAssembly:
         for p, sets, ct in census():
             t = ct.tree
             for j, s in enumerate(sets, 1):
-                order = t.circular_order[ct.julia_vertex_of_set[j]]
+                order = t.circular_order[f"v{j}"]
                 assert len(set(order)) == len(order) == s.cardinality, p
-            from_regions = sorted(edge_key(ct.fatou_vertex_of_region[r.index],
-                                           ct.julia_vertex_of_set[j])
+            from_regions = sorted(edge_key(f"w{r.index}", f"v{j}")
                                   for r in ct.regions for j in r.boundary_sets)
             assert tuple(from_regions) == t.edges, p
             assert check_tree_axioms(t) == (), p
@@ -209,8 +208,7 @@ class TestAssembly:
     def test_edges_at_region_vertices(self, degree5_portrait):
         ct = construct_tree(degree5_portrait)
         for r in ct.regions:
-            w = ct.fatou_vertex_of_region[r.index]
-            assert ct.tree.degree_of(w) == len(r.boundary_sets)
+            assert ct.tree.degree_of(f"w{r.index}") == len(r.boundary_sets)
 
     def test_uniform_gap_angles(self, degree5_portrait):
         # consecutive edges at a vertex with m edges sit 1/m apart: m unit
@@ -226,7 +224,9 @@ class TestAssembly:
     def test_marked_sector(self, degree5_portrait):
         ct = construct_tree(degree5_portrait)
         v, k = ct.marked_sector
-        assert ct.arc_anchor[v][k] == F(0)
+        j = int(v[1:])
+        assert v == f"v{j}"
+        assert ct.sets[j - 1].angles[k] == F(0)
 
 
 class TestDynamics:
@@ -255,7 +255,7 @@ class TestDynamics:
                     continue
                 # the regions around the rotating vertex cycle with the
                 # same period as its angles
-                for w in ct.tree.circular_order[ct.julia_vertex_of_set[j]]:
+                for w in ct.tree.circular_order[f"v{j}"]:
                     steps, x = 1, tau[w]
                     while x != w:
                         x, steps = tau[x], steps + 1

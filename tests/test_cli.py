@@ -174,6 +174,15 @@ class TestEnumerate:
         assert captured.out == ""
         assert captured.err == f"usage error: max_cardinality must be >= 1, got {bound}\n"
 
+    @pytest.mark.parametrize("listing", [[], ["--portraits"]],
+                             ids=["rotation-sets", "portraits"])
+    def test_zero_max_period_is_named(self, capsys, listing):
+        assert main(["enumerate", "--degree", "2", "--max-period", "0",
+                     *listing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: max_period must be >= 1, got 0\n"
+
     def test_portraits_reparse(self, capsys):
         assert main(["enumerate", "--degree", "2", "--max-period", "3",
                      "--portraits"]) == 0

@@ -6,9 +6,11 @@ from math import comb
 
 import pytest
 
-from portraits import (InvalidPortraitError, Portrait, Violation,
-                       enumerate_portraits, enumerate_rotation_sets,
-                       format_angle, validate_portrait)
+from portraits import (InvalidPortraitError, MalformedSetError, Portrait,
+                       Violation,
+                       classify_rotation_set, enumerate_portraits,
+                       enumerate_rotation_sets, format_angle,
+                       validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
 from portraits.portrait import _noncrossing_partitions, _unlinked_sorted
 from portraits.rotation import RotationSet
@@ -116,12 +118,12 @@ def fraction_p2_p4(p: Portrait) -> list[Violation]:
             out.append(Violation(
                 "P2-linked", (i, j),
                 f"sets {i} and {j} cross (neither lies in one gap of the other)"))
-    classified = [RotationSet.from_angles(s, p.degree) for s in p.sets]
-    if out or any(rs is None for rs in classified):
+    found = [classify_rotation_set(s, p.degree) for s in p.sets]
+    if out or None in found:
         return out
-    fixed = [rs.angles for rs in classified if rs.is_fixed]
-    rotating = [(i, rs.angles) for i, rs in enumerate(classified, start=1)
-                if not rs.is_fixed]
+    fixed = [s for s, (m, _) in zip(p.sets, found) if m == 0]
+    rotating = [(i, s) for i, (s, (m, _)) in enumerate(zip(p.sets, found), start=1)
+                if m]
     for (i, ri), (j, rj) in combinations(rotating, 2):
         if not any(separates(block, ri, rj) for block in fixed):
             out.append(Violation(
@@ -140,11 +142,11 @@ def fraction_p3(p: Portrait) -> list[Violation]:
     integers, as set differences with ``fixed_angles`` sorted as Fractions."""
     union = set()
     for s in p.sets:
-        rs = RotationSet.from_angles(s, p.degree)
-        if rs is None:
+        found = classify_rotation_set(s, p.degree)
+        if found is None:
             return []
-        if rs.is_fixed:
-            union.update(rs.angles)
+        if found[0] == 0:
+            union.update(s)
     target = set(fixed_angles(p.degree))
     missing = tuple(sorted(target - union))
     extra = tuple(sorted(union - target))
@@ -175,7 +177,7 @@ class TestP3Oracle:
         for p in enumerate_portraits(degree, max_period):
             assert p3(p) == fraction_p3(p) == []
             for i, s in enumerate(p.sets):
-                if RotationSet.from_angles(s, degree).shift:
+                if classify_rotation_set(s, degree)[0]:
                     continue
                 rest = p.sets[:i] + p.sets[i + 1:]
                 variants = [rest] if rest else []
@@ -317,6 +319,37 @@ class TestValidate:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             Portrait.create(5, [])
+
+
+class TestNonCanonicalPortrait:
+    """A raw ``Portrait(...)`` skips ``Portrait.create``; validation refuses
+    one that is not canonical instead of reporting it valid."""
+
+    @pytest.mark.parametrize("p, message", [
+        (Portrait(2, ((F(0),), (F(2, 3), F(1, 3)))),
+         "set 2 {2/3 1/3} is not strictly increasing in [0, 1)"),
+        (Portrait(2, ((F(1, 3), F(2, 3)), (F(0),))),
+         "the portrait's sets are not in sorted order"),
+        (Portrait(2, ((), (F(0),))), "set 1 is empty"),
+        (Portrait(3, ((F(0), F(1, 2)), (F(3, 2),))),
+         "set 2 {3/2} is not strictly increasing in [0, 1)"),
+        (Portrait(2, ((F(0),), (F(1, 5),), (F(-1, 5),))),
+         "angle -1/5 outside [0, 1)"),
+    ], ids=["decreasing-set", "reversed-family", "empty-set",
+            "angle-past-one", "no-numerators"])
+    def test_malformed_sets_raise(self, p, message):
+        with pytest.raises(MalformedSetError) as exc:
+            validate_portrait(p)
+        assert str(exc.value) == message
+
+    def test_degree_one_raises(self):
+        with pytest.raises(ValueError, match="degree must be an integer >= 2"):
+            validate_portrait(Portrait(1, ((F(0),),)))
+
+    def test_canonical_raw_portrait_validates(self):
+        p = Portrait(2, ((F(0),), (F(1, 3), F(2, 3))))
+        assert p == Portrait.create(2, BASILICA_SETS)
+        assert validate_portrait(p).ok
 
 
 class TestPortraitType:

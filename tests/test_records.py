@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from portraits import (Portrait, RotationSet, Sector, TreeViolation,
-                       VertexClass, Violation, analyze, construct_tree)
+from portraits import (Analysis, ConstructedTree, Portrait, RotationSet,
+                       Sector, TreeViolation, VertexClass, Violation, analyze,
+                       construct_tree)
 
 from conftest import BASILICA_SETS
 
@@ -45,6 +46,17 @@ def test_records_holding_a_dict_are_unhashable():
     for record in (ct.tree, ct, an):
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(record)
+
+
+def test_construction_and_analysis_fields():
+    # set j is vertex vj and region i is vertex wi, so the construction
+    # carries the classified sets and no label maps; every portrait that
+    # reaches an Analysis is valid, so it keeps no validation result
+    assert ConstructedTree._fields == ("tree", "sets", "marked_sector", "regions")
+    assert "validation" not in Analysis._fields
+    ct = construct_tree(Portrait.create(2, BASILICA_SETS))
+    assert ct.sets == (RotationSet(2, (F(0),), 0),
+                       RotationSet(2, (F(1, 3), F(2, 3)), 1))
 
 
 def test_fields_cannot_be_assigned():

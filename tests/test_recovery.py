@@ -45,9 +45,9 @@ class TestBoundaryWalk:
         for d in (2, 3):
             for p in enumerate_portraits(d, 3):
                 ct = construct_tree(p)
-                seen = [ct.arc_anchor[s.vertex][s.index]
+                seen = [ct.sets[int(s.vertex[1:]) - 1].angles[s.index]
                         for s in boundary_walk(ct)
-                        if s.vertex in ct.arc_anchor]
+                        if s.vertex.startswith("v")]
                 assert seen == sorted(seen)
                 assert set(seen) == {a for s in p.sets for a in s}
 
@@ -76,8 +76,7 @@ class TestSectorMap:
         for p in enumerate_portraits(3, 3):
             ct = construct_tree(p)
             for j, s in enumerate(p.sets, 1):
-                v = ct.julia_vertex_of_set[j]
-                assert ct.tree.degree_of(v) == len(s)
+                assert ct.tree.degree_of(f"v{j}") == len(s)
 
 
 class TestRecovery:
@@ -99,7 +98,7 @@ class TestRecovery:
                 t = ct.tree
                 fixed_sectors = 0
                 for j, s in enumerate(p.sets, 1):
-                    v = ct.julia_vertex_of_set[j]
+                    v = f"v{j}"
                     if image_germs(t, v) == t.circular_order[v]:
                         fixed_sectors += len(s)
                 assert fixed_sectors == d - 1

@@ -46,8 +46,7 @@ class TestArcMidpoints:
         for portrait in family:
             ct = construct_tree(portrait)
             anchors = [2 * math.pi * float(a)
-                       for j in sorted(ct.julia_vertex_of_set)
-                       for a in ct.arc_anchor[ct.julia_vertex_of_set[j]]]
+                       for rs in ct.sets for a in rs.angles]
             midpoints = [2 * math.pi * fraction_arc_midpoint(arc)
                          for r in ct.regions for arc in r.arcs]
             assert cos_arguments(monkeypatch, ct) == anchors + midpoints

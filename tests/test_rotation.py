@@ -14,6 +14,11 @@ from portraits.rotation import (_CANDIDATE_CEILING, _candidate_count,
                                 _deployments, _shapes)
 
 
+def classified(angles, degree):
+    """The RotationSet of a rotation set's angles, its shift classified."""
+    return RotationSet(degree, angles, classify_rotation_set(angles, degree)[0])
+
+
 def map_angle(theta, degree):
     """The d-fold covering map on Fractions, theta |-> d*theta (mod 1)."""
     return theta * degree % 1
@@ -144,7 +149,7 @@ class TestClassify:
             classify_rotation_set((), 5)
 
     def test_properties(self):
-        rs = RotationSet.from_angles((F(1, 8), F(5, 8)), 5)
+        rs = classified((F(1, 8), F(5, 8)), 5)
         assert rs.cardinality == 2
         assert rs.rotation_number == F(1, 2)
         assert rs.period == 2
@@ -231,11 +236,11 @@ class TestClassifyOracle:
 
 class TestDeployment:
     def test_examples(self):
-        rs = RotationSet.from_angles((F(1, 8), F(5, 8)), 5)
+        rs = classified((F(1, 8), F(5, 8)), 5)
         assert deployment_vector(rs) == (1, 0, 1, 0)
-        rs = RotationSet.from_angles((F(0), F(1, 4), F(1, 2), F(3, 4)), 5)
+        rs = classified((F(0), F(1, 4), F(1, 2), F(3, 4)), 5)
         assert deployment_vector(rs) == (1, 1, 1, 1)
-        rs = RotationSet.from_angles((F(1, 3), F(2, 3)), 2)
+        rs = classified((F(1, 3), F(2, 3)), 2)
         assert deployment_vector(rs) == (2,)
 
     def test_entries_sum_to_cardinality(self):
@@ -340,6 +345,12 @@ class TestEnumerate:
             enumerate_rotation_sets(2, 0, 3)
         with pytest.raises(ValueError):
             enumerate_rotation_sets(2, 3, 0)
+        # enumerate_portraits passes max_cardinality (d-1) * max_period, so
+        # a zero period must be reported as the period the caller gave
+        with pytest.raises(ValueError, match="^max_period must be >= 1, got 0$"):
+            enumerate_rotation_sets(2, 0, 0)
+        with pytest.raises(ValueError, match="^max_period must be >= 1, got 0$"):
+            enumerate_portraits(2, 0)
 
 
 class TestGenerate:
@@ -389,3 +400,8 @@ class TestGenerate:
             generate_rotation_set(5, 2, 1, (1, 0, 1))      # wrong length
         with pytest.raises(ValueError):
             generate_rotation_set(5, 2, 1, (-1, 1, 1, 1))  # negative entry
+        # int(2.7) would read the deployment (2,) and return {1/3, 2/3}
+        assert generate_rotation_set(2, 2, 1, (2,)) is not None
+        for entry in (2.7, 2.0, "2", True, F(2)):
+            with pytest.raises(ValueError, match="deployment entries must be integers"):
+                generate_rotation_set(2, 2, 1, (entry,))

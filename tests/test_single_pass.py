@@ -1,7 +1,9 @@
 """Each fact once: one ``analyze`` or ``construct_tree`` validates once,
 classifies each member set once and partitions the disk once, one
-``analyze`` classifies the tree's vertices once (``construct_tree`` never
-does), and the reports and the command line add no second pass.
+``analyze`` constructs the tree through exactly one call of the public
+``construct_tree`` and classifies the tree's vertices once
+(``construct_tree`` never does), and the reports and the command line add
+no second pass.
 
 The germs at a vertex take one ``image_germs`` pass, however many readers
 they have: ``analyze`` makes exactly one for each vertex that needs germs,
@@ -59,6 +61,8 @@ def counts(monkeypatch):
         "classify": count_calls(monkeypatch, binders("classify_vertices"),
                                 "classify_vertices"),
         "germs": count_calls(monkeypatch, binders("image_germs"), "image_germs"),
+        "construct": count_calls(monkeypatch, binders("construct_tree"),
+                                 "construct_tree"),
     }
 
 
@@ -66,6 +70,8 @@ def counts(monkeypatch):
 def test_analyze_computes_each_fact_once(counts, p):
     an = analyze(p)
     assert an.all_ok
+    assert counts["construct"] == [(p,)]
+    assert an.sets is an.ct.sets
     assert len(counts["shift"]) == p.k
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
