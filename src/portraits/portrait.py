@@ -18,16 +18,17 @@ of stopping at the first.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
                      format_angle, gap_index)
 from .errors import InvalidPortraitError, MalformedSetError
-from .rotation import RotationSet, _numerators, _shift, enumerate_rotation_sets
+from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
 
 
 def _angles_text(angles: Iterable[Angle]) -> str:
@@ -231,12 +232,29 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
     return over(0, len(items))
 
 
+def _signature(cover: Sequence[tuple[int, ...]],
+               support: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The gap of each block of ``cover`` that holds the arcs of
+    ``support``, or None when some block splits them.  Blocks are
+    increasing fixed-angle numerators; arc i is given by its starting fixed
+    angle, and the gap opening at a block's point holds the arc starting
+    there."""
+    sig = []
+    for b in cover:
+        gaps = {(bisect_right(b, a) - 1) % len(b) for a in support}
+        if len(gaps) > 1:
+            return None
+        sig.extend(gaps)
+    return tuple(sig)
+
+
 def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     """Every valid portrait whose sets have element period <= max_period.
 
     The family of fixed sets is an exact, pairwise-unlinked cover of the
     fixed angles, i.e. a noncrossing set partition of them, and those are
     generated directly.  Output is sorted by (number of sets, sets).
+    ``max_period`` must be an integer >= 1, else ValueError.
 
     Given a cover, P4 is a test of gap signatures.  A block separates two
     sets unlinked with it exactly when they lie in different gaps of it (a
@@ -247,26 +265,42 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     block lie in disjoint arcs, so each fits in one gap of the other.  The
     rotating sets that may join a cover are the pool sets unlinked with
     every block, and a valid portrait takes at most one of them per
-    signature.  Angles are numerators over q = lcm(d**p - 1 : p <=
-    max_period), which every denominator involved divides; that keeps their
-    order, so the gap tests and the final sort compare integers.
+    signature.
+
+    Both tests depend on a rotating set only through its support, the arcs
+    between consecutive fixed angles where its deployment is nonzero: it
+    holds no fixed angle, so each of its angles lies inside one such arc,
+    and a block's gaps are unions of whole arcs.  The pool, read straight
+    off the closed-form kernel, is therefore grouped by support, and each
+    cover tests each of the at most 2**(d-1) - 1 supports once.  Angles are
+    numerators over q = lcm(d**p - 1 : p <= max_period), which every
+    denominator involved divides; that keeps their order, so the final sort
+    compares integers, and each emitted set becomes ``Fraction``s once.
     """
     d = check_degree(degree)
-    pool = [rs.angles for rs in enumerate_rotation_sets(
-        d, (d - 1) * max_period, max_period) if not rs.is_fixed]
+    _check_int("max_period", max_period)  # before a str or None is multiplied
+    pool = _pool(d, (d - 1) * max_period, max_period)
     q = lcm(*(d ** p - 1 for p in range(1, max_period + 1)))
-    fixed = [i * (q // (d - 1)) for i in range(d - 1)]
-    sets = [tuple(a.numerator * (q // a.denominator) for a in s) for s in pool]
-    angle = dict(zip(chain(fixed, *sets), chain(fixed_angles(d), *pool)))
+    fixed = tuple(i * (q // (d - 1)) for i in range(d - 1))
+    fixed_angle = dict(zip(fixed, fixed_angles(d)))
+    angles: dict[tuple[int, ...], tuple[Angle, ...]] = {}
+    by_support: dict[tuple[int, ...], list] = {}
+    for m, dep, qs, xs in pool:
+        if m:
+            s = tuple(x * (q // qs) for x in xs)
+            angles[s] = tuple(Fraction(x, qs) for x in xs)
+            support = tuple(a for a, c in zip(fixed, dep) if c)
+            by_support.setdefault(support, []).append(s)
 
     found: list[tuple[tuple[int, ...], ...]] = []
     for cover in _noncrossing_partitions(fixed):
+        angles.update((b, tuple(fixed_angle[x] for x in b)) for b in cover)
         # per signature: take none of its sets (None) or one of them
         by_signature: dict[tuple[int, ...], list] = {}
-        for s in sets:
-            if all(_unlinked_sorted(b, s) for b in cover):
-                sig = tuple(gap_index(b, s[0]) for b in cover)
-                by_signature.setdefault(sig, [None]).append(s)
+        for support, sets in by_support.items():
+            sig = _signature(cover, support)
+            if sig is not None:
+                by_signature.setdefault(sig, [None]).extend(sets)
         for choice in product(*by_signature.values()):
             found.append(tuple(sorted(
                 cover + tuple(s for s in choice if s is not None))))
@@ -274,5 +308,4 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     found.sort(key=lambda f: (len(f), f))
     # each family is already canonical, so Portrait.create would only
     # re-sort and re-validate it
-    return [Portrait(d, tuple(tuple(angle[x] for x in s) for s in f))
-            for f in found]
+    return [Portrait(d, tuple(angles[s] for s in f)) for f in found]

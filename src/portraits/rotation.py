@@ -16,7 +16,17 @@ p = n / gcd(m, n); then
 
 Here k_i is the integer d*theta_i - theta_{(i+m) mod n}; it exceeds the
 block floor((d-1)*theta_i) by one exactly when the index wraps past n.
-Generation and enumeration both rest on this formula.
+Written as numerators x_i = (d**p - 1)*theta_i, that definition of k_i is
+the recurrence
+
+    x_{(i+m) mod n} = d*x_i - k_i*(d**p - 1),
+
+so the indices split into g = gcd(m, n) cycles r, r+m, r+2m, ... of length
+p.  One Horner sum over its digits gives the first numerator of a cycle,
+and the recurrence walks the rest: all n numerators in O(n) steps rather
+than one p-term sum each.  That kernel, ``_closed_form``, is the only one:
+generation wraps its numerators in ``Fraction``s, and the rotation-set and
+portrait enumerations read their pools straight off it.
 
 Classification runs on integers.  The covering map's n-th iterate fixes
 every angle of an n-element rotation set, so every denominator divides
@@ -120,6 +130,39 @@ def deployment_vector(rs: RotationSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _check_int(name: str, value) -> int:
+    """Refuse a non-integer count (a bool included) with a ValueError naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _closed_form(d: int, n: int, m: int,
+                 deployment: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """(q, xs): Goldberg's closed form as numerators xs over q = d**p - 1,
+    walked cycle by cycle as in the module docstring, or None unless they
+    are strictly increasing in [0, q).  Expects 0 <= m < n and a
+    non-negative deployment summing to n."""
+    k = [b for b, c in enumerate(deployment) for _ in range(c)]
+    for i in range(n - m, n):
+        k[i] += 1
+    g = gcd(m, n)
+    p = n // g
+    q = d ** p - 1
+    xs = [0] * n
+    for r in range(g):
+        cycle = [(r + j * m) % n for j in range(p)]
+        x = 0
+        for i in cycle:
+            x = x * d + k[i]
+        for i in cycle:
+            xs[i] = x
+            x = d * x - k[i] * q
+    if xs[-1] >= q or any(a >= b for a, b in zip(xs, xs[1:])):
+        return None
+    return q, xs
+
+
 def _shapes(d: int, max_cardinality: int, max_period: int):
     """Each (n, m) with n <= max_cardinality, g = gcd(m, n) <= d-1 and
     n/g <= max_period, walked as (period, g, reduced shift)."""
@@ -171,52 +214,74 @@ def _deployments(n: int, blocks: int):
         counts[i], counts[-1] = counts[i] + 1, counts[-1] - 1
 
 
+def _pool(d: int, max_cardinality: int,
+          max_period: int) -> list[tuple[int, tuple[int, ...], int, list[int]]]:
+    """(shift, deployment, q, xs) of every degree-d rotation set with
+    cardinality <= max_cardinality and period <= max_period, its angles the
+    numerators xs over q = d**p - 1, straight off ``_closed_form``.
+
+    The bounds must be integers >= 1 (max_period is checked first), and a
+    request of more candidates than the ceiling raises CapacityError before
+    any is tried.
+    """
+    if _check_int("max_period", max_period) < 1:
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
+    if _check_int("max_cardinality", max_cardinality) < 1:
+        raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
+    if _candidate_count(d, max_cardinality, max_period) > _CANDIDATE_CEILING:
+        raise CapacityError(
+            f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
+            f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
+    return [(m, dep, *found)
+            for n, m in _shapes(d, max_cardinality, max_period)
+            for dep in _deployments(n, d - 1)
+            if (found := _closed_form(d, n, m, dep)) is not None]
+
+
 def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) -> list[RotationSet]:
     """Every degree-d rotation set with cardinality and element period bounded.
 
     A rotation set of shift m and cardinality n is a union of g = gcd(m, n)
     orbits of exact period n/g, and g <= d-1 (Goldberg, Part I).  Every such
     (n, m) is tried with every deployment through Goldberg's closed form
-    (``generate_rotation_set``).  The candidate triples are counted first,
-    by Euler's phi rather than by walking the shifts; more than the ceiling
-    raise CapacityError before any set is built.
+    (``_closed_form``, the kernel of ``generate_rotation_set``).  The
+    candidate triples are counted first, by Euler's phi rather than by
+    walking the shifts; more than the ceiling raise CapacityError before any
+    set is built.  Both bounds must be integers >= 1, else ValueError.
 
-    The result is sorted lexicographically by angle tuple.
+    The result is sorted lexicographically by angle tuple, compared as
+    integer numerators over lcm(d**p - 1) of the sets' periods p.
     """
     d = check_degree(degree)
-    if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period}")
-    if max_cardinality < 1:
-        raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
-
-    if _candidate_count(d, max_cardinality, max_period) > _CANDIDATE_CEILING:
-        raise CapacityError(
-            f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
-            f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
-    found = (generate_rotation_set(d, n, m, dep)
-             for n, m in _shapes(d, max_cardinality, max_period)
-             for dep in _deployments(n, d - 1))
-    return sorted((rs for rs in found if rs is not None), key=lambda rs: rs.angles)
+    pool = _pool(d, max_cardinality, max_period)
+    big = lcm(*{q for _, _, q, _ in pool})
+    pool.sort(key=lambda entry: [x * (big // entry[2]) for x in entry[3]])
+    return [RotationSet(d, tuple(Fraction(x, q) for x in xs), m)
+            for m, _, q, xs in pool]
 
 
 def generate_rotation_set(degree: int, cardinality: int, shift: int,
                           deployment: Sequence[int]) -> Optional[RotationSet]:
     """The unique rotation set with the given shift, cardinality and deployment.
 
-    Goldberg's closed form (module docstring) gives the only candidate in
-    O(n * p) steps, as numerators x_i over q = d**p - 1.  It is returned if
-    it is strictly increasing in [0, 1); otherwise no rotation set has these
-    data and the result is None (so whenever the deployment does not sum to
-    the cardinality).  A deployment entry that is not an ``int`` raises
-    ValueError.  Nothing else needs checking: as p*m = 0 mod n,
-    d*x_i = x_((i+m) mod n) + k_i*q, so the set rotates by m; and
-    (d-1)*theta_i = k_i + theta_((i+m) mod n) - theta_i has floor b_i, as
-    that difference of increasing angles is negative iff i + m wraps past n.
+    Goldberg's closed form (module docstring) gives the only candidate as
+    numerators x_i over q = d**p - 1.  One Horner sum seeds each of the
+    gcd(m, n) cycles i, i+m, i+2m, ... and x_{i+m} = d*x_i - k_i*q walks
+    the rest, so it takes O(n) steps.  The candidate is returned if it is
+    strictly increasing in [0, 1); otherwise no rotation set has these data
+    and the result is None (so whenever the deployment does not sum to the
+    cardinality).  A cardinality, shift or deployment entry that is not an
+    ``int`` (a bool included) raises ValueError.  Nothing else needs
+    checking: as p*m = 0 mod n, d*x_i = x_((i+m) mod n) + k_i*q, so the set
+    rotates by m; and (d-1)*theta_i = k_i + theta_((i+m) mod n) - theta_i
+    has floor b_i, as that difference of increasing angles is negative iff
+    i + m wraps past n.
     """
     d = check_degree(degree)
-    n = cardinality
+    n = _check_int("cardinality", cardinality)
     if n < 1:
         raise ValueError(f"cardinality must be >= 1, got {n}")
+    _check_int("shift", shift)
     if not 0 <= shift < n:
         raise ValueError(f"shift must satisfy 0 <= shift < {n}, got {shift}")
     dep = tuple(deployment)
@@ -228,14 +293,8 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
         raise ValueError("deployment entries must be non-negative")
     if sum(dep) != n:
         return None
-
-    blocks = [b for b, c in enumerate(dep) for _ in range(c)]
-    digits = [blocks[i] + (i + shift >= n) for i in range(n)]
-    p = n // gcd(shift, n)
-    q = d ** p - 1
-    powers = [d ** (p - 1 - j) for j in range(p)]
-    numerators = [sum(digits[(i + j * shift) % n] * w for j, w in enumerate(powers))
-                  for i in range(n)]
-    if numerators[-1] >= q or any(a >= b for a, b in zip(numerators, numerators[1:])):
+    found = _closed_form(d, n, shift, dep)
+    if found is None:
         return None
-    return RotationSet(d, tuple(Fraction(x, q) for x in numerators), shift)
+    q, xs = found
+    return RotationSet(d, tuple(Fraction(x, q) for x in xs), shift)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -182,6 +183,19 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: max_period must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("degree, max_period, digest", [
+        (3, 4, "9ea78cf69cfdb5331a72044d93e19501238e5b413bc523ae9227d068e732d21b"),
+        (4, 3, "85d0a24e4c41507d9c0c425a2022f6087eb2a6c50cb18d8abdc0326a93164554"),
+        (5, 2, "c7fbc90f4e8214568f855dd759ef0d4a9094b1ba929a85eb947c6bf6feaebc2e"),
+    ])
+    def test_rotation_set_listing_is_pinned(self, capsys, degree, max_period, digest):
+        # the listing's bytes, its order included, as the Fraction-sorted
+        # enumeration printed them before the sort moved to integers
+        assert main(["enumerate", "--degree", str(degree),
+                     "--max-period", str(max_period)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_portraits_reparse(self, capsys):
         assert main(["enumerate", "--degree", "2", "--max-period", "3",

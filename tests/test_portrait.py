@@ -1,8 +1,8 @@
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, lcm
 
 import pytest
 
@@ -11,8 +11,10 @@ from portraits import (InvalidPortraitError, MalformedSetError, Portrait,
                        classify_rotation_set, enumerate_portraits,
                        enumerate_rotation_sets, format_angle,
                        validate_portrait)
-from portraits.angles import Angle, check_degree, fixed_angles
+from portraits.angles import Angle, check_degree, fixed_angles, gap_index
 from portraits.portrait import _noncrossing_partitions, _unlinked_sorted
+import portraits.portrait
+import portraits.rotation
 from portraits.rotation import RotationSet
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
@@ -102,6 +104,38 @@ def fraction_backtracking(degree: int, max_period: int) -> list[Portrait]:
 
     portraits.sort(key=lambda q: (q.k, q.sets))
     return portraits
+
+
+def per_set_cover_loop(degree: int, max_period: int) -> list[Portrait]:
+    """Oracle: ``enumerate_portraits`` before it grouped its pool by support.
+
+    The pool comes from the public ``enumerate_rotation_sets``, and every
+    cover tests every pool set against every block with ``_unlinked_sorted``
+    and takes a ``gap_index`` signature per set.
+    """
+    d = check_degree(degree)
+    pool = [rs.angles for rs in enumerate_rotation_sets(
+        d, (d - 1) * max_period, max_period) if not rs.is_fixed]
+    q = lcm(*(d ** p - 1 for p in range(1, max_period + 1)))
+    fixed = [i * (q // (d - 1)) for i in range(d - 1)]
+    sets = [tuple(a.numerator * (q // a.denominator) for a in s) for s in pool]
+    angle = dict(zip(fixed, fixed_angles(d)))
+    for s, angles in zip(sets, pool):
+        angle.update(zip(s, angles))
+
+    found = []
+    for cover in _noncrossing_partitions(fixed):
+        by_signature = {}
+        for s in sets:
+            if all(_unlinked_sorted(b, s) for b in cover):
+                sig = tuple(gap_index(b, s[0]) for b in cover)
+                by_signature.setdefault(sig, [None]).append(s)
+        for choice in product(*by_signature.values()):
+            found.append(tuple(sorted(
+                cover + tuple(s for s in choice if s is not None))))
+    found.sort(key=lambda f: (len(f), f))
+    return [Portrait(d, tuple(tuple(angle[x] for x in s) for s in f))
+            for f in found]
 
 
 def fraction_p2_p4(p: Portrait) -> list[Violation]:
@@ -444,6 +478,25 @@ class TestEnumeratePortraits:
     def test_matches_fraction_backtracking(self, degree, max_period):
         assert (enumerate_portraits(degree, max_period)
                 == fraction_backtracking(degree, max_period))
+
+    @pytest.mark.parametrize("degree, max_period",
+                             [(2, 6), (3, 4), (4, 2), (5, 2), (6, 2)])
+    def test_matches_per_set_cover_loop(self, degree, max_period):
+        assert (enumerate_portraits(degree, max_period)
+                == per_set_cover_loop(degree, max_period))
+
+    def test_pool_comes_from_the_kernel(self, monkeypatch):
+        # no per-candidate call to the public generation or enumeration
+        def refuse(*args):
+            raise AssertionError("enumerate_portraits called a public rotation function")
+        for name in ("generate_rotation_set", "enumerate_rotation_sets"):
+            monkeypatch.setattr(portraits.rotation, name, refuse)
+            monkeypatch.setattr(portraits.portrait, name, refuse, raising=False)
+        assert len(enumerate_portraits(4, 4)) == 1116
+
+    def test_degree7_period2_count(self):
+        # 12,010 candidates, 63 supports and 132 covers
+        assert len(enumerate_portraits(7, 2)) == 28608
 
     def test_degree6_period2_count(self):
         ports = enumerate_portraits(6, 2)

@@ -11,7 +11,7 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        fixed_angles, generate_rotation_set, validate_portrait)
 import portraits.rotation
 from portraits.rotation import (_CANDIDATE_CEILING, _candidate_count,
-                                _deployments, _shapes)
+                                _closed_form, _deployments, _shapes)
 
 
 def classified(angles, degree):
@@ -72,6 +72,28 @@ def fraction_generate(degree, cardinality, shift, deployment):
             or deployment_vector(rs) != tuple(deployment)):
         return None
     return rs
+
+
+def closed_form_sum(degree, cardinality, shift, deployment):
+    """Oracle: Goldberg's closed form as ``generate_rotation_set`` took it
+    before the cycle recurrence, one p-term sum per numerator (O(n * p)
+    steps); (q, numerators) when they increase in [0, q), else None."""
+    n = cardinality
+    blocks = [b for b, c in enumerate(deployment) for _ in range(c)]
+    digits = [blocks[i] + (i + shift >= n) for i in range(n)]
+    p = n // math.gcd(shift, n)
+    q = degree ** p - 1
+    numerators = [sum(digits[(i + j * shift) % n] * degree ** (p - 1 - j)
+                      for j in range(p)) for i in range(n)]
+    if numerators[-1] >= q or any(a >= b for a, b in zip(numerators, numerators[1:])):
+        return None
+    return q, numerators
+
+
+def realised(degree, cardinality, shift):
+    """How many deployments of (cardinality, shift) give a rotation set."""
+    return sum(_closed_form(degree, cardinality, shift, dep) is not None
+               for dep in _deployments(cardinality, degree - 1))
 
 
 def brute_force_rotation_sets(degree, period, max_size):
@@ -351,6 +373,15 @@ class TestEnumerate:
             enumerate_rotation_sets(2, 0, 0)
         with pytest.raises(ValueError, match="^max_period must be >= 1, got 0$"):
             enumerate_portraits(2, 0)
+        # a float or a bool is refused by name, not run or left to a
+        # TypeError deep inside
+        for bad in (2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="^max_period must be an integer, got "):
+                enumerate_rotation_sets(2, 4, bad)
+            with pytest.raises(ValueError, match="^max_cardinality must be an integer, got "):
+                enumerate_rotation_sets(2, bad, 2)
+            with pytest.raises(ValueError, match="^max_period must be an integer, got "):
+                enumerate_portraits(3, bad)
 
 
 class TestGenerate:
@@ -400,8 +431,43 @@ class TestGenerate:
             generate_rotation_set(5, 2, 1, (1, 0, 1))      # wrong length
         with pytest.raises(ValueError):
             generate_rotation_set(5, 2, 1, (-1, 1, 1, 1))  # negative entry
+        # a bool would be kept as the set's shift, and a float cardinality
+        # would fail with a bare TypeError in gcd
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="^shift must be an integer, got "):
+                generate_rotation_set(2, 2, bad, (2,))
+        for bad in (2.0, True, "2", None):
+            with pytest.raises(ValueError, match="^cardinality must be an integer, got "):
+                generate_rotation_set(2, bad, 1, (2,))
         # int(2.7) would read the deployment (2,) and return {1/3, 2/3}
         assert generate_rotation_set(2, 2, 1, (2,)) is not None
         for entry in (2.7, 2.0, "2", True, F(2)):
             with pytest.raises(ValueError, match="deployment entries must be integers"):
                 generate_rotation_set(2, 2, 1, (entry,))
+
+
+class TestClosedForm:
+    def test_matches_term_by_term_sum(self):
+        # every (n, m, deployment) with d <= 6 and n <= 8, the 11,295
+        # candidates with gcd(m, n) <= d-1 among them
+        tried = 0
+        for d in range(2, 7):
+            for n in range(1, 9):
+                for m in range(n):
+                    for dep in _deployments(n, d - 1):
+                        assert _closed_form(d, n, m, dep) == closed_form_sum(d, n, m, dep)
+                        tried += 1
+        assert tried == 13014
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_realised_deployment_counts(self, d):
+        # fixed sets: the 0/1 deployments
+        for n in range(1, d):
+            assert realised(d, n, 0) == math.comb(d - 1, n)
+        for q in range(1, 6):
+            for r in range(q):
+                if math.gcd(r, q) == 1:
+                    # one cycle: every deployment is realised
+                    assert realised(d, q, r) == math.comb(q + d - 2, d - 2)
+                    # d-1 cycles, the most a rotation set has
+                    assert realised(d, (d - 1) * q, (d - 1) * r) == q ** (d - 2)
