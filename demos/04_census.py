@@ -8,10 +8,7 @@ whole pipeline and certifies the round trip.
 import time
 from collections import Counter
 
-from portraits import (check_degree_angle, check_expanding,
-                       check_julia_normalization, check_tree_axioms,
-                       construct_tree, count_fixed_points,
-                       enumerate_portraits, format_portrait, recover_portrait)
+from portraits import analyze, enumerate_portraits, format_portrait
 
 started = time.monotonic()
 for degree in (2, 3):
@@ -22,15 +19,8 @@ for degree in (2, 3):
 
     failures = 0
     for p in portraits:
-        ct = construct_tree(p)
-        t = ct.tree
-        ok = (not check_tree_axioms(t)
-              and not check_degree_angle(t)
-              and not check_julia_normalization(t)
-              and check_expanding(t)[0]
-              and count_fixed_points(t) == degree
-              and recover_portrait(ct) == p)
-        if not ok:
+        an = analyze(p)
+        if not (an.all_ok and an.fixed_points == degree):
             failures += 1
             print("  FAILED:")
             print("    " + format_portrait(p).replace("\n", "\n    "))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations, permutations
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InvariantViolationError
@@ -252,55 +252,49 @@ def _degree_angle(t: AngledTree, germs_at: Callable[[str], tuple[str, ...]]
         nbrs = order[v]
         (L, at_v), (M, at_image) = angles[v], angles[tau[v]]
         germs = germs_at(v)
-        for i in range(len(nbrs)):
-            for j in range(len(nbrs)):
-                if i == j:
-                    continue
-                lhs = 0 if germs[i] == germs[j] else at_image(germs[i], germs[j])
-                ang = at_v(nbrs[i], nbrs[j])
-                rhs = delta[v] * ang % L
-                if lhs * L != rhs * M:
-                    out.append(TreeViolation(
-                        "degree-angle",
-                        f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend "
-                        f"{Fraction(ang, L)}, images subtend {Fraction(lhs, M)} "
-                        f"!= delta*angle = {Fraction(rhs, L)}"))
+        for i, j in permutations(range(len(nbrs)), 2):
+            lhs = 0 if germs[i] == germs[j] else at_image(germs[i], germs[j])
+            ang = at_v(nbrs[i], nbrs[j])
+            rhs = delta[v] * ang % L
+            if lhs * L != rhs * M:
+                out.append(TreeViolation(
+                    "degree-angle",
+                    f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend "
+                    f"{Fraction(ang, L)}, images subtend {Fraction(lhs, M)} "
+                    f"!= delta*angle = {Fraction(rhs, L)}"))
     return tuple(out)
 
 
 def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
-    """Follow every orbit to its cycle; Fatou iff the cycle holds a critical vertex."""
+    """Follow every orbit to its cycle; Fatou iff the cycle holds a critical vertex.
+
+    One walk per unclassified vertex, in ``t.vertices`` order, follows tau
+    until it reaches a classified vertex or closes a cycle on its own path.
+    A new cycle takes the next ``cycle_id``; the walk's tail is then filled
+    backwards, each vertex one step further from its cycle than its image.
+    Every vertex is stepped from once, so the cost is O(|V|).
+    """
     classes: dict[str, VertexClass] = {}
-    cycles: list[tuple[str, ...]] = []
-    cycle_of: dict[str, int] = {}
     tau, delta = t.tau, t.delta
-
+    cycles = 0
     for v in t.vertices:
+        position: dict[str, int] = {}
         x = v
-        for _ in range(len(t.vertices)):
+        while x not in classes and x not in position:
+            position[x] = len(position)
             x = tau[x]
-        if x not in cycle_of:
-            cycle = [x]
-            y = tau[x]
-            while y != x:
-                cycle.append(y)
-                y = tau[y]
-            cid = len(cycles)
-            cycles.append(tuple(cycle))
+        walk = list(position)
+        if x in position:
+            cycle = walk[position[x]:]
+            del walk[position[x]:]
+            kind = "fatou" if any(delta[c] > 1 for c in cycle) else "julia"
             for c in cycle:
-                cycle_of[c] = cid
-
-    for v in t.vertices:
-        preperiod = 0
-        x = v
-        while x not in cycle_of:
-            preperiod += 1
-            x = tau[x]
-        cid = cycle_of[x]
-        cycle = cycles[cid]
-        kind = "fatou" if any(delta[c] > 1 for c in cycle) else "julia"
-        classes[v] = VertexClass(kind, cid, preperiod, len(cycle))
-    return classes
+                classes[c] = VertexClass(kind, cycles, 0, len(cycle))
+            cycles += 1
+        for y in reversed(walk):
+            kind, cid, preperiod, period = classes[tau[y]]
+            classes[y] = VertexClass(kind, cid, preperiod + 1, period)
+    return {v: classes[v] for v in t.vertices}
 
 
 def check_expanding(t: AngledTree,
@@ -347,14 +341,13 @@ def check_julia_normalization(t: AngledTree,
         nbrs = t.circular_order[v]
         m = len(nbrs)
         L, at_v = t.angles_at(v)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ang = at_v(nbrs[i], nbrs[j])
-                if ang * m % L:
-                    out.append(TreeViolation(
-                        "julia-angle",
-                        f"angle {Fraction(ang, L)} at {v} between edges to "
-                        f"{nbrs[i]} and {nbrs[j]} is not a multiple of 1/{m}"))
+        for i, j in combinations(range(m), 2):
+            ang = at_v(nbrs[i], nbrs[j])
+            if ang * m % L:
+                out.append(TreeViolation(
+                    "julia-angle",
+                    f"angle {Fraction(ang, L)} at {v} between edges to "
+                    f"{nbrs[i]} and {nbrs[j]} is not a multiple of 1/{m}"))
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
 from collections import deque
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
-from portraits import InvariantViolationError, Portrait
+from portraits import (InvariantViolationError, Portrait, construct_tree,
+                       enumerate_portraits, validate_portrait)
 
 # The running examples: a degree-5 portrait with one rotating pair, and the
 # degree-2 portrait whose rotating set is the period-2 orbit of 1/3.
@@ -39,6 +41,16 @@ def path_germ(t, v, u):
     if a == b:
         raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
     return tree_path(t, a, b)[1]
+
+
+@cache
+def census():
+    """(portrait, validated sets, constructed tree) for the 944 portraits of
+    the benchmark censuses (2,6), (3,4), (4,3) and (5,2), built once and
+    shared by the builder and tree tests."""
+    return tuple((p, validate_portrait(p).valid_sets(), construct_tree(p))
+                 for d, n in ((2, 6), (3, 4), (4, 3), (5, 2))
+                 for p in enumerate_portraits(d, n))
 
 
 def orbit(seed, degree):

@@ -1,6 +1,5 @@
 from bisect import bisect_right
 from fractions import Fraction as F
-from functools import cache
 
 import pytest
 
@@ -9,17 +8,10 @@ from portraits import (ElementaryArc, InvalidPortraitError, Portrait,
                        validate_portrait)
 from portraits.tree import edge_key
 
-from conftest import orbit
+from conftest import census, orbit
 
-
-@cache
-def census():
-    """(portrait, validated sets, constructed tree) for the 944 portraits of
-    the benchmark censuses (2,6), (3,4), (4,3) and (5,2).  The builder checks
-    nothing it builds, so the tests below pin what validation guarantees."""
-    return tuple((p, validate_portrait(p).valid_sets(), construct_tree(p))
-                 for d, n in ((2, 6), (3, 4), (4, 3), (5, 2))
-                 for p in enumerate_portraits(d, n))
+# The builder checks nothing it builds, so the tests over ``census()`` pin
+# what validation guarantees.
 
 
 def elementary_arcs(p):

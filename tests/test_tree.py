@@ -1,16 +1,17 @@
 import random
+import time
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
 from portraits import (AngledTree, InvariantViolationError, Portrait,
-                       TreeViolation, check_degree_angle, check_expanding,
-                       check_julia_normalization, check_tree_axioms,
-                       classify_vertices, construct_tree, count_fixed_points,
-                       enumerate_portraits, image_germs)
+                       TreeViolation, VertexClass, check_degree_angle,
+                       check_expanding, check_julia_normalization,
+                       check_tree_axioms, classify_vertices, construct_tree,
+                       count_fixed_points, enumerate_portraits, image_germs)
 
-from conftest import path_germ, tree_path
+from conftest import census, path_germ, tree_path
 
 
 def _scaled(gaps):
@@ -116,6 +117,66 @@ def fraction_julia_normalization(t, classes):
                         f"angle {ang} at {v} between edges to {nbrs[i]} and "
                         f"{nbrs[j]} is not a multiple of 1/{m}"))
     return tuple(out)
+
+
+def walked_classes(t):
+    """Oracle: ``classify_vertices`` as it ran before the one-pass walk.
+    |V| steps of tau from every vertex land on its cycle, cycles numbered
+    as found; a second walk from every vertex counts its steps to the cycle."""
+    tau, delta = t.tau, t.delta
+    cycles = []
+    cycle_of = {}
+    for v in t.vertices:
+        x = v
+        for _ in range(len(t.vertices)):
+            x = tau[x]
+        if x not in cycle_of:
+            cycle = [x]
+            while (y := tau[cycle[-1]]) != x:
+                cycle.append(y)
+            for c in cycle:
+                cycle_of[c] = len(cycles)
+            cycles.append(cycle)
+    classes = {}
+    for v in t.vertices:
+        preperiod, x = 0, v
+        while x not in cycle_of:
+            preperiod, x = preperiod + 1, tau[x]
+        cycle = cycles[cycle_of[x]]
+        kind = "fatou" if any(delta[c] > 1 for c in cycle) else "julia"
+        classes[v] = VertexClass(kind, cycle_of[x], preperiod, len(cycle))
+    return classes
+
+
+def functional_graph(vertices, tau, delta):
+    """An ``AngledTree`` holding only what classification reads: the
+    vertices, tau and delta (no edges, orders or gaps)."""
+    return AngledTree(tuple(vertices), (), {}, {}, dict(tau), dict(delta))
+
+
+def random_functional_graph(rng):
+    """A random self-map of up to 60 vertices, listed in shuffled order.
+    Half are uniform random maps; the other half lay down a few cycles
+    (fixed points among them) and hang each remaining vertex off a random
+    placed one or off the last one placed, which grows long tails."""
+    n = rng.randint(1, 60)
+    vertices = [f"x{i}" for i in range(n)]
+    if rng.random() < 0.5:
+        tau = {v: rng.choice(vertices) for v in vertices}
+    else:
+        tau = {}
+        placed = 0
+        while placed < n and (not placed or rng.random() < 0.5):
+            length = min(n - placed, rng.choice([1, 1, 2, 3, rng.randint(1, n)]))
+            cycle = vertices[placed:placed + length]
+            tau.update(zip(cycle, cycle[1:] + cycle[:1]))
+            placed += length
+        for i in range(placed, n):
+            tau[vertices[i]] = vertices[i - 1 if rng.random() < 0.85
+                                        else rng.randrange(i)]
+    delta = {v: rng.choice([1, 1, 1, 2]) for v in vertices}
+    rng.shuffle(vertices)
+    return functional_graph(vertices, tau, delta)
 
 
 def random_tree(rng):
@@ -416,6 +477,42 @@ class TestClassification:
         classes = classify_vertices(t)
         assert classes["b"].kind == "julia"
         assert classes["a"].kind == "fatou"
+
+    def test_matches_walk_oracle_over_census(self):
+        assert len(census()) == 944
+        for _, _, ct in census():
+            classes = classify_vertices(ct.tree)
+            assert list(classes.items()) == list(walked_classes(ct.tree).items())
+
+    def test_matches_walk_oracle_on_random_functional_graphs(self):
+        rng = random.Random(20261018)
+        cycle_counts, fixed, longest_tail, kinds = set(), 0, 0, set()
+        for _ in range(600):
+            t = random_functional_graph(rng)
+            classes = classify_vertices(t)
+            assert list(classes.items()) == list(walked_classes(t).items())
+            cycle_counts.add(len({c.cycle_id for c in classes.values()}))
+            fixed += sum(1 for v in t.vertices if t.tau[v] == v)
+            longest_tail = max(longest_tail, *(c.preperiod for c in classes.values()))
+            kinds.update(c.kind for c in classes.values())
+        assert max(cycle_counts) >= 4 and fixed > 300 and longest_tail >= 30
+        assert kinds == {"fatou", "julia"}
+
+    def test_long_chain_is_linear(self):
+        # c0 is a critical fixed end and tau slides every c_i to c_{i-1};
+        # listed from the far end, the first walk crosses the whole chain
+        n = 5000
+        vertices = [f"c{i}" for i in reversed(range(n))]
+        tau = {f"c{i}": f"c{max(i - 1, 0)}" for i in range(n)}
+        delta = {v: 1 for v in vertices} | {"c0": 2}
+        t = functional_graph(vertices, tau, delta)
+        started = time.perf_counter()
+        classes = classify_vertices(t)
+        elapsed = time.perf_counter() - started
+        assert classes["c4999"] == VertexClass("fatou", 0, n - 1, 1)
+        assert all(c.kind == "fatou" and c.cycle_id == 0 for c in classes.values())
+        assert list(classes) == vertices
+        assert elapsed < 0.5
 
 
 class TestExpanding:
