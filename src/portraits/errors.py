@@ -14,7 +14,8 @@ class MalformedSetError(PortraitsError, ValueError):
 
 
 class CapacityError(PortraitsError):
-    """An enumeration would try more candidate rotation sets than the ceiling."""
+    """A request passes a size ceiling: an enumeration's candidate count, or a
+    portrait's d-1 fixed angles outnumbering both its listed angles and 2**16."""
 
 
 class InvariantViolationError(PortraitsError):

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from .angles import format_angle, parse_angle
 from .errors import MalformedAngleError, PortraitParseError
-from .portrait import Portrait
-
-# A valid degree-d portrait lists all d-1 fixed angles.  A file listing
-# fewer is refused outright once d-1 also exceeds this bound, before
-# validation would materialise d-1 fixed angles.
-_DEGREE_CEILING = 2 ** 16
+from .portrait import _DEGREE_CEILING, Portrait
 
 
 def parse_portrait(text: str) -> Portrait:

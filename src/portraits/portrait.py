@@ -22,13 +22,17 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
                      format_angle, gap_index)
-from .errors import InvalidPortraitError, MalformedSetError
+from .errors import CapacityError, InvalidPortraitError, MalformedSetError
 from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
+
+# A valid degree-d portrait lists all d-1 fixed angles.  A portrait listing
+# fewer is refused outright once d-1 also exceeds this bound, before
+# validation would materialise d-1 fixed angles.
+_DEGREE_CEILING = 2 ** 16
 
 
 def _angles_text(angles: Iterable[Angle]) -> str:
@@ -125,7 +129,9 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     its sets, which also classify each set.  Once P2 holds, a fixed set
     separates two rotating sets exactly when they lie in different gaps of
     it, so P4 compares each rotating set's gap signature (its gap in every
-    fixed set) instead of testing separation pair by pair.
+    fixed set) instead of testing separation pair by pair.  Once P1 holds,
+    a degree whose d-1 fixed angles outnumber both the listed angles and
+    2**16 raises CapacityError before P3 would list the missing ones.
     """
     return _validate(p)[0]
 
@@ -177,6 +183,14 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
     if any(rs is None for rs in classified):
         notes.append("P3 and P4 skipped: rotation numbers unavailable while P1 fails")
         return ValidationResult(tuple(violations), tuple(notes)), xsets
+
+    # P3 would spell out O(d) missing fixed angles: refuse a degree that
+    # cannot be valid by parse_portrait's rule instead
+    listed = sum(map(len, p.sets))
+    if d - 1 > max(listed, _DEGREE_CEILING):
+        raise CapacityError(
+            f"degree {d} has {d - 1} fixed angles, more than the {listed} "
+            f"angles listed")
 
     # a shift-0 set has d*a = a, so each of its angles is a fixed angle
     # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
@@ -270,27 +284,28 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     Both tests depend on a rotating set only through its support, the arcs
     between consecutive fixed angles where its deployment is nonzero: it
     holds no fixed angle, so each of its angles lies inside one such arc,
-    and a block's gaps are unions of whole arcs.  The pool, read straight
-    off the closed-form kernel, is therefore grouped by support, and each
-    cover tests each of the at most 2**(d-1) - 1 supports once.  Angles are
-    numerators over q = lcm(d**p - 1 : p <= max_period), which every
-    denominator involved divides; that keeps their order, so the final sort
-    compares integers, and each emitted set becomes ``Fraction``s once.
+    and a block's gaps are unions of whole arcs.  The pool is therefore
+    grouped by support, and each cover tests each of the at most
+    2**(d-1) - 1 supports once.
+
+    The pool (``rotation._pool``) holds the rotating sets only, grown as
+    cliques of alternating single cycles; the covers supply the fixed sets.
+    Its angles are numerators over q = lcm(d**p - 1 : p <= max_period),
+    which every denominator involved divides; that keeps their order, so
+    the final sort compares integers.  Each cycle point becomes a
+    ``Fraction`` once, and every set holding it reuses that one.
     """
     d = check_degree(degree)
     _check_int("max_period", max_period)  # before a str or None is multiplied
-    pool = _pool(d, (d - 1) * max_period, max_period)
-    q = lcm(*(d ** p - 1 for p in range(1, max_period + 1)))
+    q, pool = _pool(d, (d - 1) * max_period, max_period)
     fixed = tuple(i * (q // (d - 1)) for i in range(d - 1))
     fixed_angle = dict(zip(fixed, fixed_angles(d)))
     angles: dict[tuple[int, ...], tuple[Angle, ...]] = {}
     by_support: dict[tuple[int, ...], list] = {}
-    for m, dep, qs, xs in pool:
-        if m:
-            s = tuple(x * (q // qs) for x in xs)
-            angles[s] = tuple(Fraction(x, qs) for x in xs)
-            support = tuple(a for a, c in zip(fixed, dep) if c)
-            by_support.setdefault(support, []).append(s)
+    for _, dep, s, set_angles in pool:
+        angles[s] = set_angles
+        support = tuple(a for a, c in zip(fixed, dep) if c)
+        by_support.setdefault(support, []).append(s)
 
     found: list[tuple[tuple[int, ...], ...]] = []
     for cover in _noncrossing_partitions(fixed):

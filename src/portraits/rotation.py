@@ -25,8 +25,22 @@ so the indices split into g = gcd(m, n) cycles r, r+m, r+2m, ... of length
 p.  One Horner sum over its digits gives the first numerator of a cycle,
 and the recurrence walks the rest: all n numerators in O(n) steps rather
 than one p-term sum each.  That kernel, ``_closed_form``, is the only one:
-generation wraps its numerators in ``Fraction``s, and the rotation-set and
-portrait enumerations read their pools straight off it.
+generation wraps its numerators in ``Fraction``s, and the enumerations run
+it on single cycles only.
+
+The enumerations' pool of rotating sets is built from cycles (Goldberg,
+Part I): a set of rotation number r/p is a union of at most d-1 single
+cycles of that rotation number, and every single-cycle deployment is
+realised, so the closed form runs once per cycle and never fails.  In a
+g-cycle set index i lies on cycle i mod g, so its cycles alternate pairwise
+around the circle: each gap of one holds one point of the other.
+Conversely, pairwise alternating cycles keep one order between consecutive
+points of any one of them (else two points of one would share a gap of
+another), so their union reads (C_1 ... C_g)**p, ordered by least points,
+and rotates by g*r.  The rotating sets are thus the cliques of the
+alternation graph.  Alternating cycles alternate block by block too, so
+each deployment of 2p proposes one pair: the even positions of its sorted
+blocks, and the odd ones.
 
 Classification runs on integers.  The covering map's n-th iterate fixes
 every angle of an n-element rotation set, so every denominator divides
@@ -39,10 +53,12 @@ image of x/q is (d*x mod q)/q.  One kernel, ``_shift``, serves
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, combinations
 from math import comb, gcd, lcm
+from operator import lt
 from typing import NamedTuple, Optional, Sequence
 
-from .angles import Angle, as_angle_tuple, check_degree
+from .angles import Angle, as_angle_tuple, check_degree, fixed_angles
 from .errors import CapacityError
 
 # Most (cardinality, shift, deployment) candidates one enumeration may try;
@@ -163,16 +179,6 @@ def _closed_form(d: int, n: int, m: int,
     return q, xs
 
 
-def _shapes(d: int, max_cardinality: int, max_period: int):
-    """Each (n, m) with n <= max_cardinality, g = gcd(m, n) <= d-1 and
-    n/g <= max_period, walked as (period, g, reduced shift)."""
-    for p in range(1, min(max_period, max_cardinality) + 1):
-        for g in range(1, min(d - 1, max_cardinality // p) + 1):
-            for r in range(p):
-                if gcd(r, p) == 1:
-                    yield g * p, g * r
-
-
 def _totient(n: int) -> int:
     """Euler's phi: how many r in range(n) have gcd(r, n) == 1."""
     phi, rest, f = n, n, 2
@@ -186,9 +192,11 @@ def _totient(n: int) -> int:
 
 
 def _candidate_count(d: int, max_cardinality: int, max_period: int) -> int:
-    """How many (n, m, deployment) triples ``_shapes`` leads to, counted per
-    (period p, g) as phi(p) reduced shifts times C(gp+d-2, d-2) deployments.
-    Counting stops as soon as the total passes the ceiling."""
+    """phi(p) * C(gp+d-2, d-2) summed over each period p and g <= d-1 with
+    gp <= max_cardinality, which bounds an enumeration's work: per rotation
+    number, the cycles (g = 1), the proposed pairs (g = 2) and the g-cycle
+    sets, whose deployments differ; for p = 1, the fixed sets and the
+    Catalan(d-1) covers.  Counting stops once the total passes the ceiling."""
     count = 0
     for p in range(1, min(max_period, max_cardinality) + 1):
         phi = _totient(p)
@@ -214,15 +222,61 @@ def _deployments(n: int, blocks: int):
         counts[i], counts[-1] = counts[i] + 1, counts[-1] - 1
 
 
-def _pool(d: int, max_cardinality: int,
-          max_period: int) -> list[tuple[int, tuple[int, ...], int, list[int]]]:
-    """(shift, deployment, q, xs) of every degree-d rotation set with
-    cardinality <= max_cardinality and period <= max_period, its angles the
-    numerators xs over q = d**p - 1, straight off ``_closed_form``.
+def _alternate(xs: Sequence[int], ys: Sequence[int]) -> bool:
+    """True iff increasing numerators xs and ys, as many of each, alternate
+    around the circle from xs: xs[0] < ys[0] < xs[1] < ... < ys[-1]."""
+    return all(map(lt, xs, ys)) and all(map(lt, ys, xs[1:]))
+
+
+def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
+    """``_pool``'s entries of rotation number r/p with at most ``most``
+    cycles, grown as cliques of alternating cycles (module docstring)."""
+    q = d ** p - 1
+    cycles = sorted((_closed_form(d, p, r, dep)[1], dep)
+                    for dep in _deployments(p, d - 1))
+    xs = [tuple(x * (big // q) for x in c) for c, _ in cycles]
+    angles = [tuple(Fraction(x, q) for x in c) for c, _ in cycles]
+    deps = [dep for _, dep in cycles]
+    # later[i]: bitset of the cycles after cycle i (by least point) that
+    # alternate with it; a proposed pair (a, b) takes a's deployment from
+    # the even positions of the sorted blocks of s = a + b
+    later = [0] * len(cycles)
+    if most > 1:
+        index = {dep: i for i, dep in enumerate(deps)}
+        for s in _deployments(2 * p, d - 1):
+            a, total = [], 0
+            for c in s:
+                a.append((total + c + 1) // 2 - (total + 1) // 2)
+                total += c
+            i, j = index[tuple(a)], index[tuple(c - e for c, e in zip(s, a))]
+            if i != j and _alternate(xs[i], xs[j]):
+                later[i] |= 1 << j
+    found = []
+    stack = [((i,), later[i]) for i in range(len(cycles))]
+    while stack:
+        members, common = stack.pop()
+        found.append((len(members) * r,
+                      tuple(map(sum, zip(*(deps[i] for i in members)))),
+                      tuple(chain.from_iterable(zip(*(xs[i] for i in members)))),
+                      tuple(chain.from_iterable(zip(*(angles[i] for i in members))))))
+        rest = common if len(members) < most else 0
+        while rest:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
+            stack.append((members + (j,), common & later[j]))
+    return found
+
+
+def _pool(d: int, max_cardinality: int, max_period: int) -> tuple[int, list]:
+    """(big, entries): the (shift, deployment, xs, angles) of every degree-d
+    rotating set with cardinality <= max_cardinality and period
+    2..max_period, its angles both the numerators xs over
+    big = lcm(d**p - 1 : p <= min(max_period, max_cardinality)) and
+    ``Fraction``s, each built once per cycle point.
 
     The bounds must be integers >= 1 (max_period is checked first), and a
-    request of more candidates than the ceiling raises CapacityError before
-    any is tried.
+    request whose ``_candidate_count`` passes the ceiling raises
+    CapacityError before any set is built.
     """
     if _check_int("max_period", max_period) < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
@@ -232,32 +286,34 @@ def _pool(d: int, max_cardinality: int,
         raise CapacityError(
             f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
             f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
-    return [(m, dep, *found)
-            for n, m in _shapes(d, max_cardinality, max_period)
-            for dep in _deployments(n, d - 1)
-            if (found := _closed_form(d, n, m, dep)) is not None]
+    top = min(max_period, max_cardinality)
+    big = lcm(*(d ** p - 1 for p in range(1, top + 1)))
+    return big, [entry for p in range(2, top + 1) for r in range(1, p)
+                 if gcd(r, p) == 1
+                 for entry in _cliques(d, p, r, min(d - 1, max_cardinality // p), big)]
 
 
 def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) -> list[RotationSet]:
     """Every degree-d rotation set with cardinality and element period bounded.
 
-    A rotation set of shift m and cardinality n is a union of g = gcd(m, n)
-    orbits of exact period n/g, and g <= d-1 (Goldberg, Part I).  Every such
-    (n, m) is tried with every deployment through Goldberg's closed form
-    (``_closed_form``, the kernel of ``generate_rotation_set``).  The
-    candidate triples are counted first, by Euler's phi rather than by
-    walking the shifts; more than the ceiling raise CapacityError before any
-    set is built.  Both bounds must be integers >= 1, else ValueError.
+    The fixed sets are the nonempty subsets of the d-1 fixed angles with at
+    most max_cardinality elements.  The rotating sets come from ``_pool``,
+    as the cliques of pairwise alternating single cycles of one rotation
+    number (module docstring).  The work is bounded first; a bound past the
+    ceiling raises CapacityError before any set is built.  Both bounds must
+    be integers >= 1, else ValueError.
 
     The result is sorted lexicographically by angle tuple, compared as
-    integer numerators over lcm(d**p - 1) of the sets' periods p.
+    integer numerators over lcm(d**p - 1) of the periods p involved.
     """
     d = check_degree(degree)
-    pool = _pool(d, max_cardinality, max_period)
-    big = lcm(*{q for _, _, q, _ in pool})
-    pool.sort(key=lambda entry: [x * (big // entry[2]) for x in entry[3]])
-    return [RotationSet(d, tuple(Fraction(x, q) for x in xs), m)
-            for m, _, q, xs in pool]
+    big, pool = _pool(d, max_cardinality, max_period)
+    fixed = fixed_angles(d)
+    pool += [(0, None, tuple(i * (big // (d - 1)) for i in c), tuple(fixed[i] for i in c))
+             for g in range(1, min(d - 1, max_cardinality) + 1)
+             for c in combinations(range(d - 1), g)]
+    pool.sort(key=lambda entry: entry[2])
+    return [RotationSet(d, angles, m) for m, _, _, angles in pool]
 
 
 def generate_rotation_set(degree: int, cardinality: int, shift: int,

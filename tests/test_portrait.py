@@ -6,13 +6,14 @@ from math import comb, lcm
 
 import pytest
 
-from portraits import (InvalidPortraitError, MalformedSetError, Portrait,
-                       Violation,
+from portraits import (CapacityError, InvalidPortraitError, MalformedSetError,
+                       Portrait, Violation, construct_tree,
                        classify_rotation_set, enumerate_portraits,
                        enumerate_rotation_sets, format_angle,
                        validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles, gap_index
-from portraits.portrait import _noncrossing_partitions, _unlinked_sorted
+from portraits.portrait import (_DEGREE_CEILING, _noncrossing_partitions,
+                                _unlinked_sorted)
 import portraits.portrait
 import portraits.rotation
 from portraits.rotation import RotationSet
@@ -240,12 +241,30 @@ class TestP3Oracle:
         assert p3(p) == fraction_p3(p)
 
     def test_huge_degree_is_fast(self):
+        # the largest degree whose fixed angles one listed angle may leave
+        # missing: past it, validation refuses (below)
+        d = _DEGREE_CEILING + 1
+        p = Portrait.create(d, [[F(0)]])
         start = time.perf_counter()
-        (v,) = validate_portrait(Portrait.create(10**5, [[F(0)]])).violations
+        (v,) = validate_portrait(p).violations
         assert time.perf_counter() - start < 1
         assert v.code == "P3-missing"
-        assert len(v.witness) == 10**5 - 2
-        assert v.witness[:2] == (F(1, 10**5 - 1), F(2, 10**5 - 1))
+        assert len(v.witness) == d - 2
+        assert v.witness[:2] == (F(1, d - 1), F(2, d - 1))
+        assert p3(p) == fraction_p3(p)
+
+    def test_degree_past_the_ceiling_is_refused_fast(self):
+        # parse_portrait's rule: d-1 fixed angles outnumber both the listed
+        # angles and the ceiling, so the portrait cannot be valid
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="^degree 1000000 has 999999 fixed "
+                                                "angles, more than the 1 angles listed$"):
+            validate_portrait(Portrait.create(10**6, [[F(0)]]))
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(CapacityError):
+            construct_tree(Portrait.create(_DEGREE_CEILING + 2, [[F(0)]]))
+        # P1 is reported first; P3 never runs
+        assert validate_portrait(Portrait.create(10**6, [[F(1, 2)]])).codes == ("P1",)
 
 
 class TestP2P4Oracle:
@@ -495,7 +514,8 @@ class TestEnumeratePortraits:
         assert len(enumerate_portraits(4, 4)) == 1116
 
     def test_degree7_period2_count(self):
-        # 12,010 candidates, 63 supports and 132 covers
+        # 21 cycles, 126 proposed pairs (105 alternate), 791 rotating sets,
+        # 63 supports and 132 covers
         assert len(enumerate_portraits(7, 2)) == 28608
 
     def test_degree6_period2_count(self):

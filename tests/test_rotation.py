@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -10,8 +11,8 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        enumerate_portraits, enumerate_rotation_sets,
                        fixed_angles, generate_rotation_set, validate_portrait)
 import portraits.rotation
-from portraits.rotation import (_CANDIDATE_CEILING, _candidate_count,
-                                _closed_form, _deployments, _shapes)
+from portraits.rotation import (_CANDIDATE_CEILING, _alternate, _candidate_count,
+                                _closed_form, _deployments, _pool)
 
 
 def classified(angles, degree):
@@ -24,12 +25,39 @@ def map_angle(theta, degree):
     return theta * degree % 1
 
 
+def shapes(d, max_cardinality, max_period):
+    """Each (n, m) with n <= max_cardinality, g = gcd(m, n) <= d-1 and
+    n/g <= max_period, walked as (period, g, reduced shift)."""
+    for p in range(1, min(max_period, max_cardinality) + 1):
+        for g in range(1, min(d - 1, max_cardinality // p) + 1):
+            for r in range(p):
+                if math.gcd(r, p) == 1:
+                    yield g * p, g * r
+
+
+def deployment_walk(d, max_cardinality, max_period):
+    """Oracle: the pool as ``_pool`` built it before it grew cliques of
+    cycles, the closed form run on every deployment of every (n, m) of
+    ``shapes``, fixed sets included; (shift, deployment, q, numerators)
+    of each candidate that increases."""
+    return [(m, dep, *found)
+            for n, m in shapes(d, max_cardinality, max_period)
+            for dep in _deployments(n, d - 1)
+            if (found := _closed_form(d, n, m, dep)) is not None]
+
+
+def single_cycles(d, p, r):
+    """The sets of one cycle and rotation number r/p, as numerator lists
+    over d**p - 1; every deployment gives one."""
+    return [_closed_form(d, p, r, dep)[1] for dep in _deployments(p, d - 1)]
+
+
 def shape_walk_count(degree, max_cardinality, max_period):
-    """Oracle: the candidate count taken shift by shift over ``_shapes``,
+    """Oracle: the candidate count taken shift by shift over ``shapes``,
     as ``enumerate_rotation_sets`` counted before it used Euler's phi.
     Stops once past the ceiling, as the enumeration's refusal does."""
     count = 0
-    for n, _ in _shapes(degree, max_cardinality, max_period):
+    for n, _ in shapes(degree, max_cardinality, max_period):
         count += math.comb(n + degree - 2, degree - 2)
         if count > _CANDIDATE_CEILING:
             break
@@ -331,6 +359,15 @@ class TestEnumerate:
         assert a == b
         assert a == sorted(a, key=lambda rs: rs.angles)
 
+    def test_degree9_period2_is_fast(self):
+        # 36 cycles and 330 proposed pairs give the 9,231 rotating sets;
+        # the deployment walk tried some 450,000 candidates
+        start = time.perf_counter()
+        sets = enumerate_rotation_sets(9, 16, 2)
+        assert time.perf_counter() - start < 3
+        assert len(sets) == 9486
+        assert sum(rs.is_fixed for rs in sets) == 2 ** 8 - 1
+
     def test_oversized_request_fails_fast(self):
         # about 2e11 candidate triples: refused before any set is built
         with pytest.raises(CapacityError):
@@ -471,3 +508,65 @@ class TestClosedForm:
                     assert realised(d, q, r) == math.comb(q + d - 2, d - 2)
                     # d-1 cycles, the most a rotation set has
                     assert realised(d, (d - 1) * q, (d - 1) * r) == q ** (d - 2)
+
+
+class TestCyclePool:
+    @pytest.mark.parametrize("d,p", [(d, p) for d in range(2, 7) for p in range(1, 5)]
+                             + [(7, 2)])
+    def test_matches_deployment_walk(self, d, p):
+        big, pool = _pool(d, (d - 1) * p, p)
+        assert big == math.lcm(*(d ** k - 1 for k in range(1, p + 1)))
+        for _, _, xs, angles in pool:
+            assert angles == tuple(F(x, big) for x in xs)
+        ours = sorted((m, dep, xs) for m, dep, xs, _ in pool)
+        walked = sorted((m, dep, tuple(x * (big // q) for x in xs))
+                        for m, dep, q, xs in deployment_walk(d, (d - 1) * p, p) if m)
+        assert ours == walked
+
+    def test_cardinality_bound_limits_the_cliques(self):
+        for max_cardinality in range(1, 13):
+            big, pool = _pool(5, max_cardinality, 3)
+            walked = sorted((m, dep, tuple(x * (big // q) for x in xs))
+                            for m, dep, q, xs in deployment_walk(5, max_cardinality, 3) if m)
+            assert sorted((m, dep, xs) for m, dep, xs, _ in pool) == walked
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_alternation_is_a_union_of_shift_2r(self, d):
+        # every pair of distinct cycles of one rotation number r/p, p <= 4:
+        # they alternate exactly when their union rotates by 2r
+        both = 0
+        for p in range(2, 5):
+            q = d ** p - 1
+            for r in range(1, p):
+                if math.gcd(r, p) != 1:
+                    continue
+                for a, b in combinations(single_cycles(d, p, r), 2):
+                    union = sorted(F(x, q) for x in a + b)
+                    rotates = classify_rotation_set(union, d) == (2 * r, 2 * p)
+                    assert (_alternate(a, b) or _alternate(b, a)) == rotates
+                    both += rotates
+        assert (both > 0) == (d > 2)  # degree 2 has one cycle per rotation number
+
+    def test_pinned_two_cycle_rows(self):
+        # g-cycle sets of rotation number 1/2: g = 1 gives C(d, 2) and
+        # g = d-1 gives 2**(d-2)
+        assert [realised(6, 2 * g, g) for g in range(1, 6)] == [15, 55, 85, 60, 16]
+        assert [realised(7, 2 * g, g) for g in range(1, 7)] == [21, 105, 231, 258, 144, 32]
+        for d, row in ((6, [15, 55, 85, 60, 16]), (7, [21, 105, 231, 258, 144, 32])):
+            _, pool = _pool(d, 2 * (d - 1), 2)
+            counts = Counter(m for m, _, _, _ in pool)
+            assert [counts[g] for g in range(1, d)] == row
+
+    def test_no_fixed_set_in_the_pool(self, monkeypatch):
+        # the fixed sets come from the fixed angles, not the closed form
+        shapes_tried = []
+
+        def closed_form(d, n, m, dep):
+            shapes_tried.append((n, m))
+            return _closed_form(d, n, m, dep)
+
+        monkeypatch.setattr(portraits.rotation, "_closed_form", closed_form)
+        sets = enumerate_rotation_sets(7, 12, 2)
+        assert len(sets) == 791 + 63
+        assert set(shapes_tried) == {(2, 1)}
+        assert len(shapes_tried) == 21
