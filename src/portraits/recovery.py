@@ -4,11 +4,11 @@ At a vertex with m edges there are m sectors between circularly consecutive
 edges (one full sector when m = 1); at the set vertices each sector holds
 exactly one landing ray.  Walking counterclockwise around the tree visits
 every sector once, in the circle order of the underlying rays.  At a fixed
-vertex a sector maps to the sector between the germs of its bounding edges
-(``tree.image_germs``), so the sectors there rotate by a shift read off the
-germs in one pass.  Sectors of shift 0 carry the d-1 fixed rays and are
-labelled in walk order starting from the marked sector, which anchors ray
-0.  A rotating vertex is then pinned down by its sector count, its sector
+vertex a sector maps to the sector between the germs of its bounding edges,
+so the sectors there rotate by a shift read off the germs, all of them from
+one ``tree.image_germs`` forest.  Sectors of shift 0 carry the d-1 fixed
+rays and are labelled in walk order starting from the marked sector, which
+anchors ray 0.  A rotating vertex is then pinned down by its sector count, its sector
 shift, and where its sectors fall between the fixed rays along the walk.
 These are the set's cardinality, shift and deployment, which determine a
 rotation set, and Goldberg's closed form (*Fixed points of polynomial maps
@@ -27,7 +27,7 @@ vertex or edge at fault.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .builder import ConstructedTree
 from .errors import InvariantViolationError
@@ -90,13 +90,8 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     Goldberg's closed form (``generate_rotation_set``) from its sector count,
     sector shift and walk positions between the fixed rays.
     """
-    return _recover(ct, lambda v: image_germs(ct.tree, v))
-
-
-def _recover(ct: ConstructedTree, germs_at: Callable[[str], tuple[str, ...]]
-             ) -> Portrait:
-    """``recover_portrait`` with the germs at v given as germs_at(v)."""
     t = ct.tree
+    germs_at = image_germs(t)
     d = t.total_degree()
     # a fixed vertex is its own cycle, which is Julia iff it is not critical
     julia_fixed = [v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1]

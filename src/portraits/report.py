@@ -4,24 +4,23 @@
 dynamics, every tree check, and the recovery round trip - and keeps each
 result, so the report and the CLI's exit status are pure functions of the
 portrait.  It goes through ``construct_tree``, which validates once and
-partitions the disk once, and it takes the germs at each vertex once; the
+partitions the disk once, and through the public checks and recovery; the
 reports read the classified sets and the regions the construction carries.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple, Optional
 
 from .angles import format_angle
 from .builder import ConstructedTree, Region, construct_tree
 from .fileio import format_portrait
 from .portrait import Portrait
-from .recovery import _recover
+from .recovery import recover_portrait
 from .rotation import RotationSet
-from .tree import (TreeViolation, VertexClass, _degree_angle, check_expanding,
-                   check_julia_normalization, check_tree_axioms,
-                   classify_vertices, count_fixed_points, image_germs)
+from .tree import (TreeViolation, VertexClass, check_degree_angle,
+                   check_expanding, check_julia_normalization,
+                   check_tree_axioms, classify_vertices, count_fixed_points)
 
 
 class Analysis(NamedTuple):
@@ -62,14 +61,13 @@ def analyze(p: Portrait) -> Analysis:
     t = ct.tree
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)
-    germs_at = cache(lambda v: image_germs(t, v))
-    recovered = _recover(ct, germs_at)
+    recovered = recover_portrait(ct)
     return Analysis(
         portrait=p,
         ct=ct,
         classes=classes,
         axiom_violations=check_tree_axioms(t),
-        degree_angle_violations=_degree_angle(t, germs_at),
+        degree_angle_violations=check_degree_angle(t),
         normalization_violations=check_julia_normalization(t, classes),
         expanding=expanding,
         expanding_witness=witness,

@@ -42,6 +42,16 @@ alternation graph.  Alternating cycles alternate block by block too, so
 each deployment of 2p proposes one pair: the even positions of its sorted
 blocks, and the odd ones.
 
+Every proposed pair (a, b) of distinct cycles alternates, so none is tested.
+Their blocks satisfy alpha_i <= gamma_i <= alpha_{i+1}; let w(j) = [j + r >=
+p].  Point i of a is 0.(alpha_j + w(j)) in base d, j running over i, i+r,
+i+2r, ... mod p, and point i of b is 0.(gamma_j + w(j)) over the same j.  So
+x_i < y_i: the digits compare termwise <=, and one is smaller because a != b
+and r is coprime to p.  And y_i < x_{i+1} for i < p-1: gamma_j + w(j) <=
+alpha_{j+1} + w(j+1) until j = p-1, which the orbit reaches only through
+j = p-1-r, where w steps from 0 to 1; the first digit that differs favours
+x_{i+1}.
+
 Classification runs on integers.  The covering map's n-th iterate fixes
 every angle of an n-element rotation set, so every denominator divides
 d**n - 1; a set failing that is refused before anything is multiplied out.
@@ -55,7 +65,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, gcd, lcm
-from operator import lt
 from typing import NamedTuple, Optional, Sequence
 
 from .angles import Angle, as_angle_tuple, check_degree, fixed_angles
@@ -222,12 +231,6 @@ def _deployments(n: int, blocks: int):
         counts[i], counts[-1] = counts[i] + 1, counts[-1] - 1
 
 
-def _alternate(xs: Sequence[int], ys: Sequence[int]) -> bool:
-    """True iff increasing numerators xs and ys, as many of each, alternate
-    around the circle from xs: xs[0] < ys[0] < xs[1] < ... < ys[-1]."""
-    return all(map(lt, xs, ys)) and all(map(lt, ys, xs[1:]))
-
-
 def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     """``_pool``'s entries of rotation number r/p with at most ``most``
     cycles, grown as cliques of alternating cycles (module docstring)."""
@@ -238,8 +241,7 @@ def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     angles = [tuple(Fraction(x, q) for x in c) for c, _ in cycles]
     deps = [dep for _, dep in cycles]
     # later[i]: bitset of the cycles after cycle i (by least point) that
-    # alternate with it; a proposed pair (a, b) takes a's deployment from
-    # the even positions of the sorted blocks of s = a + b
+    # alternate with it; each s = a + b gives a its sorted blocks' even positions
     later = [0] * len(cycles)
     if most > 1:
         index = {dep: i for i, dep in enumerate(deps)}
@@ -249,7 +251,7 @@ def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
                 a.append((total + c + 1) // 2 - (total + 1) // 2)
                 total += c
             i, j = index[tuple(a)], index[tuple(c - e for c, e in zip(s, a))]
-            if i != j and _alternate(xs[i], xs[j]):
+            if i != j:
                 later[i] |= 1 << j
     found = []
     stack = [((i,), later[i]) for i in range(len(cycles))]

@@ -11,11 +11,14 @@ over its own denominator L (one L per tree, the lcm of the vertex degrees,
 can grow exponentially), so angles are residues mod L, and angles over
 different denominators L and M are compared by cross-multiplying.  A
 ``Fraction`` is built only by ``angle_between`` and for violation details.
+
+The image of an edge is the tree path between the images of its ends; its
+germ, the path's first step, is read off one breadth-first forest per tree
+(``image_germs``), which also gives ``check_tree_axioms`` its connectivity.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from typing import Callable, NamedTuple, Optional
@@ -94,18 +97,23 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _connected(t: AngledTree) -> bool:
-    if not t.vertices:
-        return False
-    seen = {t.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for u in t.circular_order.get(v, ()):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(t.vertices)
+def _forest(t: AngledTree) -> dict[str, tuple[str, int, str]]:
+    """(parent, depth, root) of each vertex in one breadth-first forest over
+    the edges listed at both ends, rooted in ``t.vertices`` order; a root is
+    its own parent."""
+    order = t.circular_order
+    forest: dict[str, tuple[str, int, str]] = {}
+    for r in t.vertices:
+        if r not in forest:
+            forest[r] = (r, 0, r)
+            queue = [r]
+            for y in queue:
+                depth = forest[y][1] + 1
+                for z in order.get(y, ()):
+                    if z not in forest and y in order.get(z, ()):
+                        forest[z] = (y, depth, r)
+                        queue.append(z)
+    return forest
 
 
 def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
@@ -153,7 +161,7 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     if len(t.edges) != len(t.vertices) - 1:
         out.append(TreeViolation(
             "not-a-tree", f"{len(t.vertices)} vertices but {len(t.edges)} edges"))
-    if not _connected(t):
+    if len({r for _, _, r in _forest(t).values()}) != 1:
         out.append(TreeViolation("not-connected", "the graph is disconnected"))
 
     for v in t.vertices:
@@ -200,34 +208,35 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     return tuple(out)
 
 
-def image_germs(t: AngledTree, v: str) -> tuple[str, ...]:
-    """Germ of each edge at v, in v's circular order: the neighbor of tau(v)
-    that the image of the edge leaves along.
+def image_germs(t: AngledTree) -> Callable[[str], tuple[str, ...]]:
+    """germs_at(v): the germ of each edge at v, in v's circular order: the
+    neighbor of tau(v) that the image of the edge leaves along.
 
-    One breadth-first search from tau(v) labels every vertex with the
-    neighbor of tau(v) it hangs off; the germ of edge v-u is the label of
-    tau(u).
+    One breadth-first forest serves every vertex.  The germ of edge v-u is
+    the first step from x = tau(v) toward y = tau(u): the ancestor of y one
+    level below x if its parent is x, else x's parent.  A collapsed or
+    disconnected edge raises ``InvariantViolationError`` when reached.
     """
+    forest = _forest(t)
     order, tau = t.circular_order, t.tau
-    root = tau[v]
-    branch = {root: root}
-    queue = deque([root])
-    while queue:
-        y = queue.popleft()
-        for z in order[y]:
-            if z not in branch:
-                branch[z] = z if y == root else branch[y]
-                queue.append(z)
-    germs = []
-    for u in order[v]:
-        image = tau[u]
-        if image == root:
-            raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
-        if image not in branch:
-            raise InvariantViolationError(
-                f"no path from {root} to {image}; tree is disconnected")
-        germs.append(branch[image])
-    return tuple(germs)
+
+    def germs_at(v: str) -> tuple[str, ...]:
+        x = tau[v]
+        up, depth, root = forest[x]
+        germs = []
+        for u in order[v]:
+            y = tau[u]
+            if y == x:
+                raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
+            if y not in forest or forest[y][2] != root:
+                raise InvariantViolationError(
+                    f"no path from {x} to {y}; tree is disconnected")
+            for _ in range(forest[y][1] - depth - 1):
+                y = forest[y][0]
+            germs.append(y if forest[y][0] == x else up)
+        return tuple(germs)
+
+    return germs_at
 
 
 def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
@@ -238,14 +247,9 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     case that angle is zero.  With L and M the denominators at v and at
     tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
     """
-    return _degree_angle(t, lambda v: image_germs(t, v))
-
-
-def _degree_angle(t: AngledTree, germs_at: Callable[[str], tuple[str, ...]]
-                  ) -> tuple[TreeViolation, ...]:
-    """``check_degree_angle`` with the germs at v given as germs_at(v)."""
     out: list[TreeViolation] = []
     order, tau, delta = t.circular_order, t.tau, t.delta
+    germs_at = image_germs(t)
     inner = [v for v in t.vertices if len(order[v]) >= 2]
     angles = {x: t.angles_at(x) for x in {*inner, *(tau[v] for v in inner)}}
     for v in inner:
@@ -253,7 +257,7 @@ def _degree_angle(t: AngledTree, germs_at: Callable[[str], tuple[str, ...]]
         (L, at_v), (M, at_image) = angles[v], angles[tau[v]]
         germs = germs_at(v)
         for i, j in permutations(range(len(nbrs)), 2):
-            lhs = 0 if germs[i] == germs[j] else at_image(germs[i], germs[j])
+            lhs = at_image(germs[i], germs[j])
             ang = at_v(nbrs[i], nbrs[j])
             rhs = delta[v] * ang % L
             if lhs * L != rhs * M:

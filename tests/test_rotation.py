@@ -11,8 +11,8 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        enumerate_portraits, enumerate_rotation_sets,
                        fixed_angles, generate_rotation_set, validate_portrait)
 import portraits.rotation
-from portraits.rotation import (_CANDIDATE_CEILING, _alternate, _candidate_count,
-                                _closed_form, _deployments, _pool)
+from portraits.rotation import (_CANDIDATE_CEILING, _candidate_count, _closed_form,
+                                _deployments, _pool)
 
 
 def classified(angles, degree):
@@ -50,6 +50,24 @@ def single_cycles(d, p, r):
     """The sets of one cycle and rotation number r/p, as numerator lists
     over d**p - 1; every deployment gives one."""
     return [_closed_form(d, p, r, dep)[1] for dep in _deployments(p, d - 1)]
+
+
+def alternate(xs, ys):
+    """Oracle: True iff increasing numerators xs and ys, as many of each,
+    alternate around the circle from xs: xs[0] < ys[0] < xs[1] < ... < ys[-1]."""
+    return (all(x < y for x, y in zip(xs, ys))
+            and all(y < x for y, x in zip(ys, xs[1:])))
+
+
+def proposed_pairs(d, p):
+    """The (a, b) deployments ``_pool`` pairs at period p: for each deployment
+    s of 2p, a takes the even positions of the sorted blocks of s, b the odd."""
+    for s in _deployments(2 * p, d - 1):
+        a, total = [], 0
+        for c in s:
+            a.append((total + c + 1) // 2 - (total + 1) // 2)
+            total += c
+        yield tuple(a), tuple(c - e for c, e in zip(s, a))
 
 
 def shape_walk_count(degree, max_cardinality, max_period):
@@ -523,6 +541,21 @@ class TestCyclePool:
                         for m, dep, q, xs in deployment_walk(d, (d - 1) * p, p) if m)
         assert ours == walked
 
+    @pytest.mark.parametrize("d,p", [(d, p) for d in range(2, 7) for p in range(1, 5)]
+                             + [(7, 2)])
+    def test_every_proposed_pair_alternates(self, d, p):
+        # the module docstring's proof that the pool needs no alternation test
+        pairs = 0
+        for r in range(1, p):
+            if math.gcd(r, p) != 1:
+                continue
+            for a, b in proposed_pairs(d, p):
+                if a != b:
+                    assert alternate(_closed_form(d, p, r, a)[1],
+                                     _closed_form(d, p, r, b)[1]), (r, a, b)
+                    pairs += 1
+        assert (pairs > 0) == (d > 2 and p > 1)
+
     def test_cardinality_bound_limits_the_cliques(self):
         for max_cardinality in range(1, 13):
             big, pool = _pool(5, max_cardinality, 3)
@@ -543,7 +576,7 @@ class TestCyclePool:
                 for a, b in combinations(single_cycles(d, p, r), 2):
                     union = sorted(F(x, q) for x in a + b)
                     rotates = classify_rotation_set(union, d) == (2 * r, 2 * p)
-                    assert (_alternate(a, b) or _alternate(b, a)) == rotates
+                    assert (alternate(a, b) or alternate(b, a)) == rotates
                     both += rotates
         assert (both > 0) == (d > 2)  # degree 2 has one cycle per rotation number
 

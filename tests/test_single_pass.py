@@ -5,10 +5,10 @@ classifies each member set once and partitions the disk once, one
 (``construct_tree`` never does), and the reports and the command line add
 no second pass.
 
-The germs at a vertex take one ``image_germs`` pass, however many readers
-they have: ``analyze`` makes exactly one for each vertex that needs germs,
-the vertices the degree-angle check visits (those with two or more edges)
-and the k fixed Julia vertices recovery reads a sector shift off.
+Each public reader of germs builds one ``image_germs`` forest of the tree,
+an O(|V|) pass that answers every vertex: ``analyze`` makes exactly two,
+one in the degree-angle check and one in recovery, and ``construct_tree``
+makes none.
 
 Validation classifies each member set with one call of the shift kernel
 ``rotation._shift``, and nothing else calls it: recovery rebuilds its
@@ -76,10 +76,7 @@ def test_analyze_computes_each_fact_once(counts, p):
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == 1
-    t = an.ct.tree
-    needs_germs = ({v for v in t.vertices if t.degree_of(v) >= 2}
-                   | {v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1})
-    assert sorted(v for _, v in counts["germs"]) == sorted(needs_germs)
+    assert counts["germs"] == [(an.ct.tree,)] * 2
     assert an.regions == an.ct.regions
 
     for key in counts:
@@ -101,9 +98,8 @@ def test_construct_tree_validates_and_partitions_once(counts, p):
 
 
 @pytest.mark.parametrize("command, expected, classifications, germ_passes", [
-    ("build", "round trip: ok", 1, 4 + 2),   # one analyze: 4 vertices of
-                                             # degree 2+ and the leaves v3, v4
-    ("roundtrip", "set 1/8 5/8", 0, 4),      # construct_tree and recovery only
+    ("build", "round trip: ok", 1, 2),   # one analyze
+    ("roundtrip", "set 1/8 5/8", 0, 1),  # construct_tree and recovery only
 ], ids=["build", "roundtrip"])
 def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
                                   classifications, germ_passes):

@@ -262,6 +262,14 @@ class TestAxioms:
         codes = {v.code for v in check_tree_axioms(disconnected_tree())}
         assert "not-a-tree" in codes and "not-connected" in codes
 
+    def test_empty_tree_reported(self):
+        # no vertices: no root, so not connected
+        assert check_tree_axioms(AngledTree((), (), {}, {}, {}, {})) == (
+            TreeViolation("not-a-tree", "0 vertices but 0 edges"),
+            TreeViolation("not-connected", "the graph is disconnected"),
+            TreeViolation("degree-too-small", "total degree 1 < 2"),
+            TreeViolation("no-critical-vertex", "every vertex has delta 1"))
+
     def test_zero_angle_between_distinct_edges_reported(self):
         # four edges spaced by a half turn twice: edges 0 and 2 subtend 0
         t = make_tree(
@@ -293,7 +301,7 @@ class TestAxioms:
 
 
 def germ(t, v, u):
-    return image_germs(t, v)[t.circular_order[v].index(u)]
+    return image_germs(t)(v)[t.circular_order[v].index(u)]
 
 
 class TestImagePaths:
@@ -316,8 +324,9 @@ class TestImagePaths:
         for d in (2, 3, 4):
             for p in enumerate_portraits(d, 3):
                 t = construct_tree(p).tree
+                germs_at = image_germs(t)
                 for v in t.vertices:
-                    assert image_germs(t, v) == tuple(
+                    assert germs_at(v) == tuple(
                         path_germ(t, v, u) for u in t.circular_order[v])
                     vertices += 1
         assert vertices > 1000
@@ -329,7 +338,7 @@ class TestImageGermErrors:
     def test_collapse_in_degree_angle_check(self):
         t = two_vertex_tree(tau_collapses=True)
         with pytest.raises(InvariantViolationError, match="^edge b-a collapses under tau$"):
-            image_germs(t, "b")
+            image_germs(t)("b")
         # check_degree_angle skips one-edge vertices: collapse at a two-edge one
         t = make_tree(["c", "p", "q"], [("c", "p"), ("c", "q")],
                       {"c": ["p", "q"], "p": ["c"], "q": ["c"]},
@@ -342,7 +351,7 @@ class TestImageGermErrors:
         t = disconnected_tree({"a": "a", "b": "c", "c": "c", "d": "d"})
         with pytest.raises(InvariantViolationError,
                            match="^no path from a to c; tree is disconnected$"):
-            image_germs(t, "a")
+            image_germs(t)("a")
 
     def test_random_graphs_match_path_oracle(self):
         rng = random.Random(20261018)
@@ -356,11 +365,44 @@ class TestImageGermErrors:
                 order[a] = tuple(x for x in order[a] if x != b)
                 order[b] = tuple(x for x in order[b] if x != a)
                 t = t._replace(circular_order=order)
+            germs_at = image_germs(t)
             for v in t.vertices:
-                found = germ_outcome(lambda: image_germs(t, v))
+                found = germ_outcome(lambda: germs_at(v))
                 assert found == germ_outcome(
                     lambda: (path_germ(t, v, u) for u in t.circular_order[v]))
                 kinds.add("germs" if isinstance(found, tuple) else found.split()[-1])
+        assert kinds == {"germs", "tau", "disconnected"}
+
+    def test_one_way_order_entries(self):
+        # one neighbor inserted into, or removed from, one circular order:
+        # the germs stay in the image vertex's order, or InvariantViolationError
+        rng = random.Random(20261019)
+        kinds = set()
+        for n in range(300):
+            t = random_tree(rng)
+            if n % 2:
+                t = t._replace(tau={v: rng.choice(t.vertices) for v in t.vertices})
+            v = rng.choice(t.vertices)
+            order = t.circular_order[v]
+            others = [u for u in t.vertices if u != v and u not in order]
+            if others and (n % 3 or len(order) == 1):
+                i = rng.randrange(len(order) + 1)
+                new = order[:i] + (rng.choice(others),) + order[i:]
+            else:
+                i = rng.randrange(len(order))
+                new = order[:i] + order[i + 1:]
+            t = t._replace(circular_order={**t.circular_order, v: new})
+            germs_at = image_germs(t)
+            for x in t.vertices:
+                found = germ_outcome(lambda: germs_at(x))
+                if isinstance(found, tuple):
+                    assert len(found) == len(t.circular_order[x])
+                    assert set(found) <= set(t.circular_order[t.tau[x]])
+                kinds.add("germs" if isinstance(found, tuple) else found.split()[-1])
+            try:
+                check_degree_angle(t)
+            except InvariantViolationError:
+                pass
         assert kinds == {"germs", "tau", "disconnected"}
 
 
@@ -440,7 +482,7 @@ class TestDegreeAngle:
         t = construct_tree(degree5_portrait).tree
         assert t.delta["w1"] == 2
         assert t.angle_between("w1", "v1", "v2") == F(1, 2)
-        assert set(image_germs(t, "w1")) == {"v2"}
+        assert set(image_germs(t)("w1")) == {"v2"}
 
     def test_violation_detected(self):
         # critical fixed vertex with two edges a quarter turn apart:
