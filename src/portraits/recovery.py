@@ -52,9 +52,15 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     follows that edge in the circular order and leaves along the sector's
     other bounding edge.  A tree has a single face, so the trace returns to
     the marked sector after exactly 2 * |edges| steps.
+
+    The walk is linear in the edges.  In a tree it comes back to a vertex
+    along the edge it last left that vertex by, so only the first arrival
+    at a vertex searches its circular order for the incoming edge; each
+    later arrival checks the edge it remembers in one step.
     """
     t = ct.tree
     order = t.circular_order
+    left_by: dict[str, int] = {}             # the slot each vertex was last left by
     start = Sector(*ct.marked_sector)
     walk: list[Sector] = []
     v, k = start.vertex, start.index
@@ -65,12 +71,15 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     for _ in range(limit):
         walk.append(Sector(v, k))
         u = order[v][k]                      # leave along the sector's ccw edge
-        try:
-            j = order[u].index(v)            # arrive at u along that edge
-        except ValueError:
-            raise InvariantViolationError(
-                f"the order at {v} lists {u}, but the order at {u} "
-                f"does not list {v}") from None
+        left_by[v] = k
+        j = left_by.get(u)                   # arrive at u along that edge
+        if j is None or order[u][j] != v:
+            try:
+                j = order[u].index(v)
+            except ValueError:
+                raise InvariantViolationError(
+                    f"the order at {v} lists {u}, but the order at {u} "
+                    f"does not list {v}") from None
         v, k = u, (j + 1) % len(order[u])
         if (v, k) == (start.vertex, start.index):
             break

@@ -108,11 +108,12 @@ def render_report(an: Analysis) -> str:
             f"  {v}: {an.classes[v].kind} delta {t.delta[v]} tau {t.tau[v]} "
             f"| order [{order}] | step 1/{t.degree_of(v)}")
     lines.append(f"edges: {len(t.edges)}")
+    # one position map per vertex: an index into a hub's order per edge
+    # would cost O(degree) each
+    slot = {v: dict(zip(nbrs, range(len(nbrs)))) for v, nbrs in t.circular_order.items()}
     for a, b in t.edges:
-        pos_a = t.circular_order[a].index(b)
-        pos_b = t.circular_order[b].index(a)
-        lines.append(f"  {a}-{b}: slot {pos_a} of {t.degree_of(a)} at {a}, "
-                     f"slot {pos_b} of {t.degree_of(b)} at {b}")
+        lines.append(f"  {a}-{b}: slot {slot[a][b]} of {t.degree_of(a)} at {a}, "
+                     f"slot {slot[b][a]} of {t.degree_of(b)} at {b}")
     lines.append(f"total degree: {t.total_degree()}")
     fixed_julia = sum(1 for v in julia if t.tau[v] == v)
     fixed_fatou = sum(1 for v in fatou if t.tau[v] == v)

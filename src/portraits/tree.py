@@ -15,6 +15,10 @@ different denominators L and M are compared by cross-multiplying.  A
 The image of an edge is the tree path between the images of its ends; its
 germ, the path's first step, is read off one breadth-first forest per tree
 (``image_germs``), which also gives ``check_tree_axioms`` its connectivity.
+
+No check is quadratic in a vertex's degree: the degree-angle and
+normalization checks decide each vertex in one pass over its edges, and
+run their pairwise loops only where that pass fails, to name violations.
 """
 
 from __future__ import annotations
@@ -58,9 +62,11 @@ class AngledTree(NamedTuple):
         ``angle_between(v, a, b)``, with 0 <= angle(a, b) < L.  The gaps
         walked counterclockwise from edge i to edge j sum to
         prefix[j] - prefix[i], plus the gap total when the walk wraps.
+        A gap denominator <= 0, or a gap count other than v's degree, raises
+        ``InvariantViolationError`` naming v.
         """
         pos = {u: i for i, u in enumerate(self.circular_order[v])}
-        denominator, gaps = self.gap_angles[v]
+        denominator, gaps = _gaps_at(self, v)
         prefix = list(accumulate(gaps, initial=0))
         total = prefix[-1]
 
@@ -91,6 +97,26 @@ class VertexClass(NamedTuple):
     @property
     def is_periodic(self) -> bool:
         return self.preperiod == 0
+
+
+def _gaps_at(t: AngledTree, v: str) -> tuple[int, tuple[int, ...]]:
+    """v's gap denominator and gaps, once the angle checks can read them."""
+    L, gaps = t.gap_angles[v]
+    if L <= 0:
+        raise InvariantViolationError(f"gap denominator at {v} is {L} <= 0")
+    if len(gaps) != len(t.circular_order[v]):
+        raise InvariantViolationError(f"gap count at {v} differs from degree")
+    return L, gaps
+
+
+def _prefix_sums(t: AngledTree, v: str) -> tuple[int, int, dict[str, int]]:
+    """(L, total, prefix): v's gap denominator, its gap total, and for each
+    neighbor u the gaps summed from v's first edge up to the edge toward u,
+    so that ``angles_at`` is prefix[b] - prefix[a] mod L when the total is
+    a whole number of turns."""
+    L, gaps = _gaps_at(t, v)
+    prefix = list(accumulate(gaps, initial=0))
+    return L, prefix.pop(), dict(zip(t.circular_order[v], prefix))
 
 
 def edge_key(a: str, b: str) -> tuple[str, str]:
@@ -125,6 +151,11 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     integral (so the pairwise angle vanishes only on equal edges), tau never
     collapses an edge, the local degrees are >= 1 with total degree >= 2, and
     a critical vertex exists.
+
+    Every clause is one linear pass.  The orders' entries are looked up in
+    the set of edges, both ways round, and each edge in the set of neighbors
+    listed at its ends, so a hub costs no more than its degree.  Each
+    vertex's angles are one prefix walk.
     """
     out: list[TreeViolation] = []
     vset = set(t.vertices)
@@ -138,9 +169,11 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
             return tuple(out)
 
     incident = {(a, b) for a, b in t.edges} | {(b, a) for a, b in t.edges}
+    listed: dict[str, set[str]] = {}
     for v in t.vertices:
         order = t.circular_order[v]
-        if len(set(order)) != len(order):
+        listed[v] = set(order)
+        if len(listed[v]) != len(order):
             out.append(TreeViolation("structure", f"repeated neighbor at {v}"))
         for u in order:
             if (v, u) not in incident:
@@ -153,7 +186,7 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     for a, b in t.edges:
         if a == b:
             out.append(TreeViolation("structure", f"loop edge at {a}"))
-        elif b not in t.circular_order.get(a, ()) or a not in t.circular_order.get(b, ()):
+        elif b not in listed.get(a, ()) or a not in listed.get(b, ()):
             out.append(TreeViolation("structure", f"edge {a}-{b} missing from an order"))
     if out:
         return tuple(out)
@@ -215,20 +248,25 @@ def image_germs(t: AngledTree) -> Callable[[str], tuple[str, ...]]:
     One breadth-first forest serves every vertex.  The germ of edge v-u is
     the first step from x = tau(v) toward y = tau(u): the ancestor of y one
     level below x if its parent is x, else x's parent.  A collapsed or
-    disconnected edge raises ``InvariantViolationError`` when reached.
+    disconnected edge, or a tau outside the vertex set, raises
+    ``InvariantViolationError`` when reached.
     """
     forest = _forest(t)
     order, tau = t.circular_order, t.tau
 
     def germs_at(v: str) -> tuple[str, ...]:
         x = tau[v]
+        if x not in forest:
+            raise InvariantViolationError(f"tau({v}) = {x} not a vertex")
         up, depth, root = forest[x]
         germs = []
         for u in order[v]:
             y = tau[u]
             if y == x:
                 raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
-            if y not in forest or forest[y][2] != root:
+            if y not in forest:
+                raise InvariantViolationError(f"tau({u}) = {y} not a vertex")
+            if forest[y][2] != root:
                 raise InvariantViolationError(
                     f"no path from {x} to {y}; tree is disconnected")
             for _ in range(forest[y][1] - depth - 1):
@@ -246,16 +284,35 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     germs (``image_germs``); distinct edges may share their germ, in which
     case that angle is zero.  With L and M the denominators at v and at
     tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
+
+    One pass over v's edges decides every ordered pair at once.  When the
+    gap totals at v and at tau(v) are whole turns, the angles are
+    differences of prefix sums P at v and Q at tau(v), and both sides of
+    the test lie in [0, L*M), so edges i and j pass iff
+    Q[germ_i]*L - delta*P_i*M and Q[germ_j]*L - delta*P_j*M agree mod L*M.
+    Every pair passes iff that residue takes one value over v's edges.  The
+    pairwise loop runs only at a vertex where that pass fails, to name the
+    violations in order.  A gap denominator <= 0 or a gap count other than
+    the degree, at v or at tau(v), raises ``InvariantViolationError`` once
+    v's germs are read, as does a tau outside the vertex set.
     """
     out: list[TreeViolation] = []
     order, tau, delta = t.circular_order, t.tau, t.delta
     germs_at = image_germs(t)
     inner = [v for v in t.vertices if len(order[v]) >= 2]
-    angles = {x: t.angles_at(x) for x in {*inner, *(tau[v] for v in inner)}}
+    sums: dict[str, tuple[int, int, dict[str, int]]] = {}
     for v in inner:
         nbrs = order[v]
-        (L, at_v), (M, at_image) = angles[v], angles[tau[v]]
         germs = germs_at(v)
+        for x in (v, tau[v]):
+            if x not in sums:
+                sums[x] = _prefix_sums(t, x)
+        (L, total, P), (M, image_total, Q) = sums[v], sums[tau[v]]
+        if not (total % L or image_total % M):
+            LM, dM = L * M, delta[v] * M
+            if len({(Q[g] * L - dM * P[u]) % LM for u, g in zip(nbrs, germs)}) == 1:
+                continue
+        (L, at_v), (M, at_image) = t.angles_at(v), t.angles_at(tau[v])
         for i, j in permutations(range(len(nbrs)), 2):
             lhs = at_image(germs[i], germs[j])
             ang = at_v(nbrs[i], nbrs[j])
@@ -276,7 +333,8 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
     until it reaches a classified vertex or closes a cycle on its own path.
     A new cycle takes the next ``cycle_id``; the walk's tail is then filled
     backwards, each vertex one step further from its cycle than its image.
-    Every vertex is stepped from once, so the cost is O(|V|).
+    Every vertex is stepped from once, so the cost is O(|V|).  A vertex
+    whose image is not a vertex raises ``InvariantViolationError`` naming it.
     """
     classes: dict[str, VertexClass] = {}
     tau, delta = t.tau, t.delta
@@ -286,7 +344,10 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
         x = v
         while x not in classes and x not in position:
             position[x] = len(position)
-            x = tau[x]
+            y = tau[x]
+            if y not in tau:
+                raise InvariantViolationError(f"tau({x}) = {y} not a vertex")
+            x = y
         walk = list(position)
         if x in position:
             cycle = walk[position[x]:]
@@ -335,6 +396,14 @@ def check_julia_normalization(t: AngledTree,
     """At periodic Julia vertices with m edges, angles must be multiples of 1/m.
 
     Angles at non-periodic Julia vertices are unconstrained.
+
+    One pass over the gaps decides each vertex: every angle is a sum of
+    gaps, so every pair passes when every gap is a multiple of 1/m (and,
+    on a whole-turn total, only then).  The pairwise loop runs only at a
+    vertex where a gap fails, to name the violations.  A gap denominator
+    <= 0 or a gap count other than the degree at a periodic Julia vertex
+    raises ``InvariantViolationError``, as does, without ``classes``, a tau
+    outside the vertex set.
     """
     if classes is None:
         classes = classify_vertices(t)
@@ -344,6 +413,9 @@ def check_julia_normalization(t: AngledTree,
             continue
         nbrs = t.circular_order[v]
         m = len(nbrs)
+        L, gaps = _gaps_at(t, v)
+        if not any(x * m % L for x in gaps):
+            continue
         L, at_v = t.angles_at(v)
         for i, j in combinations(range(m), 2):
             ang = at_v(nbrs[i], nbrs[j])

@@ -1,3 +1,4 @@
+import random
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -12,8 +13,8 @@ from portraits import (CapacityError, InvalidPortraitError, MalformedSetError,
                        enumerate_rotation_sets, format_angle,
                        validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles, gap_index
-from portraits.portrait import (_DEGREE_CEILING, _noncrossing_partitions,
-                                _unlinked_sorted)
+from portraits.portrait import (_DEGREE_CEILING, _noncrossing,
+                                _noncrossing_partitions, _unlinked_sorted)
 import portraits.portrait
 import portraits.rotation
 from portraits.rotation import RotationSet
@@ -292,6 +293,80 @@ class TestP2P4Oracle:
                 assert p2_p4(q) == expected
                 codes.update(v.code for v in expected)
         assert codes == seen
+
+
+def pairwise_p2(p: Portrait) -> list[Violation]:
+    """Oracle: P2 as ``validate_portrait`` decided it before its walk around
+    the circle, ``_unlinked_sorted`` on every pair of sets."""
+    out = []
+    for (i, a), (j, b) in combinations(enumerate(p.sets, start=1), 2):
+        if _unlinked_sorted(a, b):
+            continue
+        shared = tuple(sorted(set(a) & set(b)))
+        if shared:
+            text = "{" + " ".join(format_angle(x) for x in shared) + "}"
+            out.append(Violation("P2-not-disjoint", (i, j, shared),
+                                 f"sets {i} and {j} share angles {text}"))
+        else:
+            out.append(Violation(
+                "P2-linked", (i, j),
+                f"sets {i} and {j} cross (neither lies in one gap of the other)"))
+    return out
+
+
+def random_family(rng, pools) -> Portrait:
+    """Up to 5 sets of at most 4 angles at a degree d <= 5: most drawn from
+    a few points of one small grid, so that they share angles or cross, the
+    rest rotation sets of the degree, so that P1 passes now and then.  A
+    grid whose denominator divides no d**p - 1 leaves the sets without
+    integer numerators, and validation compares them as ``Fraction``s."""
+    d = rng.randint(2, 5)
+    q = rng.choice([d * d - 1, d ** 3 - 1, 12])
+    grid = rng.sample(range(q), min(q, rng.randint(2, 8)))
+    sets = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.3:
+            sets.append(rng.choice(pools[d]).angles)
+        else:
+            points = rng.sample(grid, rng.randint(1, min(4, len(grid))))
+            sets.append([F(x, q) for x in points])
+    return Portrait.create(d, sets)
+
+
+class TestP2Walk:
+    """The walk around the circle (``_noncrossing``) decides P2, and the
+    pairwise loop names the pairs only after it has found a fault."""
+
+    def test_walk_matches_every_pair(self):
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(20000):
+            keys = [tuple(sorted(rng.sample(range(12), rng.randint(1, 4))))
+                    for _ in range(rng.randint(1, 5))]
+            expected = all(_unlinked_sorted(a, b) for a, b in combinations(keys, 2))
+            assert _noncrossing(keys) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_random_families_match_pairwise_oracle(self, monkeypatch):
+        rng = random.Random(20261019)
+        pools = {d: enumerate_rotation_sets(d, 4, 2) for d in range(2, 6)}
+        families = [random_family(rng, pools) for _ in range(3000)]
+        found = [validate_portrait(p) for p in families]
+        # with the walk always reporting a fault, every pair is named
+        # pairwise, as validation ran before the walk
+        monkeypatch.setattr(portraits.portrait, "_noncrossing", lambda keys: False)
+        codes = {}
+        for p, result in zip(families, found):
+            assert result == validate_portrait(p)
+            p2 = [v for v in result.violations if v.code.startswith("P2")]
+            assert p2 == pairwise_p2(p)
+            assert p2_p4(p) == fraction_p2_p4(p)
+            for code in {v.code for v in result.violations} or {"ok"}:
+                codes[code] = codes.get(code, 0) + 1
+        assert set(codes) == {"ok", "P1", "P2-not-disjoint", "P2-linked",
+                              "P3-missing", "P4"}
+        assert codes["P2-not-disjoint"] + codes["P2-linked"] > len(families) // 2
 
 
 class TestUnlinked:

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -9,7 +9,8 @@ from portraits import (AngledTree, InvariantViolationError, Portrait,
                        TreeViolation, VertexClass, check_degree_angle,
                        check_expanding, check_julia_normalization,
                        check_tree_axioms, classify_vertices, construct_tree,
-                       count_fixed_points, enumerate_portraits, image_germs)
+                       count_fixed_points, enumerate_portraits,
+                       generate_rotation_set, image_germs)
 
 from conftest import census, path_germ, tree_path
 
@@ -217,6 +218,56 @@ def check_against_fraction_oracles(t):
     assert check_degree_angle(t) == fraction_degree_angle(t)
     assert check_julia_normalization(t, classes) == fraction_julia_normalization(t, classes)
     return angle_axioms + check_degree_angle(t) + check_julia_normalization(t, classes)
+
+
+def outcome(check, *args):
+    """What a check returns, or the message of the ``InvariantViolationError``
+    that stops it."""
+    try:
+        return check(*args)
+    except InvariantViolationError as e:
+        return str(e)
+
+
+def long_period_trees():
+    """The trees of the fixed singletons plus one single-orbit rotating set
+    at each period 8..16 of degree 2 and 6..10 of degree 3, with a
+    seeded rotation number: a hub of up to 16 edges, up to 240 ordered
+    pairs for the degree-angle check."""
+    rng = random.Random(20261019)
+    trees = []
+    for d, periods in ((2, range(8, 17)), (3, range(6, 11))):
+        for n in periods:
+            m = rng.choice([m for m in range(1, n) if gcd(m, n) == 1])
+            deployments = [(n,)] if d == 2 else [(a, n - a) for a in range(n + 1)]
+            rs = next(rs for dep in deployments
+                      if (rs := generate_rotation_set(d, n, m, dep)) is not None)
+            fixed = [[F(i, d - 1)] for i in range(d - 1)]
+            trees.append(construct_tree(Portrait.create(d, fixed + [rs.angles])).tree)
+    return trees
+
+
+def edited(t, rng):
+    """(kind, tree) with one field of t edited at one vertex v: a gap +-1,
+    v's denominator or gaps or both scaled, tau(v) redirected, or v's
+    circular order shuffled."""
+    v = rng.choice(t.vertices)
+    L, gaps = t.gap_angles[v]
+    kind = rng.choice(["gap", "scale", "tau", "order"])
+    if kind == "gap":
+        i = rng.randrange(len(gaps))
+        gaps = gaps[:i] + (gaps[i] + rng.choice((-1, 1)),) + gaps[i + 1:]
+        return kind, t._replace(gap_angles={**t.gap_angles, v: (L, gaps)})
+    if kind == "scale":
+        c = rng.randint(2, 4)
+        a, b = rng.choice(((c, c), (c, 1), (1, c)))
+        scaled = (L * a, tuple(x * b for x in gaps))
+        return kind, t._replace(gap_angles={**t.gap_angles, v: scaled})
+    if kind == "tau":
+        return kind, t._replace(tau={**t.tau, v: rng.choice(t.vertices)})
+    order = list(t.circular_order[v])
+    rng.shuffle(order)
+    return kind, t._replace(circular_order={**t.circular_order, v: tuple(order)})
 
 
 def germ_outcome(germs):
@@ -468,6 +519,96 @@ class TestFractionOracles:
             "angle 8/15 at c between edges to p and r is not a multiple of 1/3"]
         assert found[1].detail == ("at c: edges to p,r subtend 8/15, images "
                                    "subtend 4/5 != delta*angle = 8/15")
+
+
+class TestLinearPassesMatchPairwiseOracles:
+    """The one-pass decisions of ``check_degree_angle`` and
+    ``check_julia_normalization`` agree with the pairwise ``Fraction``
+    oracles, details, order and raised messages included, on edited trees.
+    Scaling gaps alone keeps a whole-turn total but stretches the angles,
+    and a shuffle or a tau redirect moves the germs: each fails the one
+    pass with the totals whole, so the pairwise loop names the pairs."""
+
+    def test_edited_census_and_long_period_trees(self):
+        rng = random.Random(20261019)
+        trees = [ct.tree for _, _, ct in census()]
+        jobs = trees + [t for t in long_period_trees() for _ in range(12)]
+        found = {}
+        for t in jobs:
+            kind, e = edited(t, rng)
+            degree_angle = outcome(check_degree_angle, e)
+            assert degree_angle == outcome(fraction_degree_angle, e)
+            normalization = outcome(check_julia_normalization, e)
+            assert normalization == outcome(
+                lambda: fraction_julia_normalization(e, walked_classes(e)))
+            for result in (degree_angle, normalization):
+                shape = ("error" if isinstance(result, str)
+                         else "fail" if result else "pass")
+                found.setdefault(kind, set()).add(shape)
+        assert len(jobs) == 944 + 12 * 14
+        assert found == {"gap": {"pass", "fail"},
+                         "scale": {"pass", "fail"},
+                         "tau": {"pass", "fail", "error"},
+                         "order": {"pass", "fail"}}
+
+
+class TestMalformedTrees:
+    """Trees that ``check_tree_axioms`` reports as malformed make the other
+    checks raise ``InvariantViolationError`` naming the vertex, not a bare
+    error."""
+
+    def tree(self):
+        sets = [[F(0)], [F(1, 2)], [F(1, 4), F(3, 4)]]
+        return construct_tree(Portrait.create(3, sets)).tree
+
+    def test_tau_outside_the_vertices(self):
+        t = self.tree()
+        t = t._replace(tau={**t.tau, "v1": "zz"})
+        assert check_tree_axioms(t) == (
+            TreeViolation("tau-range", "tau(v1) = zz not a vertex"),)
+        for check in (classify_vertices, check_julia_normalization, check_expanding,
+                      check_degree_angle):
+            with pytest.raises(InvariantViolationError,
+                               match=r"^tau\(v1\) = zz not a vertex$"):
+                check(t)
+
+    def test_zero_gap_denominator(self):
+        t = self.tree()
+        t = t._replace(gap_angles={**t.gap_angles, "w1": (0, (1, 1))})
+        assert check_tree_axioms(t) == (
+            TreeViolation("structure", "gap denominator at w1 is 0 <= 0"),)
+        with pytest.raises(InvariantViolationError,
+                           match="^gap denominator at w1 is 0 <= 0$"):
+            check_degree_angle(t)
+
+    def test_first_fault_in_vertex_order_is_named(self):
+        # the inner vertices are v2, w1, w2, and tau(w1) = w2: with both w1
+        # and w2 broken, w1 is named whatever the string hash seed
+        t = self.tree()
+        t = t._replace(gap_angles={**t.gap_angles, "w1": (0, (1, 1)),
+                                   "w2": (2, (1, 1, 0))})
+        with pytest.raises(InvariantViolationError,
+                           match="^gap denominator at w1 is 0 <= 0$"):
+            check_degree_angle(t)
+
+    def test_collapse_named_before_gaps_at_the_same_vertex(self):
+        t = self.tree()
+        t = t._replace(tau={**t.tau, "w1": "v2"},
+                       gap_angles={**t.gap_angles, "v2": (0, (1, 1))})
+        with pytest.raises(InvariantViolationError,
+                           match="^edge v2-w1 collapses under tau$"):
+            check_degree_angle(t)
+
+    def test_gap_count_differs_from_degree(self):
+        # v2 is a periodic Julia vertex with two edges
+        t = self.tree()
+        t = t._replace(gap_angles={**t.gap_angles, "v2": (2, (1, 1, 0))})
+        assert check_tree_axioms(t) == (
+            TreeViolation("structure", "gap count at v2 differs from degree"),)
+        for check in (check_degree_angle, check_julia_normalization):
+            with pytest.raises(InvariantViolationError,
+                               match="^gap count at v2 differs from degree$"):
+                check(t)
 
 
 class TestDegreeAngle:
