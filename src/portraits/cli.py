@@ -8,7 +8,8 @@ Subcommands::
     roundtrip <file>                      print the recovered portrait
     enumerate --degree D --max-period P [--max-cardinality N | --portraits]
 
-Exit status: 0 pass, 1 validation or check failure, 2 parse/usage error.
+Exit status: 0 pass, 1 validation or check failure, 2 parse/usage error or
+a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ def _read_portrait(path: str):
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _cmd_validate(args) -> int:

@@ -349,10 +349,12 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
             if sig is not None:
                 by_signature.setdefault(sig, [None]).extend(sets)
         for choice in product(*by_signature.values()):
-            found.append(tuple(sorted(
-                cover + tuple(s for s in choice if s is not None))))
+            found.append(tuple(sorted(cover + tuple(filter(None, choice)))))
 
-    found.sort(key=lambda f: (len(f), f))
+    # families are distinct, so a stable sort by size after the full sort
+    # gives the (size, sets) order
+    found.sort()
+    found.sort(key=len)
     # each family is already canonical, so Portrait.create would only
     # re-sort and re-validate it
-    return [Portrait(d, tuple(angles[s] for s in f)) for f in found]
+    return [Portrait(d, tuple(map(angles.__getitem__, f))) for f in found]

@@ -63,8 +63,9 @@ image of x/q is (d*x mod q)/q.  One kernel, ``_shift``, serves
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .angles import Angle, as_angle_tuple, check_degree, fixed_angles
@@ -233,7 +234,10 @@ def _deployments(n: int, blocks: int):
 
 def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     """``_pool``'s entries of rotation number r/p with at most ``most``
-    cycles, grown as cliques of alternating cycles (module docstring)."""
+    cycles, grown as cliques of alternating cycles (module docstring).  A
+    single cycle is its own set; a larger clique interleaves its cycles'
+    numerators and sums their deployments, each sum carried down from the
+    clique it grew from."""
     q = d ** p - 1
     cycles = sorted((_closed_form(d, p, r, dep)[1], dep)
                     for dep in _deployments(p, d - 1))
@@ -253,19 +257,20 @@ def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
             i, j = index[tuple(a)], index[tuple(c - e for c, e in zip(s, a))]
             if i != j:
                 later[i] |= 1 << j
-    found = []
-    stack = [((i,), later[i]) for i in range(len(cycles))]
+    found = [*zip(repeat(r), deps, xs, angles)]  # the single cycles
+    stack = [((i,), later[i], deps[i]) for i in range(len(cycles))]
     while stack:
-        members, common = stack.pop()
-        found.append((len(members) * r,
-                      tuple(map(sum, zip(*(deps[i] for i in members)))),
-                      tuple(chain.from_iterable(zip(*(xs[i] for i in members)))),
-                      tuple(chain.from_iterable(zip(*(angles[i] for i in members))))))
+        members, common, dep = stack.pop()
         rest = common if len(members) < most else 0
         while rest:
             j = rest.bit_length() - 1
             rest ^= 1 << j
-            stack.append((members + (j,), common & later[j]))
+            grown = members + (j,)
+            grown_dep = tuple(map(add, dep, deps[j]))
+            found.append((len(grown) * r, grown_dep,
+                          tuple(chain.from_iterable(zip(*(xs[i] for i in grown)))),
+                          tuple(chain.from_iterable(zip(*(angles[i] for i in grown))))))
+            stack.append((grown, common & later[j], grown_dep))
     return found
 
 
@@ -274,7 +279,8 @@ def _pool(d: int, max_cardinality: int, max_period: int) -> tuple[int, list]:
     rotating set with cardinality <= max_cardinality and period
     2..max_period, its angles both the numerators xs over
     big = lcm(d**p - 1 : p <= min(max_period, max_cardinality)) and
-    ``Fraction``s, each built once per cycle point.
+    ``Fraction``s, each built once per cycle point.  A single-cycle set is
+    the cycle's own deployment and tuples, not a copy.
 
     The bounds must be integers >= 1 (max_period is checked first), and a
     request whose ``_candidate_count`` passes the ceiling raises

@@ -105,6 +105,16 @@ class TestBuild:
         assert payload["round_trip_ok"] is True
         assert payload["total_degree"] == 5
 
+    @pytest.mark.parametrize("flag", ["--report", "--json", "--svg"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_exits_2(self, d5_file, tmp_path, capsys, flag, where):
+        path = str(tmp_path / "missing" / "out" if where == "missing directory"
+                   else tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["build", d5_file, flag, path])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
 
 class TestFailingInput:
     """build and roundtrip print each violation as "{code}: {message}" on

@@ -574,7 +574,8 @@ class TestEnumeratePortraits:
                 == fraction_backtracking(degree, max_period))
 
     @pytest.mark.parametrize("degree, max_period",
-                             [(2, 6), (3, 4), (4, 2), (5, 2), (6, 2)])
+                             [(2, 6), (3, 4), (4, 2), (5, 2), (6, 2),
+                              (3, 6), (4, 4), (6, 3)])
     def test_matches_per_set_cover_loop(self, degree, max_period):
         assert (enumerate_portraits(degree, max_period)
                 == per_set_cover_loop(degree, max_period))

@@ -530,7 +530,7 @@ class TestClosedForm:
 
 class TestCyclePool:
     @pytest.mark.parametrize("d,p", [(d, p) for d in range(2, 7) for p in range(1, 5)]
-                             + [(7, 2)])
+                             + [(7, 2), (3, 6)])
     def test_matches_deployment_walk(self, d, p):
         big, pool = _pool(d, (d - 1) * p, p)
         assert big == math.lcm(*(d ** k - 1 for k in range(1, p + 1)))
