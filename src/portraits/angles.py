@@ -67,15 +67,19 @@ def gap_index(points: Sequence[Angle], theta: Angle) -> int:
 
 
 def as_angle_tuple(angles: Iterable[Angle]) -> tuple[Angle, ...]:
-    """Validate a strictly increasing tuple of angles in [0, 1)."""
+    """Validate a strictly increasing tuple of int or Fraction angles in [0, 1)."""
     out = tuple(angles)
     if not out:
         raise MalformedSetError("angle set is empty")
     for a in out:
-        if not 0 <= a < 1:
+        if not isinstance(a, (int, Fraction)) or isinstance(a, bool):
+            raise MalformedSetError(f"angle {a!r} is neither an int nor a Fraction")
+    pairs = [a.as_integer_ratio() for a in out]
+    for a, (num, den) in zip(out, pairs):
+        if not 0 <= num < den:
             raise MalformedSetError(f"angle {a} outside [0, 1)")
-    for x, y in zip(out, out[1:]):
-        if not x < y:
+    for x, y, (xn, xd), (yn, yd) in zip(out, out[1:], pairs, pairs[1:]):
+        if not xn * yd < yn * xd:
             raise MalformedSetError(
                 f"angles must be strictly increasing, got {x} before {y}")
     return out
@@ -98,4 +102,4 @@ def parse_angle(text: str) -> Angle:
 
 def format_angle(theta: Angle) -> str:
     """Render an angle as a fully reduced ``p/q`` (zero prints as ``0/1``)."""
-    return f"{theta.numerator}/{theta.denominator}"
+    return "%d/%d" % theta.as_integer_ratio()

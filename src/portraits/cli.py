@@ -33,7 +33,7 @@ def _read_portrait(path: str):
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     try:

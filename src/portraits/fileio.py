@@ -53,7 +53,7 @@ def parse_portrait(text: str) -> Portrait:
                     angles.append(parse_angle(tok))
                 except MalformedAngleError as exc:
                     raise PortraitParseError(lineno, str(exc)) from None
-            if len(set(angles)) != len(angles):
+            if len({a.as_integer_ratio() for a in angles}) != len(angles):
                 raise PortraitParseError(lineno, "duplicate angle in one set")
             sets.append(angles)
         else:

@@ -16,12 +16,12 @@ I*, 1992; see ``rotation``) writes its angles down directly.
 
 The input is the ``ConstructedTree`` of ``builder.construct_tree``.  Only
 its tree (with ``tau``) and its marked sector are read, never its classified
-sets or its regions.  The boundary walk is a plain tuple of sectors, marked
-sector first.  The fixed rays are labelled in walk order and the closed
-form returns increasing angles, so the portrait is built directly and only
-its family needs sorting.  A tree from elsewhere (a hand edit, say) may be
-malformed; recovery then raises ``InvariantViolationError`` naming the
-vertex or edge at fault.
+sets or its regions.  Recovery walks plain (vertex, index) pairs from the
+marked sector (``boundary_walk`` wraps them as ``Sector``s) and calls the
+closed-form kernel ``rotation._closed_form`` directly, which returns
+increasing numerators, so only the portrait's family needs sorting.  A tree
+from elsewhere (a hand edit, say) may be malformed; recovery then raises
+``InvariantViolationError`` naming the vertex or edge at fault.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .builder import ConstructedTree
 from .errors import InvariantViolationError
 from .portrait import Portrait
-from .rotation import generate_rotation_set
+from .rotation import _closed_form
 from .tree import image_germs
 
 
@@ -58,18 +58,20 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
     at a vertex searches its circular order for the incoming edge; each
     later arrival checks the edge it remembers in one step.
     """
-    t = ct.tree
-    order = t.circular_order
+    return tuple(map(Sector._make, _walk(ct)))
+
+
+def _walk(ct: ConstructedTree) -> list[tuple[str, int]]:
+    """``boundary_walk`` as plain (vertex, index) pairs, with its errors."""
+    order, edges = ct.tree.circular_order, ct.tree.edges
     left_by: dict[str, int] = {}             # the slot each vertex was last left by
-    start = Sector(*ct.marked_sector)
-    walk: list[Sector] = []
-    v, k = start.vertex, start.index
+    start = v, k = tuple(ct.marked_sector)
+    walk: list[tuple[str, int]] = []
     if not 0 <= k < len(order[v]):
         raise InvariantViolationError(
             f"marked sector {k} at {v} is not one of its {len(order[v])} sectors")
-    limit = 2 * len(t.edges) + 1
-    for _ in range(limit):
-        walk.append(Sector(v, k))
+    for _ in range(2 * len(edges) + 1):
+        walk.append((v, k))
         u = order[v][k]                      # leave along the sector's ccw edge
         left_by[v] = k
         j = left_by.get(u)                   # arrive at u along that edge
@@ -81,30 +83,32 @@ def boundary_walk(ct: ConstructedTree) -> tuple[Sector, ...]:
                     f"the order at {v} lists {u}, but the order at {u} "
                     f"does not list {v}") from None
         v, k = u, (j + 1) % len(order[u])
-        if (v, k) == (start.vertex, start.index):
+        if (v, k) == start:
             break
     else:
         raise InvariantViolationError("boundary walk failed to close up")
-    if len(walk) != 2 * len(t.edges):
+    if len(walk) != 2 * len(edges):
         raise InvariantViolationError(
-            f"boundary walk has {len(walk)} steps, expected {2 * len(t.edges)}")
-    return tuple(walk)
+            f"boundary walk has {len(walk)} steps, expected {2 * len(edges)}")
+    return walk
 
 
 def recover_portrait(ct: ConstructedTree) -> Portrait:
     """Read the portrait back off the tree.
 
-    Recovery never consults the construction's sets: the fixed rays
-    come from the walk order alone, and each rotating set is rebuilt by
-    Goldberg's closed form (``generate_rotation_set``) from its sector count,
-    sector shift and walk positions between the fixed rays.
+    Recovery never consults the construction's sets: the fixed rays come
+    from the order of the walk's plain (vertex, index) pairs, and each
+    rotating set from Goldberg's closed-form kernel ``rotation._closed_form``
+    on its sector count, sector shift and walk positions between the fixed
+    rays.  None of ``generate_rotation_set``'s checks can fire on these:
+    d >= 2 (the fixed-sector and marked-sector checks reject d <= 1 first),
+    0 < shift < n, and the deployment holds d - 1 non-negative integers.
     """
     t = ct.tree
     germs_at = image_germs(t)
     d = t.total_degree()
     # a fixed vertex is its own cycle, which is Julia iff it is not critical
     julia_fixed = [v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1]
-
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}
     for v in julia_fixed:
@@ -121,35 +125,35 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
         else:
             rotating[v] = s
 
-    fixed_sector_count = sum(t.degree_of(v) for v in fixed_vertices)
+    fixed_sector_count = sum(len(t.circular_order[v]) for v in fixed_vertices)
     if fixed_sector_count != d - 1:
         raise InvariantViolationError(
             f"{fixed_sector_count} fixed sectors found, expected {d - 1}")
 
-    walk = boundary_walk(ct)
-    if walk[0].vertex not in fixed_vertices:
-        raise InvariantViolationError("the marked sector is not a fixed sector")
-
+    walk = _walk(ct)
     assigned: dict[str, list[Fraction]] = {v: [] for v in fixed_vertices}
+    if walk[0][0] not in assigned:
+        raise InvariantViolationError("the marked sector is not a fixed sector")
     buckets: dict[str, list[int]] = {v: [0] * (d - 1) for v in rotating}
     counter = 0
-    for s in walk:
-        if s.vertex in assigned:
-            assigned[s.vertex].append(Fraction(counter, d - 1))
+    for v, _ in walk:
+        if v in assigned:
+            assigned[v].append(Fraction(counter, d - 1))
             counter += 1
-        elif s.vertex in rotating:
-            buckets[s.vertex][counter - 1] += 1
+        elif v in buckets:
+            buckets[v][counter - 1] += 1
     if counter != d - 1:
         raise InvariantViolationError(
             f"walk assigned {counter} fixed rays, expected {d - 1}")
 
     sets: list[tuple[Fraction, ...]] = [tuple(assigned[v]) for v in fixed_vertices]
     for v, shift in rotating.items():
-        n = t.degree_of(v)
-        rs = generate_rotation_set(d, n, shift, tuple(buckets[v]))
-        if rs is None:
+        n, dep = len(t.circular_order[v]), tuple(buckets[v])
+        found = _closed_form(d, n, shift, dep) if sum(dep) == n else None
+        if found is None:
             raise InvariantViolationError(
                 f"no rotation set matches shift={shift} cardinality={n} "
-                f"deployment={tuple(buckets[v])} read off {v}")
-        sets.append(rs.angles)
+                f"deployment={dep} read off {v}")
+        q, xs = found
+        sets.append(tuple(Fraction(x, q) for x in xs))
     return Portrait(d, tuple(sorted(sets)))

@@ -77,46 +77,42 @@ def analyze(p: Portrait) -> Analysis:
     )
 
 
-def _arc_text(arc) -> str:
-    return f"({format_angle(arc.start)},{format_angle(arc.end)})"
-
-
 def render_report(an: Analysis) -> str:
     """Human-readable report; line-oriented with stable ordering."""
     p = an.portrait
     t = an.ct.tree
     lines = [f"degree: {p.degree}", f"sets: {p.k}"]
     for j, rs in enumerate(an.sets, start=1):
-        angles = " ".join(format_angle(a) for a in rs.angles)
+        angles = " ".join([format_angle(a) for a in rs.angles])
         lines.append(f"  T{j}: {angles} | rotation {rs.shift}/{rs.cardinality}")
     lines.append("validation: ok")
 
     lines.append(f"regions: {len(an.regions)}")
     for r in an.regions:
-        arcs = " ".join(_arc_text(a) for a in r.arcs)
-        boundary = " ".join(f"T{j}" for j in r.boundary_sets)
+        arcs = " ".join([f"({format_angle(a.start)},{format_angle(a.end)})"
+                         for a in r.arcs])
+        boundary = " ".join([f"T{j}" for j in r.boundary_sets])
         lines.append(f"  R{r.index}: arcs {arcs} | boundary {boundary} | cc {r.cc}")
     caps = [r.cc for r in an.regions]
     lines.append(f"capacity sum: {sum(caps)} (degree - 1 = {p.degree - 1})")
 
-    julia = sorted(v for v in t.vertices if an.classes[v].kind == "julia")
-    fatou = sorted(v for v in t.vertices if an.classes[v].kind == "fatou")
+    order, delta, tau = t.circular_order, t.delta, t.tau
+    kinds = {v: an.classes[v].kind for v in t.vertices}
+    julia = [v for v, kind in kinds.items() if kind == "julia"]
+    fatou = [v for v, kind in kinds.items() if kind == "fatou"]
     lines.append(f"vertices: {len(t.vertices)} ({len(julia)} julia, {len(fatou)} fatou)")
-    for v in t.vertices:
-        order = " ".join(t.circular_order[v])
-        lines.append(
-            f"  {v}: {an.classes[v].kind} delta {t.delta[v]} tau {t.tau[v]} "
-            f"| order [{order}] | step 1/{t.degree_of(v)}")
+    lines += [f"  {v}: {kinds[v]} delta {delta[v]} tau {tau[v]} "
+              f"| order [{' '.join(order[v])}] | step 1/{len(order[v])}"
+              for v in t.vertices]
     lines.append(f"edges: {len(t.edges)}")
     # one position map per vertex: an index into a hub's order per edge
     # would cost O(degree) each
-    slot = {v: dict(zip(nbrs, range(len(nbrs)))) for v, nbrs in t.circular_order.items()}
-    for a, b in t.edges:
-        lines.append(f"  {a}-{b}: slot {slot[a][b]} of {t.degree_of(a)} at {a}, "
-                     f"slot {slot[b][a]} of {t.degree_of(b)} at {b}")
+    slot = {v: dict(zip(nbrs, range(len(nbrs)))) for v, nbrs in order.items()}
+    lines += [f"  {a}-{b}: slot {slot[a][b]} of {len(order[a])} at {a}, "
+              f"slot {slot[b][a]} of {len(order[b])} at {b}" for a, b in t.edges]
     lines.append(f"total degree: {t.total_degree()}")
-    fixed_julia = sum(1 for v in julia if t.tau[v] == v)
-    fixed_fatou = sum(1 for v in fatou if t.tau[v] == v)
+    fixed_julia = len([v for v in julia if tau[v] == v])
+    fixed_fatou = len([v for v in fatou if tau[v] == v])
     lines.append(
         f"fixed points: {an.fixed_points} (julia {fixed_julia}, fatou {fixed_fatou})")
 

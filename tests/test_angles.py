@@ -1,11 +1,14 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from portraits import (MalformedAngleError, fixed_angles, format_angle,
-                       normalize_angle, parse_angle)
+from portraits import (MalformedAngleError, MalformedSetError, Portrait,
+                       as_angle_tuple, classify_rotation_set, fixed_angles,
+                       format_angle, normalize_angle, parse_angle,
+                       validate_portrait)
 
 from test_rotation import map_angle
 
@@ -100,3 +103,34 @@ class TestText:
     @given(angles_strategy)
     def test_format_parse_round_trip(self, a):
         assert parse_angle(format_angle(a)) == a
+
+
+class TestAngleTuple:
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True, False, None, 1j])
+    def test_only_ints_and_fractions_are_angles(self, bad):
+        # refused where the set is made, naming the value, not later by
+        # validation or classification with an AttributeError
+        calls = [lambda: as_angle_tuple([bad]), lambda: Portrait.create(2, [[bad]]),
+                 lambda: classify_rotation_set([bad], 2)]
+        for call in calls:
+            with pytest.raises(MalformedSetError, match=re.escape(repr(bad))):
+                call()
+
+    def test_integer_zero_is_an_angle(self):
+        p = Portrait.create(2, [[0], [F(1, 3), F(2, 3)]])
+        assert p.sets == ((0,), (F(1, 3), F(2, 3)))
+        assert validate_portrait(p).ok
+        assert format_angle(0) == "0/1"
+        assert as_angle_tuple((0, F(1, 3), F(1, 2))) == (0, F(1, 3), F(1, 2))
+
+    @pytest.mark.parametrize("angles, message", [
+        ((F(1, 3), F(1)), "angle 1 outside [0, 1)"),
+        ((F(-1, 3),), "angle -1/3 outside [0, 1)"),
+        ((1,), "angle 1 outside [0, 1)"),
+        ((F(1, 2), F(1, 3)), "strictly increasing, got 1/2 before 1/3"),
+        ((F(1, 3), F(2, 6)), "strictly increasing, got 1/3 before 1/3"),
+        ((0, F(0)), "strictly increasing, got 0 before 0"),
+    ])
+    def test_range_and_order(self, angles, message):
+        with pytest.raises(MalformedSetError, match=re.escape(message)):
+            as_angle_tuple(angles)

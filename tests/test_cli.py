@@ -80,6 +80,17 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(
             "error: cannot read /nonexistent/portrait.txt: ")
 
+    @pytest.mark.parametrize("command", ["validate", "build", "roundtrip"])
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"degree 2\nset 0\n# \xff\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+        assert "usage error" not in err
+
 
 class TestBuild:
     def test_report_shows_fixed_points(self, d5_file, capsys):

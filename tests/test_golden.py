@@ -3,11 +3,15 @@
 ``tests/data/golden_reports.json`` maps each portrait's text form to the
 SHA-256 digests of ``render_report``, of the JSON report as the command
 line writes it, and of ``render_svg``.  It covers the five gallery
-portraits of ``demos/05_svg_gallery.py`` and every portrait that
+portraits of ``demos/05_svg_gallery.py``, every portrait that
 ``enumerate_portraits(d, 3)`` lists for d = 2, 3, 4 (period 3 includes
-every portrait of period 1 and 2).  The digests were frozen before the
-pipeline was reworked to validate and partition once; any change to the
-output bytes fails here.  To regenerate after an intended change::
+every portrait of period 1 and 2), and ``long_period_portraits``: one
+closed-form rotating set of each period 9..16 at degree 2 and two of each
+period 6..10 at degree 3, far longer cycles than the enumerations reach.
+The digests were frozen before the pipeline was reworked to validate and
+partition once, and those of the long-period portraits before the
+renderer, the report and recovery were reworked to read each angle once;
+any change to the output bytes fails here.  To regenerate after an intended change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,8 +22,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from portraits import (Portrait, analyze, enumerate_portraits,
-                       format_portrait, render_report, render_svg,
-                       report_data)
+                       format_portrait, generate_rotation_set, render_report,
+                       render_svg, report_data)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 
@@ -33,6 +37,17 @@ GALLERY = [
 ]
 
 
+def long_period_portraits() -> list[Portrait]:
+    """{0} with the rotation-number-1/p set of one cycle, p = 9..16, at
+    degree 2; {0}, {1/2} with each of two deployments, p = 6..10, at degree 3."""
+    out = [Portrait.create(2, [[F(0)], generate_rotation_set(2, p, 1, (p,)).angles])
+           for p in range(9, 17)]
+    out += [Portrait.create(3, [[F(0)], [F(1, 2)],
+                                generate_rotation_set(3, p, 1, dep).angles])
+            for p in range(6, 11) for dep in ((1, p - 1), (p // 2, p - p // 2))]
+    return out
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -41,7 +56,7 @@ def golden_portraits() -> list[Portrait]:
     out = list(GALLERY)
     for d in (2, 3, 4):
         out.extend(enumerate_portraits(d, 3))
-    return out
+    return out + long_period_portraits()
 
 
 def digests() -> dict[str, list[str]]:

@@ -7,6 +7,8 @@ import pytest
 import portraits.render
 from portraits import Portrait, construct_tree, enumerate_portraits, render_svg
 
+from test_golden import long_period_portraits
+
 
 def render(p):
     ct = construct_tree(p)
@@ -37,11 +39,13 @@ def cos_arguments(monkeypatch, ct):
 
 
 class TestArcMidpoints:
-    @pytest.mark.parametrize("degree", [None, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [None, 2, 3, 4, "long period"])
     def test_floats_match_fraction_oracle(self, monkeypatch, degree):
-        # bit for bit, over the single-angle portrait or a period-3 census:
-        # circle points first, then each region's arc midpoints
+        # bit for bit, over the single-angle portrait, a period-3 census or
+        # the golden long-period portraits (periods 6..16): circle points
+        # first, then each region's arc midpoints
         family = ([Portrait.create(2, [[F(0)]])] if degree is None
+                  else long_period_portraits() if degree == "long period"
                   else enumerate_portraits(degree, 3))
         for portrait in family:
             ct = construct_tree(portrait)
