@@ -66,14 +66,20 @@ def gap_index(points: Sequence[Angle], theta: Angle) -> int:
     return i if i >= 0 else len(points) - 1
 
 
-def as_angle_tuple(angles: Iterable[Angle]) -> tuple[Angle, ...]:
-    """Validate a strictly increasing tuple of int or Fraction angles in [0, 1)."""
+def _typed(angles: Iterable) -> tuple:
+    """The angles as a tuple of ints (not bools) and Fractions, which compare."""
     out = tuple(angles)
-    if not out:
-        raise MalformedSetError("angle set is empty")
     for a in out:
         if not isinstance(a, (int, Fraction)) or isinstance(a, bool):
             raise MalformedSetError(f"angle {a!r} is neither an int nor a Fraction")
+    return out
+
+
+def as_angle_tuple(angles: Iterable[Angle]) -> tuple[Angle, ...]:
+    """Validate a strictly increasing tuple of int or Fraction angles in [0, 1)."""
+    out = _typed(angles)
+    if not out:
+        raise MalformedSetError("angle set is empty")
     pairs = [a.as_integer_ratio() for a in out]
     for a, (num, den) in zip(out, pairs):
         if not 0 <= num < den:

@@ -76,18 +76,16 @@ class Region(NamedTuple):
     """One disk region: its arcs, boundary sets in crossing order, and capacity.
 
     ``boundary_cycle[i]`` is the (1-based) index of the set crossed between
-    arc i and the next arc counterclockwise; ``cc`` counts how many distinct
-    boundary sets have rotation number zero.
+    arc i and the next arc counterclockwise, each set once (P2);
+    ``boundary_sets`` sorts them, and ``cc`` counts how many have rotation
+    number zero.
     """
 
     index: int
     arcs: tuple[ElementaryArc, ...]
     boundary_cycle: tuple[int, ...]
+    boundary_sets: tuple[int, ...]
     cc: int
-
-    @property
-    def boundary_sets(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.boundary_cycle)))
 
 
 class ConstructedTree(NamedTuple):
@@ -140,7 +138,8 @@ def _partition(sets: Sequence[RotationSet], xsets: Sequence[tuple[int, ...]]
             cycle.append(j + 1)
             k = start_of[xsets[j][i - 1]]
         cc = sum(1 for j in cycle if sets[j - 1].is_fixed)
-        regions.append(Region(pos, tuple(arcs[k] for k in idxs), tuple(cycle), cc))
+        regions.append(Region(pos, tuple(arcs[k] for k in idxs), tuple(cycle),
+                              tuple(sorted(cycle)), cc))
     return tuple(regions), [[region_of[start_of[x]] for x in xs] for xs in xsets]
 
 

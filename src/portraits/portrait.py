@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .angles import (Angle, as_angle_tuple, check_degree, fixed_angles,
+from .angles import (Angle, _typed, as_angle_tuple, check_degree, fixed_angles,
                      format_angle, gap_index)
 from .errors import CapacityError, InvalidPortraitError, MalformedSetError
 from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
@@ -52,7 +52,8 @@ class Portrait(NamedTuple):
     @classmethod
     def create(cls, degree: int, sets: Iterable[Iterable[Angle]]) -> "Portrait":
         d = check_degree(degree)
-        family = [as_angle_tuple(sorted(s)) for s in sets]
+        # types first: sorting a str or None among Fractions is a TypeError
+        family = [as_angle_tuple(sorted(_typed(s))) for s in sets]
         if not family:
             raise ValueError("a portrait needs at least one angle set")
         family.sort()
@@ -158,10 +159,11 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     angles; the pairwise loop runs only after it has found a shared angle
     or a crossing, to name the offending pairs.  Once P2 holds, a fixed set
     separates two rotating sets exactly when they lie in different gaps of
-    it, so P4 compares each rotating set's gap signature (its gap in every
-    fixed set) instead of testing separation pair by pair.  Once P1 holds,
-    a degree whose d-1 fixed angles outnumber both the listed angles and
-    2**16 raises CapacityError before P3 would list the missing ones.
+    it, so P4 groups the rotating sets by gap signature (their gap in every
+    fixed set) and visits only the pairs within a group, each a P4 failure.
+    Once P1 holds, a degree whose d-1 fixed angles outnumber both the
+    listed angles and 2**16 raises CapacityError before P3 would list the
+    missing ones.
     """
     return _validate(p)[0]
 
@@ -241,14 +243,17 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
         notes.append("P4 skipped: separation is ill-defined while P2 fails")
     else:
         blocks = [xsets[i - 1] for i, _ in fixed_members]
-        signature = {i: tuple(gap_index(b, xsets[i - 1][0]) for b in blocks)
-                     for i, rs in enumerate(classified, start=1) if not rs.is_fixed}
-        for i, j in combinations(signature, 2):
-            if signature[i] == signature[j]:
-                violations.append(Violation(
-                    "P4", (i, j),
-                    f"rotating sets {i} and {j} are separated by no "
-                    f"rotation-number-zero set"))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, rs in enumerate(classified, start=1):
+            if not rs.is_fixed:
+                sig = tuple(gap_index(b, xsets[i - 1][0]) for b in blocks)
+                groups.setdefault(sig, []).append(i)
+        for i, j in sorted(pair for group in groups.values()
+                           for pair in combinations(group, 2)):
+            violations.append(Violation(
+                "P4", (i, j),
+                f"rotating sets {i} and {j} are separated by no "
+                f"rotation-number-zero set"))
 
     return ValidationResult(tuple(violations), tuple(notes), tuple(classified)), xsets
 
@@ -279,15 +284,14 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
 
 
 def _signature(cover: Sequence[tuple[int, ...]],
-               support: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """The gap of each block of ``cover`` that holds the arcs of
-    ``support``, or None when some block splits them.  Blocks are
-    increasing fixed-angle numerators; arc i is given by its starting fixed
-    angle, and the gap opening at a block's point holds the arc starting
-    there."""
+               arcs: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The gap of each block of ``cover`` that holds all of ``arcs``, or
+    None when some block splits them.  Blocks are increasing fixed-angle
+    numerators; an arc is given by its starting fixed angle, and the gap
+    opening at a block's point holds the arc starting there."""
     sig = []
     for b in cover:
-        gaps = {(bisect_right(b, a) - 1) % len(b) for a in support}
+        gaps = {(bisect_right(b, a) - 1) % len(b) for a in arcs}
         if len(gaps) > 1:
             return None
         sig.extend(gaps)
@@ -314,11 +318,11 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     signature.
 
     Both tests depend on a rotating set only through its support, the arcs
-    between consecutive fixed angles where its deployment is nonzero: it
-    holds no fixed angle, so each of its angles lies inside one such arc,
-    and a block's gaps are unions of whole arcs.  The pool is therefore
-    grouped by support, and each cover tests each of the at most
-    2**(d-1) - 1 supports once.
+    between consecutive fixed angles (its deployment blocks) that it
+    occupies: it holds no fixed angle, so each of its angles lies inside one
+    such arc, and a cover block's gaps are unions of whole arcs.  The pool
+    is grouped by the support each entry carries, and each cover tests each
+    of the at most 2**(d-1) - 1 supports once.
 
     The pool (``rotation._pool``) holds the rotating sets only, grown as
     cliques of alternating single cycles; the covers supply the fixed sets.
@@ -333,11 +337,11 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     fixed = tuple(i * (q // (d - 1)) for i in range(d - 1))
     fixed_angle = dict(zip(fixed, fixed_angles(d)))
     angles: dict[tuple[int, ...], tuple[Angle, ...]] = {}
-    by_support: dict[tuple[int, ...], list] = {}
-    for _, dep, s, set_angles in pool:
+    by_support: dict[frozenset[int], list] = {}
+    for _, support, s, set_angles in pool:
         angles[s] = set_angles
-        support = tuple(a for a, c in zip(fixed, dep) if c)
         by_support.setdefault(support, []).append(s)
+    arcs = {support: [fixed[b] for b in support] for support in by_support}
 
     found: list[tuple[tuple[int, ...], ...]] = []
     for cover in _noncrossing_partitions(fixed):
@@ -345,7 +349,7 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
         # per signature: take none of its sets (None) or one of them
         by_signature: dict[tuple[int, ...], list] = {}
         for support, sets in by_support.items():
-            sig = _signature(cover, support)
+            sig = _signature(cover, arcs[support])
             if sig is not None:
                 by_signature.setdefault(sig, [None]).extend(sets)
         for choice in product(*by_signature.values()):

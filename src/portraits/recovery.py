@@ -12,7 +12,8 @@ anchors ray 0.  A rotating vertex is then pinned down by its sector count, its s
 shift, and where its sectors fall between the fixed rays along the walk.
 These are the set's cardinality, shift and deployment, which determine a
 rotation set, and Goldberg's closed form (*Fixed points of polynomial maps
-I*, 1992; see ``rotation``) writes its angles down directly.
+I*, 1992; see ``rotation``) writes its angles down directly, read off the
+block of each sector in walk order: the sorted block sequence it takes.
 
 The input is the ``ConstructedTree`` of ``builder.construct_tree``.  Only
 its tree (with ``tau``) and its marked sector are read, never its classified
@@ -99,19 +100,19 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     Recovery never consults the construction's sets: the fixed rays come
     from the order of the walk's plain (vertex, index) pairs, and each
     rotating set from Goldberg's closed-form kernel ``rotation._closed_form``
-    on its sector count, sector shift and walk positions between the fixed
-    rays.  None of ``generate_rotation_set``'s checks can fire on these:
-    d >= 2 (the fixed-sector and marked-sector checks reject d <= 1 first),
-    0 < shift < n, and the deployment holds d - 1 non-negative integers.
+    on its sector shift and its block sequence, the block of each of its
+    sectors in walk order, so nothing of size d - 1 is built per vertex.
+    None of ``generate_rotation_set``'s checks can fire on these: d >= 2
+    (the fixed-sector and marked-sector checks reject d <= 1 first),
+    0 < shift < n, and the blocks are sorted and in range(d - 1).
     """
     t = ct.tree
     germs_at = image_germs(t)
     d = t.total_degree()
-    # a fixed vertex is its own cycle, which is Julia iff it is not critical
-    julia_fixed = [v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1]
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}
-    for v in julia_fixed:
+    # a fixed vertex is its own cycle, which is Julia iff it is not critical
+    for v in [v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1]:
         # the sectors rotate by s iff the germs are the order rotated by s
         order, germs = t.circular_order[v], germs_at(v)
         if not order:
@@ -134,26 +135,30 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     assigned: dict[str, list[Fraction]] = {v: [] for v in fixed_vertices}
     if walk[0][0] not in assigned:
         raise InvariantViolationError("the marked sector is not a fixed sector")
-    buckets: dict[str, list[int]] = {v: [0] * (d - 1) for v in rotating}
+    # each rotating vertex's block sequence, non-decreasing in walk order
+    blocks: dict[str, list[int]] = {v: [] for v in rotating}
     counter = 0
     for v, _ in walk:
         if v in assigned:
             assigned[v].append(Fraction(counter, d - 1))
             counter += 1
-        elif v in buckets:
-            buckets[v][counter - 1] += 1
+        elif v in blocks:
+            blocks[v].append(counter - 1)
     if counter != d - 1:
         raise InvariantViolationError(
             f"walk assigned {counter} fixed rays, expected {d - 1}")
 
     sets: list[tuple[Fraction, ...]] = [tuple(assigned[v]) for v in fixed_vertices]
     for v, shift in rotating.items():
-        n, dep = len(t.circular_order[v]), tuple(buckets[v])
-        found = _closed_form(d, n, shift, dep) if sum(dep) == n else None
+        n, bs = len(t.circular_order[v]), blocks[v]
+        found = _closed_form(d, shift, bs) if len(bs) == n else None
         if found is None:
+            dep = [0] * (d - 1)
+            for b in bs:
+                dep[b] += 1
             raise InvariantViolationError(
                 f"no rotation set matches shift={shift} cardinality={n} "
-                f"deployment={dep} read off {v}")
+                f"deployment={tuple(dep)} read off {v}")
         q, xs = found
         sets.append(tuple(Fraction(x, q) for x in xs))
     return Portrait(d, tuple(sorted(sets)))

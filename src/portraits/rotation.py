@@ -9,8 +9,8 @@ rather than reduced.
 The shift m, the cardinality n and the deployment determine a rotation set,
 and Goldberg (*Fixed points of polynomial maps I: rotation subsets of the
 circles*, 1992) writes its angles down directly.  With b_i the deployment
-block of the i-th smallest angle, let k_i = b_i + [i + m >= n] and
-p = n / gcd(m, n); then
+block of the i-th smallest angle (it lies in [b_i/(d-1), (b_i+1)/(d-1))),
+let k_i = b_i + [i + m >= n] and p = n / gcd(m, n); then
 
     theta_i = sum_{j<p} k_{(i+jm) mod n} * d**(p-1-j) / (d**p - 1).
 
@@ -24,14 +24,16 @@ the recurrence
 so the indices split into g = gcd(m, n) cycles r, r+m, r+2m, ... of length
 p.  One Horner sum over its digits gives the first numerator of a cycle,
 and the recurrence walks the rest: all n numerators in O(n) steps rather
-than one p-term sum each.  That kernel, ``_closed_form``, is the only one:
-generation wraps its numerators in ``Fraction``s, and the enumerations run
-it on single cycles only.
+than one p-term sum each.  That kernel, ``_closed_form``, is the only one.
+It reads the deployment as the formula does, as the sorted block sequence
+b_0 <= ... <= b_(n-1): generation expands its d-1 counts into it once,
+recovery appends a block per sector, and the enumerations list cycles.
 
 The enumerations' pool of rotating sets is built from cycles (Goldberg,
 Part I): a set of rotation number r/p is a union of at most d-1 single
 cycles of that rotation number, and every single-cycle deployment is
-realised, so the closed form runs once per cycle and never fails.  In a
+realised, so the closed form runs once per cycle and never fails: the
+cycles of period p are the sorted p-sequences of blocks.  In a
 g-cycle set index i lies on cycle i mod g, so its cycles alternate pairwise
 around the circle: each gap of one holds one point of the other.
 Conversely, pairwise alternating cycles keep one order between consecutive
@@ -39,8 +41,8 @@ points of any one of them (else two points of one would share a gap of
 another), so their union reads (C_1 ... C_g)**p, ordered by least points,
 and rotates by g*r.  The rotating sets are thus the cliques of the
 alternation graph.  Alternating cycles alternate block by block too, so
-each deployment of 2p proposes one pair: the even positions of its sorted
-blocks, and the odd ones.
+each sorted 2p-sequence s of blocks proposes one pair: its even positions
+s[::2], and its odd ones s[1::2].
 
 Every proposed pair (a, b) of distinct cycles alternates, so none is tested.
 Their blocks satisfy alpha_i <= gamma_i <= alpha_{i+1}; let w(j) = [j + r >=
@@ -63,9 +65,8 @@ image of x/q is (d*x mod q)/q.  One kernel, ``_shift``, serves
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb, gcd, lcm
-from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .angles import Angle, as_angle_tuple, check_degree, fixed_angles
@@ -163,15 +164,14 @@ def _check_int(name: str, value) -> int:
     return value
 
 
-def _closed_form(d: int, n: int, m: int,
-                 deployment: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+def _closed_form(d: int, m: int,
+                 blocks: Sequence[int]) -> Optional[tuple[int, list[int]]]:
     """(q, xs): Goldberg's closed form as numerators xs over q = d**p - 1,
     walked cycle by cycle as in the module docstring, or None unless they
-    are strictly increasing in [0, q).  Expects 0 <= m < n and a
-    non-negative deployment summing to n."""
-    k = [b for b, c in enumerate(deployment) for _ in range(c)]
-    for i in range(n - m, n):
-        k[i] += 1
+    are strictly increasing in [0, q).  ``blocks`` is the non-decreasing
+    block sequence b_0 <= ... <= b_(n-1) of the n angles, and 0 <= m < n."""
+    n = len(blocks)
+    k = [*blocks[:n - m], *(b + 1 for b in blocks[n - m:])]
     g = gcd(m, n)
     p = n // g
     q = d ** p - 1
@@ -217,70 +217,53 @@ def _candidate_count(d: int, max_cardinality: int, max_period: int) -> int:
     return count
 
 
-def _deployments(n: int, blocks: int):
-    """Every blocks-tuple of non-negative integers summing to n, by an
-    odometer rather than recursion, so a large degree cannot exhaust the stack."""
-    counts = [0] * (blocks - 1) + [n]
-    while True:
-        yield tuple(counts)
-        i = blocks - 2
-        while i >= 0 and counts[-1] == 0:
-            counts[-1], counts[i] = counts[i], 0
-            i -= 1
-        if i < 0:
-            return
-        counts[i], counts[-1] = counts[i] + 1, counts[-1] - 1
-
-
 def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     """``_pool``'s entries of rotation number r/p with at most ``most``
     cycles, grown as cliques of alternating cycles (module docstring).  A
     single cycle is its own set; a larger clique interleaves its cycles'
-    numerators and sums their deployments, each sum carried down from the
+    numerators and joins their supports, each union carried down from the
     clique it grew from."""
     q = d ** p - 1
-    cycles = sorted((_closed_form(d, p, r, dep)[1], dep)
-                    for dep in _deployments(p, d - 1))
+    cycles = sorted((_closed_form(d, r, blocks)[1], blocks)
+                    for blocks in combinations_with_replacement(range(d - 1), p))
     xs = [tuple(x * (big // q) for x in c) for c, _ in cycles]
     angles = [tuple(Fraction(x, q) for x in c) for c, _ in cycles]
-    deps = [dep for _, dep in cycles]
+    supports = [frozenset(blocks) for _, blocks in cycles]
     # later[i]: bitset of the cycles after cycle i (by least point) that
-    # alternate with it; each s = a + b gives a its sorted blocks' even positions
+    # alternate with it; each sorted 2p-sequence proposes its even positions
+    # and its odd ones
     later = [0] * len(cycles)
     if most > 1:
-        index = {dep: i for i, dep in enumerate(deps)}
-        for s in _deployments(2 * p, d - 1):
-            a, total = [], 0
-            for c in s:
-                a.append((total + c + 1) // 2 - (total + 1) // 2)
-                total += c
-            i, j = index[tuple(a)], index[tuple(c - e for c, e in zip(s, a))]
+        index = {blocks: i for i, (_, blocks) in enumerate(cycles)}
+        for s in combinations_with_replacement(range(d - 1), 2 * p):
+            i, j = index[s[::2]], index[s[1::2]]
             if i != j:
                 later[i] |= 1 << j
-    found = [*zip(repeat(r), deps, xs, angles)]  # the single cycles
-    stack = [((i,), later[i], deps[i]) for i in range(len(cycles))]
+    found = [*zip(repeat(r), supports, xs, angles)]  # the single cycles
+    stack = [((i,), later[i], supports[i]) for i in range(len(cycles))]
     while stack:
-        members, common, dep = stack.pop()
+        members, common, support = stack.pop()
         rest = common if len(members) < most else 0
         while rest:
             j = rest.bit_length() - 1
             rest ^= 1 << j
             grown = members + (j,)
-            grown_dep = tuple(map(add, dep, deps[j]))
-            found.append((len(grown) * r, grown_dep,
+            grown_support = support | supports[j]
+            found.append((len(grown) * r, grown_support,
                           tuple(chain.from_iterable(zip(*(xs[i] for i in grown)))),
                           tuple(chain.from_iterable(zip(*(angles[i] for i in grown))))))
-            stack.append((grown, common & later[j], grown_dep))
+            stack.append((grown, common & later[j], grown_support))
     return found
 
 
 def _pool(d: int, max_cardinality: int, max_period: int) -> tuple[int, list]:
-    """(big, entries): the (shift, deployment, xs, angles) of every degree-d
+    """(big, entries): the (shift, support, xs, angles) of every degree-d
     rotating set with cardinality <= max_cardinality and period
     2..max_period, its angles both the numerators xs over
     big = lcm(d**p - 1 : p <= min(max_period, max_cardinality)) and
-    ``Fraction``s, each built once per cycle point.  A single-cycle set is
-    the cycle's own deployment and tuples, not a copy.
+    ``Fraction``s, each built once per cycle point.  A set's support is the
+    frozenset of blocks its angles occupy.  A single-cycle set is the
+    cycle's own support and tuples, not a copy.
 
     The bounds must be integers >= 1 (max_period is checked first), and a
     request whose ``_candidate_count`` passes the ceiling raises
@@ -328,7 +311,8 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
                           deployment: Sequence[int]) -> Optional[RotationSet]:
     """The unique rotation set with the given shift, cardinality and deployment.
 
-    Goldberg's closed form (module docstring) gives the only candidate as
+    Goldberg's closed form (module docstring), read off the deployment
+    expanded once into its block sequence, gives the only candidate as
     numerators x_i over q = d**p - 1.  One Horner sum seeds each of the
     gcd(m, n) cycles i, i+m, i+2m, ... and x_{i+m} = d*x_i - k_i*q walks
     the rest, so it takes O(n) steps.  The candidate is returned if it is
@@ -357,7 +341,7 @@ def generate_rotation_set(degree: int, cardinality: int, shift: int,
         raise ValueError("deployment entries must be non-negative")
     if sum(dep) != n:
         return None
-    found = _closed_form(d, n, shift, dep)
+    found = _closed_form(d, shift, [b for b, c in enumerate(dep) for _ in range(c)])
     if found is None:
         return None
     q, xs = found

@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 
 from portraits import (InvariantViolationError, Portrait, construct_tree,
-                       enumerate_portraits, validate_portrait)
+                       enumerate_portraits, fixed_angles, validate_portrait)
 
 # The running examples: a degree-5 portrait with one rotating pair, and the
 # degree-2 portrait whose rotating set is the period-2 orbit of 1/3.
@@ -59,6 +59,17 @@ def orbit(seed, degree):
     while (nxt := degree * out[-1] % 1) != seed:
         out.append(nxt)
     return tuple(sorted(out))
+
+
+@cache
+def wide_rotating(d):
+    """Degree d: one fixed set of all d-1 fixed angles and, inside each arc
+    between consecutive ones, the period-2 set of rotation number 1/2 whose
+    block sequence is (b, b): the base-d expansions 0.(b, b+1) and
+    0.(b+1, b) repeated.  Valid, with d-1 rotating sets."""
+    q = d * d - 1
+    return Portrait.create(d, [fixed_angles(d)] + [
+        [F(b * (d + 1) + 1, q), F(b * (d + 1) + d, q)] for b in range(d - 1)])
 
 
 @pytest.fixture

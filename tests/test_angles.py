@@ -109,8 +109,10 @@ class TestAngleTuple:
     @pytest.mark.parametrize("bad", [0.5, "1/2", True, False, None, 1j])
     def test_only_ints_and_fractions_are_angles(self, bad):
         # refused where the set is made, naming the value, not later by
-        # validation or classification with an AttributeError
+        # validation or classification with an AttributeError, nor by
+        # sorting it beside a Fraction with a bare TypeError
         calls = [lambda: as_angle_tuple([bad]), lambda: Portrait.create(2, [[bad]]),
+                 lambda: Portrait.create(2, [[F(1, 3), bad]]),
                  lambda: classify_rotation_set([bad], 2)]
         for call in calls:
             with pytest.raises(MalformedSetError, match=re.escape(repr(bad))):

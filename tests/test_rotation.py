@@ -2,7 +2,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -11,8 +11,7 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        enumerate_portraits, enumerate_rotation_sets,
                        fixed_angles, generate_rotation_set, validate_portrait)
 import portraits.rotation
-from portraits.rotation import (_CANDIDATE_CEILING, _candidate_count, _closed_form,
-                                _deployments, _pool)
+from portraits.rotation import _CANDIDATE_CEILING, _candidate_count, _closed_form, _pool
 
 
 def classified(angles, degree):
@@ -35,21 +34,40 @@ def shapes(d, max_cardinality, max_period):
                     yield g * p, g * r
 
 
+def block_sequences(n, d):
+    """Every deployment of n angles among the d-1 arcs between fixed
+    angles, as the non-decreasing block sequence the closed form reads."""
+    return combinations_with_replacement(range(d - 1), n)
+
+
+def dense(blocks, d):
+    """The deployment vector of a block sequence: its d-1 block counts."""
+    return tuple(blocks.count(b) for b in range(d - 1))
+
+
 def deployment_walk(d, max_cardinality, max_period):
     """Oracle: the pool as ``_pool`` built it before it grew cliques of
     cycles, the closed form run on every deployment of every (n, m) of
-    ``shapes``, fixed sets included; (shift, deployment, q, numerators)
+    ``shapes``, fixed sets included; (shift, blocks, q, numerators)
     of each candidate that increases."""
-    return [(m, dep, *found)
+    return [(m, blocks, *found)
             for n, m in shapes(d, max_cardinality, max_period)
-            for dep in _deployments(n, d - 1)
-            if (found := _closed_form(d, n, m, dep)) is not None]
+            for blocks in block_sequences(n, d)
+            if (found := _closed_form(d, m, blocks)) is not None]
+
+
+def walked_pool(d, max_cardinality, max_period, big):
+    """``deployment_walk``'s rotating sets as sorted (shift, support,
+    numerators over big) rows, a support the sorted blocks occupied."""
+    return sorted((m, sorted(set(blocks)), tuple(x * (big // q) for x in xs))
+                  for m, blocks, q, xs in deployment_walk(d, max_cardinality, max_period)
+                  if m)
 
 
 def single_cycles(d, p, r):
     """The sets of one cycle and rotation number r/p, as numerator lists
     over d**p - 1; every deployment gives one."""
-    return [_closed_form(d, p, r, dep)[1] for dep in _deployments(p, d - 1)]
+    return [_closed_form(d, r, blocks)[1] for blocks in block_sequences(p, d)]
 
 
 def alternate(xs, ys):
@@ -60,14 +78,10 @@ def alternate(xs, ys):
 
 
 def proposed_pairs(d, p):
-    """The (a, b) deployments ``_pool`` pairs at period p: for each deployment
-    s of 2p, a takes the even positions of the sorted blocks of s, b the odd."""
-    for s in _deployments(2 * p, d - 1):
-        a, total = [], 0
-        for c in s:
-            a.append((total + c + 1) // 2 - (total + 1) // 2)
-            total += c
-        yield tuple(a), tuple(c - e for c, e in zip(s, a))
+    """The (a, b) block sequences ``_pool`` pairs at period p: for each
+    sorted sequence s of 2p blocks, a takes its even positions, b the odd."""
+    for s in block_sequences(2 * p, d):
+        yield s[::2], s[1::2]
 
 
 def shape_walk_count(degree, max_cardinality, max_period):
@@ -120,12 +134,11 @@ def fraction_generate(degree, cardinality, shift, deployment):
     return rs
 
 
-def closed_form_sum(degree, cardinality, shift, deployment):
+def closed_form_sum(degree, shift, blocks):
     """Oracle: Goldberg's closed form as ``generate_rotation_set`` took it
     before the cycle recurrence, one p-term sum per numerator (O(n * p)
     steps); (q, numerators) when they increase in [0, q), else None."""
-    n = cardinality
-    blocks = [b for b, c in enumerate(deployment) for _ in range(c)]
+    n = len(blocks)
     digits = [blocks[i] + (i + shift >= n) for i in range(n)]
     p = n // math.gcd(shift, n)
     q = degree ** p - 1
@@ -138,8 +151,8 @@ def closed_form_sum(degree, cardinality, shift, deployment):
 
 def realised(degree, cardinality, shift):
     """How many deployments of (cardinality, shift) give a rotation set."""
-    return sum(_closed_form(degree, cardinality, shift, dep) is not None
-               for dep in _deployments(cardinality, degree - 1))
+    return sum(_closed_form(degree, shift, blocks) is not None
+               for blocks in block_sequences(cardinality, degree))
 
 
 def brute_force_rotation_sets(degree, period, max_size):
@@ -472,7 +485,8 @@ class TestGenerate:
         accepted = rejected = 0
         for n in range(1, 9):
             for m in range(n):
-                for dep in _deployments(n, d - 1):
+                for blocks in block_sequences(n, d):
+                    dep = dense(blocks, d)
                     expected = fraction_generate(d, n, m, dep)
                     assert generate_rotation_set(d, n, m, dep) == expected
                     accepted += expected is not None
@@ -509,8 +523,8 @@ class TestClosedForm:
         for d in range(2, 7):
             for n in range(1, 9):
                 for m in range(n):
-                    for dep in _deployments(n, d - 1):
-                        assert _closed_form(d, n, m, dep) == closed_form_sum(d, n, m, dep)
+                    for blocks in block_sequences(n, d):
+                        assert _closed_form(d, m, blocks) == closed_form_sum(d, m, blocks)
                         tried += 1
         assert tried == 13014
 
@@ -536,10 +550,8 @@ class TestCyclePool:
         assert big == math.lcm(*(d ** k - 1 for k in range(1, p + 1)))
         for _, _, xs, angles in pool:
             assert angles == tuple(F(x, big) for x in xs)
-        ours = sorted((m, dep, xs) for m, dep, xs, _ in pool)
-        walked = sorted((m, dep, tuple(x * (big // q) for x in xs))
-                        for m, dep, q, xs in deployment_walk(d, (d - 1) * p, p) if m)
-        assert ours == walked
+        ours = sorted((m, sorted(support), xs) for m, support, xs, _ in pool)
+        assert ours == walked_pool(d, (d - 1) * p, p, big)
 
     @pytest.mark.parametrize("d,p", [(d, p) for d in range(2, 7) for p in range(1, 5)]
                              + [(7, 2)])
@@ -551,17 +563,16 @@ class TestCyclePool:
                 continue
             for a, b in proposed_pairs(d, p):
                 if a != b:
-                    assert alternate(_closed_form(d, p, r, a)[1],
-                                     _closed_form(d, p, r, b)[1]), (r, a, b)
+                    assert alternate(_closed_form(d, r, a)[1],
+                                     _closed_form(d, r, b)[1]), (r, a, b)
                     pairs += 1
         assert (pairs > 0) == (d > 2 and p > 1)
 
     def test_cardinality_bound_limits_the_cliques(self):
         for max_cardinality in range(1, 13):
             big, pool = _pool(5, max_cardinality, 3)
-            walked = sorted((m, dep, tuple(x * (big // q) for x in xs))
-                            for m, dep, q, xs in deployment_walk(5, max_cardinality, 3) if m)
-            assert sorted((m, dep, xs) for m, dep, xs, _ in pool) == walked
+            ours = sorted((m, sorted(support), xs) for m, support, xs, _ in pool)
+            assert ours == walked_pool(5, max_cardinality, 3, big)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_alternation_is_a_union_of_shift_2r(self, d):
@@ -594,9 +605,9 @@ class TestCyclePool:
         # the fixed sets come from the fixed angles, not the closed form
         shapes_tried = []
 
-        def closed_form(d, n, m, dep):
-            shapes_tried.append((n, m))
-            return _closed_form(d, n, m, dep)
+        def closed_form(d, m, blocks):
+            shapes_tried.append((len(blocks), m))
+            return _closed_form(d, m, blocks)
 
         monkeypatch.setattr(portraits.rotation, "_closed_form", closed_form)
         sets = enumerate_rotation_sets(7, 12, 2)
