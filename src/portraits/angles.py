@@ -9,7 +9,8 @@ an angle x/q is the numerator x over a common denominator q, on which
 order, sums and the covering map are plain integer operations (x/q < y/q
 iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
 portrait's sets that way once (``rotation._numerators``), for its own
-classification, P2 and P4 and for the builder's partition.  Rotation-set
+classification, for P2 and P4 (their one gap lookup, ``portrait._gap``,
+is a bisection) and for the builder's partition.  Rotation-set
 generation writes numerators over d**p - 1, enumeration compares its pool
 over their lcm, the SVG renderer makes each arc midpoint one integer ratio,
 and the angled tree stores integer gaps.  Fractions are built again only
@@ -18,9 +19,8 @@ where a value is reported.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MalformedAngleError, MalformedSetError
 
@@ -53,19 +53,6 @@ def fixed_angles(degree: int) -> tuple[Angle, ...]:
     return tuple(Fraction(i, d - 1) for i in range(d - 1))
 
 
-def gap_index(points: Sequence[Angle], theta: Angle) -> int:
-    """Index of the gap of ``points`` containing ``theta``.
-
-    ``points`` must be strictly increasing in [0, 1); gap i is the open arc
-    from points[i] counterclockwise to the next point (gap len(points)-1
-    wraps past 1).  ``theta`` must not itself be one of the points.
-    """
-    i = bisect_right(points, theta) - 1
-    if i >= 0 and points[i] == theta:
-        raise ValueError(f"{theta} is an endpoint, not interior to any gap")
-    return i if i >= 0 else len(points) - 1
-
-
 def _typed(angles: Iterable) -> tuple:
     """The angles as a tuple of ints (not bools) and Fractions, which compare."""
     out = tuple(angles)
@@ -77,7 +64,11 @@ def _typed(angles: Iterable) -> tuple:
 
 def as_angle_tuple(angles: Iterable[Angle]) -> tuple[Angle, ...]:
     """Validate a strictly increasing tuple of int or Fraction angles in [0, 1)."""
-    out = _typed(angles)
+    return _increasing(_typed(angles))
+
+
+def _increasing(out: tuple) -> tuple:
+    """``as_angle_tuple`` on a tuple that ``_typed`` has checked."""
     if not out:
         raise MalformedSetError("angle set is empty")
     pairs = [a.as_integer_ratio() for a in out]

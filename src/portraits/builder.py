@@ -58,7 +58,7 @@ from typing import NamedTuple, Sequence
 from .angles import Angle
 from .portrait import Portrait, _validate
 from .rotation import RotationSet
-from .tree import AngledTree, edge_key
+from .tree import AngledTree
 
 
 class ElementaryArc(NamedTuple):
@@ -182,7 +182,8 @@ def construct_tree(p: Portrait) -> ConstructedTree:
                   for r in regions}
 
     vertices = tuple(order_at_v) + tuple(order_at_w)
-    edges = tuple(sorted(edge_key(v, w) for v, ws in order_at_v.items() for w in ws))
+    # "v" < "w", so each (vj, wr) is already in label order
+    edges = tuple(sorted((v, w) for v, ws in order_at_v.items() for w in ws))
     circular_order = {v: tuple(nbrs)
                       for v, nbrs in {**order_at_v, **order_at_w}.items()}
     gap_angles = {v: (len(nbrs), (1,) * len(nbrs)) for v, nbrs in circular_order.items()}

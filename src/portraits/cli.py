@@ -9,7 +9,9 @@ Subcommands::
     enumerate --degree D --max-period P [--max-cardinality N | --portraits]
 
 Exit status: 0 pass, 1 validation or check failure, 2 parse/usage error or
-a file that cannot be read or written.
+a file that cannot be read or written.  Only ``main`` maps errors to these:
+an ``InvalidPortraitError`` prints its violations, any other
+``PortraitsError`` prints ``error: ...``, and other ``ValueError``s exit 2.
 """
 
 from __future__ import annotations
@@ -65,21 +67,8 @@ def _cmd_validate(args) -> int:
     return 1
 
 
-def _print_violations(exc: InvalidPortraitError) -> int:
-    for v in exc.violations:
-        print(f"{v.code}: {v.message}")
-    return 1
-
-
 def _cmd_build(args) -> int:
-    p = _read_portrait(args.file)
-    try:
-        an = analyze(p)
-    except InvalidPortraitError as exc:
-        return _print_violations(exc)
-    except PortraitsError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    an = analyze(_read_portrait(args.file))
     text = render_report(an)
     if args.report:
         _write(args.report, text)
@@ -94,13 +83,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     p = _read_portrait(args.file)
-    try:
-        recovered = recover_portrait(construct_tree(p))
-    except InvalidPortraitError as exc:
-        return _print_violations(exc)
-    except PortraitsError as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
-        return 1
+    recovered = recover_portrait(construct_tree(p))
     print(format_portrait(recovered), end="")
     return 0 if recovered == p else 1
 
@@ -159,6 +142,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidPortraitError as exc:
+        for v in exc.violations:
+            print(f"{v.code}: {v.message}")
+        return 1
     except PortraitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,8 +24,8 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .angles import (Angle, _typed, as_angle_tuple, check_degree, fixed_angles,
-                     format_angle, gap_index)
+from .angles import (Angle, _increasing, _typed, as_angle_tuple, check_degree,
+                     fixed_angles, format_angle)
 from .errors import CapacityError, InvalidPortraitError, MalformedSetError
 from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
 
@@ -53,7 +53,7 @@ class Portrait(NamedTuple):
     def create(cls, degree: int, sets: Iterable[Iterable[Angle]]) -> "Portrait":
         d = check_degree(degree)
         # types first: sorting a str or None among Fractions is a TypeError
-        family = [as_angle_tuple(sorted(_typed(s))) for s in sets]
+        family = [_increasing(tuple(sorted(_typed(s)))) for s in sets]
         if not family:
             raise ValueError("a portrait needs at least one angle set")
         family.sort()
@@ -101,6 +101,11 @@ class ValidationResult(NamedTuple):
         return self.sets
 
 
+def _gap(points: Sequence, x) -> int:
+    """The gap of increasing ``points`` holding x (gap i opens at points[i])."""
+    return (bisect_right(points, x) - 1) % len(points)
+
+
 def _unlinked_sorted(a: Sequence, b: Sequence) -> bool:
     """True iff two strictly increasing tuples of any ordered values are
     disjoint and the second fits inside a single gap of the first (their
@@ -111,8 +116,8 @@ def _unlinked_sorted(a: Sequence, b: Sequence) -> bool:
         return False
     if len(a) == 1:
         return True
-    g = gap_index(a, b[0])
-    return all(gap_index(a, x) == g for x in b[1:])
+    g = _gap(a, b[0])
+    return all(_gap(a, x) == g for x in b[1:])
 
 
 def _noncrossing(keys: Sequence[Sequence]) -> bool:
@@ -246,7 +251,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, rs in enumerate(classified, start=1):
             if not rs.is_fixed:
-                sig = tuple(gap_index(b, xsets[i - 1][0]) for b in blocks)
+                sig = tuple(_gap(b, xsets[i - 1][0]) for b in blocks)
                 groups.setdefault(sig, []).append(i)
         for i, j in sorted(pair for group in groups.values()
                            for pair in combinations(group, 2)):
@@ -291,7 +296,7 @@ def _signature(cover: Sequence[tuple[int, ...]],
     opening at a block's point holds the arc starting there."""
     sig = []
     for b in cover:
-        gaps = {(bisect_right(b, a) - 1) % len(b) for a in arcs}
+        gaps = {_gap(b, a) for a in arcs}
         if len(gaps) > 1:
             return None
         sig.extend(gaps)

@@ -68,9 +68,10 @@ def _walk(ct: ConstructedTree) -> list[tuple[str, int]]:
     left_by: dict[str, int] = {}             # the slot each vertex was last left by
     start = v, k = tuple(ct.marked_sector)
     walk: list[tuple[str, int]] = []
-    if not 0 <= k < len(order[v]):
+    sectors = len(order.get(v, ()))
+    if not 0 <= k < sectors:
         raise InvariantViolationError(
-            f"marked sector {k} at {v} is not one of its {len(order[v])} sectors")
+            f"marked sector {k} at {v} is not one of its {sectors} sectors")
     for _ in range(2 * len(edges) + 1):
         walk.append((v, k))
         u = order[v][k]                      # leave along the sector's ccw edge
@@ -79,7 +80,7 @@ def _walk(ct: ConstructedTree) -> list[tuple[str, int]]:
         if j is None or order[u][j] != v:
             try:
                 j = order[u].index(v)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise InvariantViolationError(
                     f"the order at {v} lists {u}, but the order at {u} "
                     f"does not list {v}") from None
@@ -112,7 +113,11 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}
     # a fixed vertex is its own cycle, which is Julia iff it is not critical
-    for v in [v for v in t.vertices if t.tau[v] == v and t.delta[v] == 1]:
+    for v in t.vertices:
+        if v not in t.tau:
+            raise InvariantViolationError(f"tau({v}) is not defined")
+        if t.tau[v] != v or t.delta[v] != 1:
+            continue
         # the sectors rotate by s iff the germs are the order rotated by s
         order, germs = t.circular_order[v], germs_at(v)
         if not order:

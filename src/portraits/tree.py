@@ -19,11 +19,14 @@ germ, the path's first step, is read off one breadth-first forest per tree
 No check is quadratic in a vertex's degree: the degree-angle and
 normalization checks decide each vertex in one pass over its edges, and
 run their pairwise loops only where that pass fails, to name violations.
+Each reads a vertex once, through ``_vertex`` (denominator, gap total,
+edge slots, prefix sums), of which ``angles_at`` is a view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations, permutations
 from typing import Callable, NamedTuple, Optional
 
@@ -57,24 +60,10 @@ class AngledTree(NamedTuple):
 
     def angles_at(self, v: str) -> tuple[int, Callable[[str, str], int]]:
         """``angle_between`` at v for every pair: O(degree) once, O(1) a pair.
-
-        Returns (L, angle): L is v's gap denominator and angle(a, b) / L is
-        ``angle_between(v, a, b)``, with 0 <= angle(a, b) < L.  The gaps
-        walked counterclockwise from edge i to edge j sum to
-        prefix[j] - prefix[i], plus the gap total when the walk wraps.
-        A gap denominator <= 0, or a gap count other than v's degree, raises
-        ``InvariantViolationError`` naming v.
-        """
-        pos = {u: i for i, u in enumerate(self.circular_order[v])}
-        denominator, gaps = _gaps_at(self, v)
-        prefix = list(accumulate(gaps, initial=0))
-        total = prefix[-1]
-
-        def angle(a: str, b: str) -> int:
-            i, j = pos[a], pos[b]
-            return (prefix[j] - prefix[i] + (total if j < i else 0)) % denominator
-
-        return denominator, angle
+        Returns (L, angle), angle(a, b) / L being ``angle_between(v, a, b)``
+        with 0 <= angle(a, b) < L; raises as ``_vertex`` does."""
+        vertex = _vertex(self, v)
+        return vertex[0], partial(_angle, vertex)
 
     def total_degree(self) -> int:
         """1 + sum of (delta(v) - 1) over all vertices."""
@@ -99,28 +88,26 @@ class VertexClass(NamedTuple):
         return self.preperiod == 0
 
 
-def _gaps_at(t: AngledTree, v: str) -> tuple[int, tuple[int, ...]]:
-    """v's gap denominator and gaps, once the angle checks can read them."""
+def _vertex(t: AngledTree, v: str) -> tuple[int, int, dict[str, int], list[int]]:
+    """(L, total, slot, prefix): v's gap denominator and total, each neighbor's
+    slot in v's order, and prefix[i], the gaps before edge i.  A denominator
+    <= 0 or a gap count other than v's degree raises InvariantViolationError."""
     L, gaps = t.gap_angles[v]
+    order = t.circular_order[v]
     if L <= 0:
         raise InvariantViolationError(f"gap denominator at {v} is {L} <= 0")
-    if len(gaps) != len(t.circular_order[v]):
+    if len(gaps) != len(order):
         raise InvariantViolationError(f"gap count at {v} differs from degree")
-    return L, gaps
-
-
-def _prefix_sums(t: AngledTree, v: str) -> tuple[int, int, dict[str, int]]:
-    """(L, total, prefix): v's gap denominator, its gap total, and for each
-    neighbor u the gaps summed from v's first edge up to the edge toward u,
-    so that ``angles_at`` is prefix[b] - prefix[a] mod L when the total is
-    a whole number of turns."""
-    L, gaps = _gaps_at(t, v)
     prefix = list(accumulate(gaps, initial=0))
-    return L, prefix.pop(), dict(zip(t.circular_order[v], prefix))
+    return L, prefix.pop(), {u: i for i, u in enumerate(order)}, prefix
 
 
-def edge_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
+def _angle(vertex: tuple, a: str, b: str) -> int:
+    """The angle mod L from edge a to edge b at a ``_vertex``: the gaps from
+    slot i to slot j sum to prefix[j] - prefix[i], plus the total on a wrap."""
+    L, total, slot, prefix = vertex
+    i, j = slot[a], slot[b]
+    return (prefix[j] - prefix[i] + (total if j < i else 0)) % L
 
 
 def _forest(t: AngledTree) -> dict[str, tuple[str, int, str]]:
@@ -248,8 +235,8 @@ def image_germs(t: AngledTree) -> Callable[[str], tuple[str, ...]]:
     One breadth-first forest serves every vertex.  The germ of edge v-u is
     the first step from x = tau(v) toward y = tau(u): the ancestor of y one
     level below x if its parent is x, else x's parent.  A collapsed or
-    disconnected edge, or a tau outside the vertex set, raises
-    ``InvariantViolationError`` when reached.
+    disconnected edge, a tau outside the vertex set, or a neighbor of v
+    without a tau, raises ``InvariantViolationError`` when reached.
     """
     forest = _forest(t)
     order, tau = t.circular_order, t.tau
@@ -261,7 +248,10 @@ def image_germs(t: AngledTree) -> Callable[[str], tuple[str, ...]]:
         up, depth, root = forest[x]
         germs = []
         for u in order[v]:
-            y = tau[u]
+            try:
+                y = tau[u]
+            except KeyError:
+                raise InvariantViolationError(f"tau({u}) is not defined") from None
             if y == x:
                 raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
             if y not in forest:
@@ -291,31 +281,30 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     the test lie in [0, L*M), so edges i and j pass iff
     Q[germ_i]*L - delta*P_i*M and Q[germ_j]*L - delta*P_j*M agree mod L*M.
     Every pair passes iff that residue takes one value over v's edges.  The
-    pairwise loop runs only at a vertex where that pass fails, to name the
-    violations in order.  A gap denominator <= 0 or a gap count other than
-    the degree, at v or at tau(v), raises ``InvariantViolationError`` once
-    v's germs are read, as does a tau outside the vertex set.
+    pairwise loop names the violations in order where that pass fails.
+    Both read one ``_vertex`` entry per vertex, v's then tau(v)'s, once v's
+    germs are read: its errors raise there, as does a tau off the tree.
     """
     out: list[TreeViolation] = []
     order, tau, delta = t.circular_order, t.tau, t.delta
     germs_at = image_germs(t)
     inner = [v for v in t.vertices if len(order[v]) >= 2]
-    sums: dict[str, tuple[int, int, dict[str, int]]] = {}
+    sums: dict[str, tuple[int, int, dict[str, int], list[int]]] = {}
     for v in inner:
         nbrs = order[v]
         germs = germs_at(v)
         for x in (v, tau[v]):
             if x not in sums:
-                sums[x] = _prefix_sums(t, x)
-        (L, total, P), (M, image_total, Q) = sums[v], sums[tau[v]]
+                sums[x] = _vertex(t, x)
+        at_v, at_image = sums[v], sums[tau[v]]
+        (L, total, _, P), (M, image_total, slot, Q) = at_v, at_image
         if not (total % L or image_total % M):
             LM, dM = L * M, delta[v] * M
-            if len({(Q[g] * L - dM * P[u]) % LM for u, g in zip(nbrs, germs)}) == 1:
+            if len({(Q[slot[g]] * L - dM * p) % LM for p, g in zip(P, germs)}) == 1:
                 continue
-        (L, at_v), (M, at_image) = t.angles_at(v), t.angles_at(tau[v])
         for i, j in permutations(range(len(nbrs)), 2):
-            lhs = at_image(germs[i], germs[j])
-            ang = at_v(nbrs[i], nbrs[j])
+            lhs = _angle(at_image, germs[i], germs[j])
+            ang = _angle(at_v, nbrs[i], nbrs[j])
             rhs = delta[v] * ang % L
             if lhs * L != rhs * M:
                 out.append(TreeViolation(
@@ -397,13 +386,11 @@ def check_julia_normalization(t: AngledTree,
 
     Angles at non-periodic Julia vertices are unconstrained.
 
-    One pass over the gaps decides each vertex: every angle is a sum of
-    gaps, so every pair passes when every gap is a multiple of 1/m (and,
-    on a whole-turn total, only then).  The pairwise loop runs only at a
-    vertex where a gap fails, to name the violations.  A gap denominator
-    <= 0 or a gap count other than the degree at a periodic Julia vertex
-    raises ``InvariantViolationError``, as does, without ``classes``, a tau
-    outside the vertex set.
+    One pass over the prefix sums decides each vertex: every pair passes
+    when every prefix and the total are multiples of 1/m, as every gap then
+    is (and, on a whole-turn total, only then).  The pairwise loop names
+    the violations where that fails.  ``_vertex``'s errors at a periodic
+    Julia vertex raise, as does, without ``classes``, a tau off the tree.
     """
     if classes is None:
         classes = classify_vertices(t)
@@ -413,12 +400,11 @@ def check_julia_normalization(t: AngledTree,
             continue
         nbrs = t.circular_order[v]
         m = len(nbrs)
-        L, gaps = _gaps_at(t, v)
-        if not any(x * m % L for x in gaps):
+        vertex = L, total, _, prefix = _vertex(t, v)
+        if not (total * m % L or any(x * m % L for x in prefix)):
             continue
-        L, at_v = t.angles_at(v)
         for i, j in combinations(range(m), 2):
-            ang = at_v(nbrs[i], nbrs[j])
+            ang = _angle(vertex, nbrs[i], nbrs[j])
             if ang * m % L:
                 out.append(TreeViolation(
                     "julia-angle",

@@ -6,7 +6,6 @@ import pytest
 from portraits import (ElementaryArc, InvalidPortraitError, Portrait,
                        check_tree_axioms, construct_tree, enumerate_portraits,
                        validate_portrait)
-from portraits.tree import edge_key
 
 from conftest import census, orbit
 
@@ -18,6 +17,11 @@ def elementary_arcs(p):
     """The arcs of the constructed regions, in circle order."""
     return sorted((a for r in construct_tree(p).regions for a in r.arcs),
                   key=lambda a: a.start)
+
+
+def edge_key(a, b):
+    """An undirected edge as its pair of labels in sorted order."""
+    return (a, b) if a <= b else (b, a)
 
 
 def gap_of_arc(points, start):

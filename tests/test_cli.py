@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import portraits.cli
+from portraits import (InvariantViolationError, analyze, parse_portrait,
+                       render_report)
 from portraits.cli import main
 
 DEGREE5 = "degree 5\nset 0 3/4\nset 1/8 5/8\nset 1/4\nset 1/2\n"
@@ -153,6 +156,48 @@ class TestFailingInput:
     def test_roundtrip(self, tmp_path, capsys, text, expected):
         assert main(["roundtrip", write(tmp_path, "bad.txt", text)]) == 1
         assert capsys.readouterr() == (expected, "")
+
+
+class TestLibraryError:
+    """A ``PortraitsError`` from inside the pipeline reaches ``main``, which
+    prints it on stderr and exits 1; build writes no file."""
+
+    @pytest.mark.parametrize("command, stage", [("build", "analyze"),
+                                                ("roundtrip", "recover_portrait")])
+    def test_error_line_and_exit_1(self, d5_file, tmp_path, capsys, monkeypatch,
+                                   command, stage):
+        def fail(*args):
+            raise InvariantViolationError("gap count at v1 differs from degree")
+
+        monkeypatch.setattr(portraits.cli, stage, fail)
+        outputs = [tmp_path / name for name in ("r.txt", "r.json", "t.svg")]
+        args = [command, d5_file]
+        if command == "build":
+            for flag, path in zip(("--report", "--json", "--svg"), outputs):
+                args += [flag, str(path)]
+        assert main(args) == 1
+        assert capsys.readouterr() == (
+            "", "error: gap count at v1 differs from degree\n")
+        assert not any(path.exists() for path in outputs)
+
+
+class TestReportFailLines:
+    """No valid portrait fails expansion or the round trip, so the report's
+    lines for those are read off analyses edited to fail."""
+
+    def analysis(self):
+        return analyze(parse_portrait(DEGREE5))
+
+    def test_expanding_fail_names_the_edge(self):
+        an = self.analysis()._replace(expanding=False, expanding_witness=("v1", "w1"))
+        assert "\nexpanding: FAIL at edge ('v1', 'w1')\n" in render_report(an)
+
+    def test_round_trip_fail_prints_the_recovered_portrait(self):
+        other = parse_portrait("degree 2\nset 0\nset 1/3 2/3\n")
+        an = self.analysis()._replace(recovered=other, round_trip_ok=False)
+        assert render_report(an).endswith(
+            "\nround trip: FAIL\nrecovered portrait:\n"
+            "  degree 2\n  set 0/1\n  set 1/3 2/3\n")
 
 
 class TestRoundtrip:

@@ -37,6 +37,15 @@ class TestParse:
             parse_portrait("degree 1\nset 0\n")
         assert exc.value.line == 1 and "degree" in str(exc.value)
 
+    @pytest.mark.parametrize("line, message", [
+        ("degree", "expected: degree <int>"),
+        ("degree 3 4", "expected: degree <int>"),
+        ("degree three", "degree must be an integer, got 'three'"),
+    ])
+    def test_malformed_degree_line(self, line, message):
+        with pytest.raises(PortraitParseError, match=f"^line 2: {message}$"):
+            parse_portrait(f"# a comment\n{line}\nset 0\n")
+
     def test_duplicate_degree_line(self):
         with pytest.raises(PortraitParseError) as exc:
             parse_portrait("degree 2\ndegree 2\nset 0\n")

@@ -12,7 +12,7 @@ from portraits import (CapacityError, InvalidPortraitError, MalformedSetError,
                        classify_rotation_set, enumerate_portraits,
                        enumerate_rotation_sets, format_angle,
                        validate_portrait)
-from portraits.angles import Angle, check_degree, fixed_angles, gap_index
+from portraits.angles import Angle, check_degree, fixed_angles
 from portraits.portrait import (_DEGREE_CEILING, _noncrossing,
                                 _noncrossing_partitions, _unlinked_sorted)
 import portraits.portrait
@@ -113,7 +113,7 @@ def per_set_cover_loop(degree: int, max_period: int) -> list[Portrait]:
 
     The pool comes from the public ``enumerate_rotation_sets``, and every
     cover tests every pool set against every block with ``_unlinked_sorted``
-    and takes a ``gap_index`` signature per set.
+    and takes a ``gap_of`` signature per set.
     """
     d = check_degree(degree)
     pool = [rs.angles for rs in enumerate_rotation_sets(
@@ -130,7 +130,7 @@ def per_set_cover_loop(degree: int, max_period: int) -> list[Portrait]:
         by_signature = {}
         for s in sets:
             if all(_unlinked_sorted(b, s) for b in cover):
-                sig = tuple(gap_index(b, s[0]) for b in cover)
+                sig = tuple(gap_of(b, s[0]) for b in cover)
                 by_signature.setdefault(sig, [None]).append(s)
         for choice in product(*by_signature.values()):
             found.append(tuple(sorted(

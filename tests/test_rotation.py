@@ -508,6 +508,9 @@ class TestGenerate:
         for bad in (2.0, True, "2", None):
             with pytest.raises(ValueError, match="^cardinality must be an integer, got "):
                 generate_rotation_set(2, bad, 1, (2,))
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"^cardinality must be >= 1, got {bad}$"):
+                generate_rotation_set(2, bad, 0, ())
         # int(2.7) would read the deployment (2,) and return {1/3, 2/3}
         assert generate_rotation_set(2, 2, 1, (2,)) is not None
         for entry in (2.7, 2.0, "2", True, F(2)):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -6,11 +7,12 @@ from math import gcd, lcm
 import pytest
 
 from portraits import (AngledTree, InvariantViolationError, Portrait,
-                       TreeViolation, VertexClass, check_degree_angle,
-                       check_expanding, check_julia_normalization,
-                       check_tree_axioms, classify_vertices, construct_tree,
-                       count_fixed_points, enumerate_portraits,
-                       generate_rotation_set, image_germs)
+                       TreeViolation, VertexClass, boundary_walk,
+                       check_degree_angle, check_expanding,
+                       check_julia_normalization, check_tree_axioms,
+                       classify_vertices, construct_tree, count_fixed_points,
+                       enumerate_portraits, generate_rotation_set, image_germs,
+                       recover_portrait)
 
 from conftest import census, path_germ, tree_path
 
@@ -342,6 +344,28 @@ class TestAxioms:
             assert check_tree_axioms(bad) == (
                 TreeViolation("structure", f"gap denominator at a is {L} <= 0"),)
 
+    @pytest.mark.parametrize("edit, expected", [
+        (dict(vertices=("a", "b", "a")), [("structure", "duplicate vertex labels")]),
+        (dict(tau={"a": "a"}), [("structure", "tau keys differ from vertices")]),
+        (dict(circular_order={"a": ("b", "b"), "b": ("a",)},
+              gap_angles={"a": (2, (1, 1)), "b": (1, (1,))}),
+         [("structure", "repeated neighbor at a")]),
+        (dict(circular_order={"a": ("b", "a"), "b": ("a",)},
+              gap_angles={"a": (2, (1, 1)), "b": (1, (1,))}),
+         [("structure", "order at a lists non-edge a")]),
+        (dict(edges=(("a", "a"), ("a", "b"))), [("structure", "loop edge at a")]),
+        (dict(circular_order={"a": ("b",), "b": ()},
+              gap_angles={"a": (1, (1,)), "b": (1, ())}),
+         [("structure", "edge a-b missing from an order")]),
+        # a delta of 0 also lowers the total degree
+        (dict(delta={"a": 2, "b": 0}), [("delta-range", "delta(b) = 0 < 1"),
+                                        ("degree-too-small", "total degree 1 < 2")]),
+    ], ids=["duplicate", "keys", "repeated", "non-edge", "loop", "missing",
+            "delta-range"])
+    def test_each_clause_names_its_witness(self, edit, expected):
+        found = check_tree_axioms(two_vertex_tree()._replace(**edit))
+        assert found == tuple(TreeViolation(*v) for v in expected)
+
     def test_non_integral_total_reported(self):
         t = make_tree(["a", "b"], [("a", "b")],
                       {"a": ["b"], "b": ["a"]},
@@ -557,20 +581,51 @@ class TestMalformedTrees:
     checks raise ``InvariantViolationError`` naming the vertex, not a bare
     error."""
 
-    def tree(self):
+    def constructed(self):
         sets = [[F(0)], [F(1, 2)], [F(1, 4), F(3, 4)]]
-        return construct_tree(Portrait.create(3, sets)).tree
+        return construct_tree(Portrait.create(3, sets))
+
+    def tree(self):
+        return self.constructed().tree
 
     def test_tau_outside_the_vertices(self):
         t = self.tree()
         t = t._replace(tau={**t.tau, "v1": "zz"})
         assert check_tree_axioms(t) == (
             TreeViolation("tau-range", "tau(v1) = zz not a vertex"),)
+        # germs_at(v1) reads v1's own image before those of its edges
         for check in (classify_vertices, check_julia_normalization, check_expanding,
-                      check_degree_angle):
+                      check_degree_angle, lambda t: image_germs(t)("v1")):
             with pytest.raises(InvariantViolationError,
                                match=r"^tau\(v1\) = zz not a vertex$"):
                 check(t)
+
+    @pytest.mark.parametrize("edit, messages", [
+        (lambda ct: ct._replace(marked_sector=("zz", 0)),
+         ["marked sector 0 at zz is not one of its 0 sectors"] * 2),
+        (lambda ct: ct._replace(tree=ct.tree._replace(
+            tau={v: x for v, x in ct.tree.tau.items() if v != "v1"})),
+         ["tau(v1) is not defined", None]),
+        (lambda ct: ct._replace(tree=ct.tree._replace(circular_order={
+            v: o for v, o in ct.tree.circular_order.items() if v != "w1"})),
+         ["no path from v1 to w2; tree is disconnected",
+          "the order at v1 lists w1, but the order at w1 does not list v1"]),
+        (lambda ct: ct._replace(tree=ct.tree._replace(circular_order={
+            **ct.tree.circular_order, "v3": ct.tree.circular_order["v3"] + ("zz",)})),
+         ["tau(zz) is not defined",
+          "the order at v3 lists zz, but the order at zz does not list v3"]),
+    ], ids=["marked-sector-off-the-tree", "tau-missing", "order-missing",
+            "order-lists-a-non-vertex"])
+    def test_recovery_names_a_missing_entry(self, edit, messages):
+        # recovery and the boundary walk raise at the lookup that fails;
+        # the walk reads no tau, so a missing one does not stop it
+        ct = edit(self.constructed())
+        for run, message in zip((recover_portrait, boundary_walk), messages):
+            if message is None:
+                run(ct)
+                continue
+            with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+                run(ct)
 
     def test_zero_gap_denominator(self):
         t = self.tree()
