@@ -147,7 +147,7 @@ def construct_tree(p: Portrait) -> ConstructedTree:
     """The angled tree of a portrait, with its dynamics.
 
     Raises InvalidPortraitError, carrying the violations, when the portrait
-    fails validation.
+    fails validation.  The marked sector is sector 0 of v1, where angle 0 is.
 
     Vertices are one per set and one per region; a set vertex and a region
     vertex are joined when the set lies on the region's boundary.  The
@@ -192,6 +192,6 @@ def construct_tree(p: Portrait) -> ConstructedTree:
     tau = {v: moved.get(v, v) for v in vertices}
 
     tree = AngledTree(vertices, edges, circular_order, gap_angles, tau, delta)
-    # angle 0 is the least angle of the set holding it
-    marked = next(j for j, xs in enumerate(xsets, start=1) if xs[0] == 0)
-    return ConstructedTree(tree, sets, (f"v{marked}", 0), regions)
+    # P3 puts the fixed angle 0 in a set and P2 in only one; being the least
+    # angle, it opens that set, which the canonical order therefore puts first
+    return ConstructedTree(tree, sets, ("v1", 0), regions)

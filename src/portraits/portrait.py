@@ -106,23 +106,9 @@ def _gap(points: Sequence, x) -> int:
     return (bisect_right(points, x) - 1) % len(points)
 
 
-def _unlinked_sorted(a: Sequence, b: Sequence) -> bool:
-    """True iff two strictly increasing tuples of any ordered values are
-    disjoint and the second fits inside a single gap of the first (their
-    convex hulls in the disk are disjoint).  A singleton has one gap, the
-    whole circle minus a point, so it is unlinked with anything disjoint
-    from it."""
-    if set(a) & set(b):
-        return False
-    if len(a) == 1:
-        return True
-    g = _gap(a, b[0])
-    return all(_gap(a, x) == g for x in b[1:])
-
-
 def _noncrossing(keys: Sequence[Sequence]) -> bool:
-    """True iff ``_unlinked_sorted`` holds on every pair of the strictly
-    increasing tuples ``keys``, decided in one walk around the circle.
+    """True iff the strictly increasing tuples ``keys`` are pairwise unlinked
+    (disjoint, each inside one gap of the other), in one walk of the circle.
 
     Merged and sorted, a repeated value is an angle two sets share.  The walk
     keeps a stack of the sets it has entered and not yet left (a set is left
@@ -156,19 +142,19 @@ def validate_portrait(p: Portrait) -> ValidationResult:
 
     The portrait must be canonical, as ``Portrait.create`` makes it: a raw
     ``Portrait(...)`` whose degree is not an integer >= 2 raises ValueError,
-    and one with an empty set, a set not strictly increasing in [0, 1) or
-    its family out of sorted order raises MalformedSetError.  P2 and P4 then
-    run on its angles as integer numerators over the common denominator of
-    its sets, which also classify each set.  One walk around the circle over
-    the sets' merged, sorted numerators decides P2 in O(N log N) for N
-    angles; the pairwise loop runs only after it has found a shared angle
-    or a crossing, to name the offending pairs.  Once P2 holds, a fixed set
-    separates two rotating sets exactly when they lie in different gaps of
-    it, so P4 groups the rotating sets by gap signature (their gap in every
-    fixed set) and visits only the pairs within a group, each a P4 failure.
-    Once P1 holds, a degree whose d-1 fixed angles outnumber both the
-    listed angles and 2**16 raises CapacityError before P3 would list the
-    missing ones.
+    and one with an angle neither an int nor a Fraction, an empty set, a set
+    not strictly increasing in [0, 1) or its family out of sorted order
+    raises MalformedSetError.  P2 and P4 then run on its angles as integer
+    numerators over the common denominator of its sets, which also classify
+    each set.  One walk around the circle over the sets' merged, sorted
+    numerators decides P2 in O(N log N) for N angles; the pairwise loop runs
+    only after it has found a shared angle or a crossing, to name the
+    offending pairs.  Once P2 holds, a fixed set separates two rotating sets
+    exactly when they lie in different gaps of it, so P4 groups the rotating
+    sets by gap signature (their gap in every fixed set) and visits only the
+    pairs within a group, each a P4 failure.  Once P1 holds, a degree whose
+    d-1 fixed angles outnumber both the listed angles and 2**16 raises
+    CapacityError before P3 would list the missing ones.
     """
     return _validate(p)[0]
 
@@ -179,8 +165,10 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
     violations: list[Violation] = []
     notes: list[str] = []
 
-    # canonical form, checked on the numerators (their tuples sort as the
-    # angle tuples do); a set failing the divisor test has none
+    # types first (a float has no denominator), then the canonical form on the
+    # numerators, which sort as angles do (a set failing the divisor test has none)
+    for s in p.sets:
+        _typed(s)
     q, xsets = _numerators(d, p.sets)
     for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
         if xs is None:
@@ -204,17 +192,17 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
                 f"set {idx} {_angles_text(s)} is not a degree-{d} rotation set"))
         classified.append(None if m is None else RotationSet(d, s, m))
 
-    # one walk around the circle decides P2; a failure is named pair by pair
+    # one walk around the circle decides P2; a failure is named pair by pair:
+    # a disjoint pair crosses unless b lies in one gap of a (a singleton's
+    # one gap is the whole circle but its point)
     if not _noncrossing(keys):
         for (i, a), (j, b) in combinations(enumerate(keys, start=1), 2):
-            if _unlinked_sorted(a, b):
-                continue
-            shared = tuple(sorted(set(p.sets[i - 1]).intersection(p.sets[j - 1])))
-            if shared:
+            if not set(a).isdisjoint(b):
+                shared = tuple(sorted(set(p.sets[i - 1]).intersection(p.sets[j - 1])))
                 violations.append(Violation(
                     "P2-not-disjoint", (i, j, shared),
                     f"sets {i} and {j} share angles {_angles_text(shared)}"))
-            else:
+            elif len(a) > 1 and _signature((a,), b) is None:
                 violations.append(Violation(
                     "P2-linked", (i, j),
                     f"sets {i} and {j} cross (neither lies in one gap of the other)"))
@@ -288,12 +276,13 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
     return over(0, len(items))
 
 
-def _signature(cover: Sequence[tuple[int, ...]],
-               arcs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """The gap of each block of ``cover`` that holds all of ``arcs``, or
-    None when some block splits them.  Blocks are increasing fixed-angle
-    numerators; an arc is given by its starting fixed angle, and the gap
-    opening at a block's point holds the arc starting there."""
+def _signature(cover: Sequence[Sequence],
+               arcs: Sequence) -> Optional[tuple[int, ...]]:
+    """The gap of each block of ``cover`` holding all of the points ``arcs``,
+    or None when some block splits them.  Blocks and points are increasing
+    values of one order; gap i of a block opens at (and holds) its point i.
+    Enumeration passes fixed-angle numerators and each arc's starting fixed
+    angle, and P2's naming loop one set as the block and another's points."""
     sig = []
     for b in cover:
         gaps = {_gap(b, a) for a in arcs}

@@ -20,13 +20,12 @@ No check is quadratic in a vertex's degree: the degree-angle and
 normalization checks decide each vertex in one pass over its edges, and
 run their pairwise loops only where that pass fails, to name violations.
 Each reads a vertex once, through ``_vertex`` (denominator, gap total,
-edge slots, prefix sums), of which ``angles_at`` is a view.
+edge slots, prefix sums), and so does ``angle_between``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, combinations, permutations
 from typing import Callable, NamedTuple, Optional
 
@@ -55,15 +54,8 @@ class AngledTree(NamedTuple):
 
     def angle_between(self, v: str, a: str, b: str) -> Fraction:
         """Angle at v from the edge toward a to the edge toward b, mod 1."""
-        denominator, angle = self.angles_at(v)
-        return Fraction(angle(a, b), denominator)
-
-    def angles_at(self, v: str) -> tuple[int, Callable[[str, str], int]]:
-        """``angle_between`` at v for every pair: O(degree) once, O(1) a pair.
-        Returns (L, angle), angle(a, b) / L being ``angle_between(v, a, b)``
-        with 0 <= angle(a, b) < L; raises as ``_vertex`` does."""
         vertex = _vertex(self, v)
-        return vertex[0], partial(_angle, vertex)
+        return Fraction(_angle(vertex, a, b), vertex[0])
 
     def total_degree(self) -> int:
         """1 + sum of (delta(v) - 1) over all vertices."""

@@ -217,12 +217,13 @@ class TestAssembly:
             assert [t.angle_between(v, order[i], order[(i + 1) % m])
                     for i in range(m)] == [F(1, m) % 1] * m
 
-    def test_marked_sector(self, degree5_portrait):
-        ct = construct_tree(degree5_portrait)
-        v, k = ct.marked_sector
-        j = int(v[1:])
-        assert v == f"v{j}"
-        assert ct.sets[j - 1].angles[k] == F(0)
+    def test_marked_sector(self):
+        # the sector holding angle 0, looked up in the portrait's sets
+        for p, sets, ct in census():
+            (j, k), = [(j, k) for j, s in enumerate(p.sets, 1)
+                       for k, a in enumerate(s) if a == 0]
+            assert ct.marked_sector == (f"v{j}", k), p
+            assert sets[j - 1].angles[k] == 0, p
 
 
 class TestDynamics:

@@ -14,7 +14,7 @@ from portraits import (CapacityError, InvalidPortraitError, MalformedSetError,
                        validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
 from portraits.portrait import (_DEGREE_CEILING, _noncrossing,
-                                _noncrossing_partitions, _unlinked_sorted)
+                                _noncrossing_partitions)
 import portraits.portrait
 import portraits.rotation
 from portraits.rotation import RotationSet
@@ -112,8 +112,8 @@ def per_set_cover_loop(degree: int, max_period: int) -> list[Portrait]:
     """Oracle: ``enumerate_portraits`` before it grouped its pool by support.
 
     The pool comes from the public ``enumerate_rotation_sets``, and every
-    cover tests every pool set against every block with ``_unlinked_sorted``
-    and takes a ``gap_of`` signature per set.
+    cover tests every pool set against every block with ``unlinked`` and
+    takes a ``gap_of`` signature per set.
     """
     d = check_degree(degree)
     pool = [rs.angles for rs in enumerate_rotation_sets(
@@ -129,7 +129,7 @@ def per_set_cover_loop(degree: int, max_period: int) -> list[Portrait]:
     for cover in _noncrossing_partitions(fixed):
         by_signature = {}
         for s in sets:
-            if all(_unlinked_sorted(b, s) for b in cover):
+            if all(unlinked(b, s) for b in cover):
                 sig = tuple(gap_of(b, s[0]) for b in cover)
                 by_signature.setdefault(sig, [None]).append(s)
         for choice in product(*by_signature.values()):
@@ -319,10 +319,10 @@ class TestP2P4Oracle:
 
 def pairwise_p2(p: Portrait) -> list[Violation]:
     """Oracle: P2 as ``validate_portrait`` decided it before its walk around
-    the circle, ``_unlinked_sorted`` on every pair of sets."""
+    the circle, ``unlinked`` on every pair of sets."""
     out = []
     for (i, a), (j, b) in combinations(enumerate(p.sets, start=1), 2):
-        if _unlinked_sorted(a, b):
+        if unlinked(a, b):
             continue
         shared = tuple(sorted(set(a) & set(b)))
         if shared:
@@ -365,7 +365,7 @@ class TestP2Walk:
         for _ in range(20000):
             keys = [tuple(sorted(rng.sample(range(12), rng.randint(1, 4))))
                     for _ in range(rng.randint(1, 5))]
-            expected = all(_unlinked_sorted(a, b) for a, b in combinations(keys, 2))
+            expected = all(unlinked(a, b) for a, b in combinations(keys, 2))
             assert _noncrossing(keys) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
@@ -485,12 +485,20 @@ class TestNonCanonicalPortrait:
          "set 2 {3/2} is not strictly increasing in [0, 1)"),
         (Portrait(2, ((F(0),), (F(1, 5),), (F(-1, 5),))),
          "angle -1/5 outside [0, 1)"),
+        (Portrait(2, ((0.5,),)), "angle 0.5 is neither an int nor a Fraction"),
+        (Portrait(2, ((F(0),), ("1/2",))),
+         "angle '1/2' is neither an int nor a Fraction"),
     ], ids=["decreasing-set", "reversed-family", "empty-set",
-            "angle-past-one", "no-numerators"])
+            "angle-past-one", "no-numerators", "float-angle", "str-angle"])
     def test_malformed_sets_raise(self, p, message):
         with pytest.raises(MalformedSetError) as exc:
             validate_portrait(p)
         assert str(exc.value) == message
+
+    def test_construct_tree_refuses_a_float_angle(self):
+        with pytest.raises(MalformedSetError,
+                           match=r"^angle 0\.5 is neither an int nor a Fraction$"):
+            construct_tree(Portrait(2, ((0.5,),)))
 
     def test_degree_one_raises(self):
         with pytest.raises(ValueError, match="degree must be an integer >= 2"):
@@ -523,7 +531,7 @@ class TestNoncrossingPartitions:
         expected = set()
         for partition in set_partitions(items):
             blocks = sorted(tuple(sorted(b)) for b in partition)
-            if all(_unlinked_sorted(x, y) for x, y in combinations(blocks, 2)):
+            if all(unlinked(x, y) for x, y in combinations(blocks, 2)):
                 expected.add(tuple(blocks))
         found = [tuple(sorted(p)) for p in _noncrossing_partitions(items)]
         assert len(found) == comb(2 * m, m) // (m + 1)   # Catalan(m)

@@ -186,10 +186,11 @@ def edited(ct, **fields):
 
 class TestRecoveryErrors:
     """Each reachable raise of recovery, reached by a single-field edit of a
-    census tree.  The remaining one, fewer fixed rays on the walk than fixed
-    sectors, needs a walk that misses a fixed sector while closing up after
-    2 * |edges| steps, which no single edit produces.  A malformed tree
-    raises ``InvariantViolationError`` and nothing else."""
+    census tree, except one: fewer fixed rays on the walk than fixed sectors
+    needs a walk that misses a fixed sector while closing up after
+    2 * |edges| steps, which no single edit produces, so a crafted
+    disconnected tree reaches it.  A malformed tree raises
+    ``InvariantViolationError`` and nothing else."""
 
     def check(self, ct, message):
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
@@ -225,6 +226,19 @@ class TestRecoveryErrors:
         ct = construct_tree(degree5_portrait)
         self.check(edited(ct, edges=ct.tree.edges + (("v1", "v2"),)),
                    "boundary walk has 12 steps, expected 14")
+
+    def test_walk_misses_a_fixed_sector(self):
+        # the walk from v1 closes up around the edge v1-w1 and never reaches
+        # the fixed Julia vertex x, which lies on the separate edge x-y
+        ct = construct_tree(Portrait.create(3, [[F(0)], [F(1, 2)]]))
+        vertices = ("v1", "w1", "x", "y")
+        ct = edited(ct, vertices=vertices, edges=(("v1", "w1"),),
+                    circular_order={"v1": ("w1",), "w1": ("v1",),
+                                    "x": ("y",), "y": ("x",)},
+                    gap_angles=dict.fromkeys(vertices, (1, (1,))),
+                    tau={v: v for v in vertices},
+                    delta={"v1": 1, "w1": 2, "x": 1, "y": 2})
+        self.check(ct, "walk assigned 1 fixed rays, expected 2")
 
     def test_order_not_symmetric(self):
         # w2 put first in w1's order, although w2's order lists only v1
