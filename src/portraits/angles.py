@@ -9,12 +9,12 @@ an angle x/q is the numerator x over a common denominator q, on which
 order, sums and the covering map are plain integer operations (x/q < y/q
 iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
 portrait's sets that way once (``rotation._numerators``), for its own
-classification, for P2 and P4 (their one gap lookup, ``portrait._gap``,
-is a bisection) and for the builder's partition.  Rotation-set
-generation writes numerators over d**p - 1, enumeration compares its pool
-over their lcm, the SVG renderer makes each arc midpoint one integer ratio,
-and the angled tree stores integer gaps.  Fractions are built again only
-where a value is reported.
+classification, for P2 and P4 (their one gap lookup, in
+``portrait._signature``, is a bisection) and for the builder's partition.
+Rotation-set generation writes numerators over d**p - 1, enumeration
+compares its pool over their lcm, the SVG renderer makes each arc midpoint
+one integer ratio, and the angled tree stores integer gaps.  Fractions are
+built again only where a value is reported.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ def check_degree(degree: int) -> int:
 
 def normalize_angle(p: int, q: int) -> Angle:
     """Reduce p/q modulo 1 into [0, 1)."""
-    if q == 0:
-        raise MalformedAngleError("angle denominator must be positive, got 0")
-    if q < 0:
+    if q <= 0:
         raise MalformedAngleError(f"angle denominator must be positive, got {q}")
     return Fraction(p % q, q)
 

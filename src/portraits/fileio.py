@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .angles import format_angle, parse_angle
 from .errors import MalformedAngleError, PortraitParseError
-from .portrait import _DEGREE_CEILING, Portrait
+from .portrait import Portrait, _capacity_fault
 
 
 def parse_portrait(text: str) -> Portrait:
@@ -62,11 +62,8 @@ def parse_portrait(text: str) -> Portrait:
         raise PortraitParseError(1, "missing degree line")
     if not sets:
         raise PortraitParseError(1, "portrait has no set lines")
-    listed = sum(len(s) for s in sets)
-    if degree - 1 > max(listed, _DEGREE_CEILING):
-        raise PortraitParseError(
-            degree_line, f"degree {degree} has {degree - 1} fixed angles, more "
-            f"than the {listed} angles listed")
+    if fault := _capacity_fault(degree, sets):
+        raise PortraitParseError(degree_line, fault)
     return Portrait.create(degree, sets)
 
 

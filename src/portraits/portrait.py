@@ -19,9 +19,10 @@ of stopping at the first.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, _increasing, _typed, as_angle_tuple, check_degree,
@@ -33,6 +34,15 @@ from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
 # fewer is refused outright once d-1 also exceeds this bound, before
 # validation would materialise d-1 fixed angles.
 _DEGREE_CEILING = 2 ** 16
+
+
+def _capacity_fault(d: int, sets: Sequence[Sequence]) -> Optional[str]:
+    """Why the rule above refuses degree d with these sets, or None."""
+    listed = sum(map(len, sets))
+    if d - 1 > max(listed, _DEGREE_CEILING):
+        return (f"degree {d} has {d - 1} fixed angles, more than the {listed} "
+                f"angles listed")
+    return None
 
 
 def _angles_text(angles: Iterable[Angle]) -> str:
@@ -101,11 +111,6 @@ class ValidationResult(NamedTuple):
         return self.sets
 
 
-def _gap(points: Sequence, x) -> int:
-    """The gap of increasing ``points`` holding x (gap i opens at points[i])."""
-    return (bisect_right(points, x) - 1) % len(points)
-
-
 def _noncrossing(keys: Sequence[Sequence]) -> bool:
     """True iff the strictly increasing tuples ``keys`` are pairwise unlinked
     (disjoint, each inside one gap of the other), in one walk of the circle.
@@ -149,7 +154,8 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     each set.  One walk around the circle over the sets' merged, sorted
     numerators decides P2 in O(N log N) for N angles; the pairwise loop runs
     only after it has found a shared angle or a crossing, to name the
-    offending pairs.  Once P2 holds, a fixed set separates two rotating sets
+    offending pairs, and only over the sets that share a point or hold two
+    or more.  Once P2 holds, a fixed set separates two rotating sets
     exactly when they lie in different gaps of it, so P4 groups the rotating
     sets by gap signature (their gap in every fixed set) and visits only the
     pairs within a group, each a P4 failure.  Once P1 holds, a degree whose
@@ -165,11 +171,13 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
     violations: list[Violation] = []
     notes: list[str] = []
 
-    # types first (a float has no denominator), then the canonical form on the
-    # numerators, which sort as angles do (a set failing the divisor test has none)
+    # types first (a float has no denominator), then per set the canonical
+    # form on the numerators, which sort as angles do (a set failing the
+    # divisor test has none), and its classification
     for s in p.sets:
         _typed(s)
     q, xsets = _numerators(d, p.sets)
+    classified: list[Optional[RotationSet]] = []
     for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
         if xs is None:
             as_angle_tuple(s)
@@ -178,25 +186,25 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
         elif xs[0] < 0 or xs[-1] >= q or any(a >= b for a, b in zip(xs, xs[1:])):
             raise MalformedSetError(
                 f"set {idx} {_angles_text(s)} is not strictly increasing in [0, 1)")
-    # when a set has none, all compare as angle tuples (P1 fails anyway)
-    keys = list(p.sets) if None in xsets else xsets
-    if any(a > b for a, b in zip(keys, keys[1:])):
-        raise MalformedSetError("the portrait's sets are not in sorted order")
-
-    classified: list[Optional[RotationSet]] = []
-    for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
         m = None if xs is None else _shift(d, q, xs)
         if m is None:
             violations.append(Violation(
                 "P1", (idx, s),
                 f"set {idx} {_angles_text(s)} is not a degree-{d} rotation set"))
         classified.append(None if m is None else RotationSet(d, s, m))
+    # when a set has none, all compare as angle tuples (P1 fails anyway)
+    keys = list(p.sets) if None in xsets else xsets
+    if any(a > b for a, b in zip(keys, keys[1:])):
+        raise MalformedSetError("the portrait's sets are not in sorted order")
 
-    # one walk around the circle decides P2; a failure is named pair by pair:
-    # a disjoint pair crosses unless b lies in one gap of a (a singleton's
-    # one gap is the whole circle but its point)
+    # one walk around the circle decides P2; a failure is named pair by pair
+    # among the sets that can fail: those sharing a point, and those of two
+    # or more points, as a disjoint pair crosses unless b lies in one gap of
+    # a (a singleton's one gap is the whole circle but its point)
     if not _noncrossing(keys):
-        for (i, a), (j, b) in combinations(enumerate(keys, start=1), 2):
+        held = Counter(chain.from_iterable(keys))
+        suspects = [(i, a) for i, a in enumerate(keys, 1) if len(a) > 1 or held[a[0]] > 1]
+        for (i, a), (j, b) in combinations(suspects, 2):
             if not set(a).isdisjoint(b):
                 shared = tuple(sorted(set(p.sets[i - 1]).intersection(p.sets[j - 1])))
                 violations.append(Violation(
@@ -213,11 +221,8 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
 
     # P3 would spell out O(d) missing fixed angles: refuse a degree that
     # cannot be valid by parse_portrait's rule instead
-    listed = sum(map(len, p.sets))
-    if d - 1 > max(listed, _DEGREE_CEILING):
-        raise CapacityError(
-            f"degree {d} has {d - 1} fixed angles, more than the {listed} "
-            f"angles listed")
+    if fault := _capacity_fault(d, p.sets):
+        raise CapacityError(fault)
 
     # a shift-0 set has d*a = a, so each of its angles is a fixed angle
     # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
@@ -239,8 +244,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, rs in enumerate(classified, start=1):
             if not rs.is_fixed:
-                sig = tuple(_gap(b, xsets[i - 1][0]) for b in blocks)
-                groups.setdefault(sig, []).append(i)
+                groups.setdefault(_signature(blocks, xsets[i - 1][:1]), []).append(i)
         for i, j in sorted(pair for group in groups.values()
                            for pair in combinations(group, 2)):
             violations.append(Violation(
@@ -282,10 +286,11 @@ def _signature(cover: Sequence[Sequence],
     or None when some block splits them.  Blocks and points are increasing
     values of one order; gap i of a block opens at (and holds) its point i.
     Enumeration passes fixed-angle numerators and each arc's starting fixed
-    angle, and P2's naming loop one set as the block and another's points."""
+    angle, P2's naming loop one set as the block and another's points, and
+    P4 the fixed sets as the cover and a rotating set's first point."""
     sig = []
     for b in cover:
-        gaps = {_gap(b, a) for a in arcs}
+        gaps = {(bisect_right(b, a) - 1) % len(b) for a in arcs}
         if len(gaps) > 1:
             return None
         sig.extend(gaps)

@@ -16,11 +16,12 @@ The image of an edge is the tree path between the images of its ends; its
 germ, the path's first step, is read off one breadth-first forest per tree
 (``image_germs``), which also gives ``check_tree_axioms`` its connectivity.
 
-No check is quadratic in a vertex's degree: the degree-angle and
-normalization checks decide each vertex in one pass over its edges, and
-run their pairwise loops only where that pass fails, to name violations.
-Each reads a vertex once, through ``_vertex`` (denominator, gap total,
-edge slots, prefix sums), and so does ``angle_between``.
+Every angle is read through ``_vertex``, which refuses a vertex with no
+angle function; on the rest, the angle from slot i to slot j is
+(prefix[j] - prefix[i]) mod L.  No check is quadratic in a vertex's
+degree: the degree-angle and normalization checks compute one residue per
+edge, a vertex passes iff its residues agree, and the pairs whose
+residues differ are the violations.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class AngledTree(NamedTuple):
 
     def angle_between(self, v: str, a: str, b: str) -> Fraction:
         """Angle at v from the edge toward a to the edge toward b, mod 1."""
-        vertex = _vertex(self, v)
-        return Fraction(_angle(vertex, a, b), vertex[0])
+        L, slot, prefix = _vertex(self, v)
+        return Fraction((prefix[slot[b]] - prefix[slot[a]]) % L, L)
 
     def total_degree(self) -> int:
         """1 + sum of (delta(v) - 1) over all vertices."""
@@ -80,26 +81,27 @@ class VertexClass(NamedTuple):
         return self.preperiod == 0
 
 
-def _vertex(t: AngledTree, v: str) -> tuple[int, int, dict[str, int], list[int]]:
-    """(L, total, slot, prefix): v's gap denominator and total, each neighbor's
-    slot in v's order, and prefix[i], the gaps before edge i.  A denominator
-    <= 0 or a gap count other than v's degree raises InvariantViolationError."""
+def _vertex(t: AngledTree, v: str) -> tuple[int, dict[str, int], list[int]]:
+    """(L, slot, prefix): v's gap denominator, each neighbor's slot in v's
+    order, and prefix[i], the gaps before edge i.  A vertex with no angle
+    function raises InvariantViolationError with ``check_tree_axioms``'s
+    detail: a denominator <= 0, a gap count other than v's degree, a
+    repeated neighbor, or gaps not summing to a positive whole turn."""
     L, gaps = t.gap_angles[v]
     order = t.circular_order[v]
     if L <= 0:
         raise InvariantViolationError(f"gap denominator at {v} is {L} <= 0")
     if len(gaps) != len(order):
         raise InvariantViolationError(f"gap count at {v} differs from degree")
+    slot = {u: i for i, u in enumerate(order)}
+    if len(slot) != len(order):
+        raise InvariantViolationError(f"repeated neighbor at {v}")
     prefix = list(accumulate(gaps, initial=0))
-    return L, prefix.pop(), {u: i for i, u in enumerate(order)}, prefix
-
-
-def _angle(vertex: tuple, a: str, b: str) -> int:
-    """The angle mod L from edge a to edge b at a ``_vertex``: the gaps from
-    slot i to slot j sum to prefix[j] - prefix[i], plus the total on a wrap."""
-    L, total, slot, prefix = vertex
-    i, j = slot[a], slot[b]
-    return (prefix[j] - prefix[i] + (total if j < i else 0)) % L
+    total = prefix.pop()
+    if total % L or total < L:
+        raise InvariantViolationError(
+            f"gaps at {v} sum to {Fraction(total, L)}, not a positive whole turn")
+    return L, slot, prefix
 
 
 def _forest(t: AngledTree) -> dict[str, tuple[str, int, str]]:
@@ -267,38 +269,34 @@ def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     case that angle is zero.  With L and M the denominators at v and at
     tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
 
-    One pass over v's edges decides every ordered pair at once.  When the
-    gap totals at v and at tau(v) are whole turns, the angles are
-    differences of prefix sums P at v and Q at tau(v), and both sides of
-    the test lie in [0, L*M), so edges i and j pass iff
-    Q[germ_i]*L - delta*P_i*M and Q[germ_j]*L - delta*P_j*M agree mod L*M.
-    Every pair passes iff that residue takes one value over v's edges.  The
-    pairwise loop names the violations in order where that pass fails.
-    Both read one ``_vertex`` entry per vertex, v's then tau(v)'s, once v's
-    germs are read: its errors raise there, as does a tau off the tree.
+    The angles are differences of prefix sums P at v and Q at tau(v), and
+    both sides lie in [0, L*M), so edges i and j pass iff their residues
+    Q[germ]*L - delta*P*M agree mod L*M: v passes iff its edges' residues
+    take one value, and the ordered pairs whose residues differ are the
+    violations.  ``_vertex`` reads v, then tau(v), once v's germs are read:
+    its refusals raise there, as does a tau off the tree.
     """
     out: list[TreeViolation] = []
     order, tau, delta = t.circular_order, t.tau, t.delta
     germs_at = image_germs(t)
     inner = [v for v in t.vertices if len(order[v]) >= 2]
-    sums: dict[str, tuple[int, int, dict[str, int], list[int]]] = {}
+    sums: dict[str, tuple[int, dict[str, int], list[int]]] = {}
     for v in inner:
-        nbrs = order[v]
         germs = germs_at(v)
         for x in (v, tau[v]):
             if x not in sums:
                 sums[x] = _vertex(t, x)
-        at_v, at_image = sums[v], sums[tau[v]]
-        (L, total, _, P), (M, image_total, slot, Q) = at_v, at_image
-        if not (total % L or image_total % M):
-            LM, dM = L * M, delta[v] * M
-            if len({(Q[slot[g]] * L - dM * p) % LM for p, g in zip(P, germs)}) == 1:
-                continue
+        (L, _, P), (M, slot, Q) = sums[v], sums[tau[v]]
+        LM, dM = L * M, delta[v] * M
+        residues = [(Q[slot[g]] * L - dM * p) % LM for p, g in zip(P, germs)]
+        if len(set(residues)) == 1:
+            continue
+        nbrs = order[v]
         for i, j in permutations(range(len(nbrs)), 2):
-            lhs = _angle(at_image, germs[i], germs[j])
-            ang = _angle(at_v, nbrs[i], nbrs[j])
-            rhs = delta[v] * ang % L
-            if lhs * L != rhs * M:
+            if residues[i] != residues[j]:
+                lhs = (Q[slot[germs[j]]] - Q[slot[germs[i]]]) % M
+                ang = (P[j] - P[i]) % L
+                rhs = delta[v] * ang % L
                 out.append(TreeViolation(
                     "degree-angle",
                     f"at {v}: edges to {nbrs[i]},{nbrs[j]} subtend "
@@ -348,16 +346,16 @@ def check_expanding(t: AngledTree,
                     ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Expansion check: every edge between Julia vertices must eventually
     have its endpoints pushed to tree distance > 1, that is, to distinct
-    vertices that are not neighbors.
-
-    The pair orbit lives among at most |V|^2 vertex pairs, so not separating
-    within |V|^2 steps is conclusive.  Returns (True, None) or (False, edge).
+    vertices that are not neighbors.  Returns (True, None) or (False, edge).
     """
     if classes is None:
         classes = classify_vertices(t)
 
-    bound = len(t.vertices) ** 2
+    # until it separates, a pair orbit stays among the pairs (x, x) and
+    # (x, y) with y listed at x; past that many steps it has repeated a
+    # pair, so it cycles without ever separating
     order, tau = t.circular_order, t.tau
+    bound = len(t.vertices) + sum(map(len, order.values()))
     for a, b in t.edges:
         if classes[a].kind != "julia" or classes[b].kind != "julia":
             continue
@@ -378,11 +376,12 @@ def check_julia_normalization(t: AngledTree,
 
     Angles at non-periodic Julia vertices are unconstrained.
 
-    One pass over the prefix sums decides each vertex: every pair passes
-    when every prefix and the total are multiples of 1/m, as every gap then
-    is (and, on a whole-turn total, only then).  The pairwise loop names
-    the violations where that fails.  ``_vertex``'s errors at a periodic
-    Julia vertex raise, as does, without ``classes``, a tau off the tree.
+    The angle from edge i to edge j is a multiple of 1/m iff the residues
+    prefix[i]*m and prefix[j]*m agree mod L.  One residue per edge decides
+    each vertex: it passes iff they take one value, and otherwise the pairs
+    whose residues differ are the violations.  ``_vertex``'s refusals at a
+    periodic Julia vertex raise, as does, without ``classes``, a tau off
+    the tree.
     """
     if classes is None:
         classes = classify_vertices(t)
@@ -392,16 +391,17 @@ def check_julia_normalization(t: AngledTree,
             continue
         nbrs = t.circular_order[v]
         m = len(nbrs)
-        vertex = L, total, _, prefix = _vertex(t, v)
-        if not (total * m % L or any(x * m % L for x in prefix)):
+        L, _, prefix = _vertex(t, v)
+        residues = [x * m % L for x in prefix]
+        if len(set(residues)) == 1:
             continue
         for i, j in combinations(range(m), 2):
-            ang = _angle(vertex, nbrs[i], nbrs[j])
-            if ang * m % L:
+            if residues[i] != residues[j]:
                 out.append(TreeViolation(
                     "julia-angle",
-                    f"angle {Fraction(ang, L)} at {v} between edges to "
-                    f"{nbrs[i]} and {nbrs[j]} is not a multiple of 1/{m}"))
+                    f"angle {Fraction((prefix[j] - prefix[i]) % L, L)} at {v} "
+                    f"between edges to {nbrs[i]} and {nbrs[j]} is not a "
+                    f"multiple of 1/{m}"))
     return tuple(out)
 
 

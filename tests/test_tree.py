@@ -79,14 +79,26 @@ def fraction_angle_axioms(t):
     return tuple(out)
 
 
+def whole_turn(t, v):
+    """Oracle: the refusal of a vertex whose gaps do not sum to a positive
+    whole turn, which has no angle function, in ``check_tree_axioms``'s words."""
+    total = sum(fraction_gaps(t, v))
+    if total.denominator != 1 or total < 1:
+        raise InvariantViolationError(
+            f"gaps at {v} sum to {total}, not a positive whole turn")
+
+
 def fraction_degree_angle(t):
-    """Oracle: ``check_degree_angle`` on Fractions, every angle walked gap by gap."""
+    """Oracle: ``check_degree_angle`` on Fractions, every angle walked gap by
+    gap once v's germs are found and v and tau(v) have angle functions."""
     out = []
     for v in t.vertices:
         nbrs = t.circular_order[v]
         if len(nbrs) < 2:
             continue
         germs = [path_germ(t, v, u) for u in nbrs]
+        whole_turn(t, v)
+        whole_turn(t, t.tau[v])
         for i in range(len(nbrs)):
             for j in range(len(nbrs)):
                 if i == j:
@@ -111,6 +123,7 @@ def fraction_julia_normalization(t, classes):
             continue
         nbrs = t.circular_order[v]
         m = len(nbrs)
+        whole_turn(t, v)
         for i in range(m):
             for j in range(i + 1, m):
                 ang = walked_angle(t, v, nbrs[i], nbrs[j])
@@ -212,16 +225,6 @@ def random_tree(rng):
                      tau, delta)
 
 
-def check_against_fraction_oracles(t):
-    """Every integer angle check equals its Fraction oracle, details included."""
-    classes = classify_vertices(t)
-    angle_axioms = tuple(v for v in check_tree_axioms(t) if v.code.startswith("angle-"))
-    assert angle_axioms == fraction_angle_axioms(t)
-    assert check_degree_angle(t) == fraction_degree_angle(t)
-    assert check_julia_normalization(t, classes) == fraction_julia_normalization(t, classes)
-    return angle_axioms + check_degree_angle(t) + check_julia_normalization(t, classes)
-
-
 def outcome(check, *args):
     """What a check returns, or the message of the ``InvariantViolationError``
     that stops it."""
@@ -229,6 +232,21 @@ def outcome(check, *args):
         return check(*args)
     except InvariantViolationError as e:
         return str(e)
+
+
+def check_against_fraction_oracles(t):
+    """Every integer angle check equals its Fraction oracle, details and
+    refusals included.  Returns the findings, a refusal as its message."""
+    classes = classify_vertices(t)
+    found = tuple(v for v in check_tree_axioms(t) if v.code.startswith("angle-"))
+    assert found == fraction_angle_axioms(t)
+    degree_angle = outcome(check_degree_angle, t)
+    assert degree_angle == outcome(fraction_degree_angle, t)
+    normalization = outcome(check_julia_normalization, t, classes)
+    assert normalization == outcome(fraction_julia_normalization, t, classes)
+    for result in (degree_angle, normalization):
+        found += (result,) if isinstance(result, str) else result
+    return found
 
 
 def long_period_trees():
@@ -251,15 +269,21 @@ def long_period_trees():
 
 def edited(t, rng):
     """(kind, tree) with one field of t edited at one vertex v: a gap +-1,
-    v's denominator or gaps or both scaled, tau(v) redirected, or v's
-    circular order shuffled."""
+    or one unit moved between two gaps (which keeps the total), v's
+    denominator or gaps or both scaled, tau(v) redirected, or v's circular
+    order shuffled."""
     v = rng.choice(t.vertices)
     L, gaps = t.gap_angles[v]
     kind = rng.choice(["gap", "scale", "tau", "order"])
     if kind == "gap":
+        gaps = list(gaps)
         i = rng.randrange(len(gaps))
-        gaps = gaps[:i] + (gaps[i] + rng.choice((-1, 1)),) + gaps[i + 1:]
-        return kind, t._replace(gap_angles={**t.gap_angles, v: (L, gaps)})
+        if len(gaps) > 1 and rng.random() < 0.5:
+            gaps[i] += 1
+            gaps[(i + rng.randrange(1, len(gaps))) % len(gaps)] -= 1
+        else:
+            gaps[i] += rng.choice((-1, 1))
+        return kind, t._replace(gap_angles={**t.gap_angles, v: (L, tuple(gaps))})
     if kind == "scale":
         c = rng.randint(2, 4)
         a, b = rng.choice(((c, c), (c, 1), (1, c)))
@@ -496,15 +520,23 @@ class TestAngleBetween:
         assert pairs > 1000
 
     def test_wrapping_walk_adds_the_whole_total(self):
-        # a non-integral total (an axiom violation) must still match the walk
+        # gaps summing to two turns: a walk that wraps adds a whole turn,
+        # which the prefix difference mod 1 drops
+        gaps = {"c": [F(1, 5), F(1, 3), F(22, 15)], "p": [F(1)], "q": [F(1)],
+                "r": [F(1)]}
         t = make_tree(["c", "p", "q", "r"], [("c", "p"), ("c", "q"), ("c", "r")],
                       {"c": ["p", "q", "r"], "p": ["c"], "q": ["c"], "r": ["c"]},
-                      {"c": [F(1, 5), F(1, 3), F(3, 4)], "p": [F(1)], "q": [F(1)],
-                       "r": [F(1)]},
-                      {v: v for v in "cpqr"}, {"c": 2, "p": 1, "q": 1, "r": 1})
+                      gaps, {v: v for v in "cpqr"}, {"c": 2, "p": 1, "q": 1, "r": 1})
         for a in "pqr":
             for b in "pqr":
                 assert t.angle_between("c", a, b) == walked_angle(t, "c", a, b)
+        # gaps summing to 77/60 of a turn define no angle function
+        t = make_tree(t.vertices, t.edges, t.circular_order,
+                      {**gaps, "c": [F(1, 5), F(1, 3), F(3, 4)]}, t.tau, t.delta)
+        message = "gaps at c sum to 77/60, not a positive whole turn"
+        assert TreeViolation("angle-total", message) in check_tree_axioms(t)
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            t.angle_between("c", "r", "p")
 
 
 class TestFractionOracles:
@@ -515,9 +547,11 @@ class TestFractionOracles:
 
     def test_random_trees(self):
         # each vertex's denominator is its own: scaling one vertex's gaps
-        # and denominator by a common factor changes no finding
+        # and denominator by a common factor changes no finding.  A check
+        # that reads a vertex whose gaps are not a whole turn refuses it,
+        # naming it as its angle-total violation does
         rng = random.Random(20261018)
-        codes = set()
+        codes, refusals = set(), 0
         for _ in range(400):
             t = random_tree(rng)
             found = check_against_fraction_oracles(t)
@@ -525,9 +559,14 @@ class TestFractionOracles:
                       for v, (L, gaps) in t.gap_angles.items()
                       for c in [rng.randint(1, 4)]}
             assert check_against_fraction_oracles(t._replace(gap_angles=scaled)) == found
-            codes.update(v.code for v in found)
+            refused = {v for v in found if isinstance(v, str)}
+            assert refused <= {v.detail for v in found
+                               if isinstance(v, TreeViolation) and v.code == "angle-total"}
+            refusals += len(refused)
+            codes.update(v.code for v in found if isinstance(v, TreeViolation))
         assert codes == {"angle-gap", "angle-total", "angle-zero", "degree-angle",
                          "julia-angle"}
+        assert refusals > 200
 
     def test_mixed_denominators_at_one_vertex(self):
         # gaps over 5, 3 and 15 at c: L = 15 at c, M = 1 at the leaves
@@ -549,9 +588,11 @@ class TestLinearPassesMatchPairwiseOracles:
     """The one-pass decisions of ``check_degree_angle`` and
     ``check_julia_normalization`` agree with the pairwise ``Fraction``
     oracles, details, order and raised messages included, on edited trees.
-    Scaling gaps alone keeps a whole-turn total but stretches the angles,
-    and a shuffle or a tau redirect moves the germs: each fails the one
-    pass with the totals whole, so the pairwise loop names the pairs."""
+    Moving a unit between two gaps keeps a whole-turn total but moves the
+    angles, and a shuffle or a tau redirect moves the germs: each can fail
+    the one pass, so the pairwise loop names the pairs.  A gap +-1 or a
+    denominator scaled alone leaves a total that is not a whole turn, and a
+    check that reads that vertex refuses it."""
 
     def test_edited_census_and_long_period_trees(self):
         rng = random.Random(20261019)
@@ -570,8 +611,8 @@ class TestLinearPassesMatchPairwiseOracles:
                          else "fail" if result else "pass")
                 found.setdefault(kind, set()).add(shape)
         assert len(jobs) == 944 + 12 * 14
-        assert found == {"gap": {"pass", "fail"},
-                         "scale": {"pass", "fail"},
+        assert found == {"gap": {"pass", "fail", "error"},
+                         "scale": {"pass", "error"},
                          "tau": {"pass", "fail", "error"},
                          "order": {"pass", "fail"}}
 
@@ -653,6 +694,24 @@ class TestMalformedTrees:
         with pytest.raises(InvariantViolationError,
                            match="^edge v2-w1 collapses under tau$"):
             check_degree_angle(t)
+
+    @pytest.mark.parametrize("at_v2, violation", [
+        (dict(circular_order=("w2", "w1", "w2"), gap_angles=(3, (1, 1, 1))),
+         ("structure", "repeated neighbor at v2")),
+        (dict(gap_angles=(60, (30, 47))),
+         ("angle-total", "gaps at v2 sum to 77/60, not a positive whole turn")),
+    ], ids=["repeated-neighbor", "non-whole-total"])
+    def test_vertex_without_an_angle_function(self, at_v2, violation):
+        # v2 is a periodic Julia vertex with two edges, the first inner one
+        t = self.tree()
+        t = t._replace(**{field: {**getattr(t, field), "v2": value}
+                          for field, value in at_v2.items()})
+        assert check_tree_axioms(t) == (TreeViolation(*violation),)
+        for check in (lambda t: t.angle_between("v2", "w2", "w2"),
+                      check_degree_angle, check_julia_normalization):
+            with pytest.raises(InvariantViolationError,
+                               match=f"^{re.escape(violation[1])}$"):
+                check(t)
 
     def test_gap_count_differs_from_degree(self):
         # v2 is a periodic Julia vertex with two edges
@@ -770,6 +829,21 @@ class TestExpanding:
             {"a": 1, "b": 1, "c": 2})
         ok, witness = check_expanding(t)
         assert not ok and witness == ("a", "b")
+
+    def test_frozen_path_stops_at_the_pair_count(self):
+        # tau fixes every vertex of a 3,000-vertex path and none is critical,
+        # so every edge is a frozen Julia edge; the first is the witness
+        # after |V| + 2|E| steps, not |V|^2
+        n = 3000
+        vertices = [f"x{i}" for i in range(n)]
+        order = {v: [u for u in vertices[max(i - 1, 0):i + 2] if u != v]
+                 for i, v in enumerate(vertices)}
+        t = make_tree(vertices, list(zip(vertices, vertices[1:])), order,
+                      {v: [F(1, len(nbrs))] * len(nbrs) for v, nbrs in order.items()},
+                      {v: v for v in vertices}, {v: 1 for v in vertices})
+        started = time.perf_counter()
+        assert check_expanding(t) == (False, ("x0", "x1"))
+        assert time.perf_counter() - started < 0.5
 
     def test_components_count_as_separated(self):
         # tau sends the Julia edge c-d to b and d, which lie in different
