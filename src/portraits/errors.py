@@ -19,10 +19,9 @@ class CapacityError(PortraitsError):
 
 
 class InvariantViolationError(PortraitsError):
-    """A tree handed to recovery or to ``image_germs`` is malformed.
-
-    Trees the builder makes never raise it; a hand-edited tree can.
-    """
+    """A tree handed to a check, to recovery or to ``image_germs`` is
+    malformed: the message names the vertex, edge or missing map entry
+    (``tau(v) is not defined``).  Trees the builder makes never raise it."""
 
 
 class InvalidPortraitError(PortraitsError, ValueError):

@@ -34,6 +34,7 @@ from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
 # fewer is refused outright once d-1 also exceeds this bound, before
 # validation would materialise d-1 fixed angles.
 _DEGREE_CEILING = 2 ** 16
+_last: tuple = (None, None)     # the portrait _validate last kept, and its result
 
 
 def _capacity_fault(d: int, sets: Sequence[Sequence]) -> Optional[str]:
@@ -165,8 +166,12 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     return _validate(p)[0]
 
 
-def _validate(p: Portrait) -> tuple[ValidationResult, list]:
-    """``validate_portrait``, plus the sets' numerators for the builder."""
+def _validate(p: Portrait) -> tuple[ValidationResult, tuple]:
+    """``validate_portrait`` and the numerators, kept for the last portrait
+    object whose family and sets are tuples, so that it cannot change."""
+    global _last
+    if (last := _last)[0] is p:     # one read: another thread may replace it
+        return last[1]
     d = check_degree(p.degree)
     violations: list[Violation] = []
     notes: list[str] = []
@@ -215,44 +220,47 @@ def _validate(p: Portrait) -> tuple[ValidationResult, list]:
                     "P2-linked", (i, j),
                     f"sets {i} and {j} cross (neither lies in one gap of the other)"))
 
-    if any(rs is None for rs in classified):
+    if None in classified:
         notes.append("P3 and P4 skipped: rotation numbers unavailable while P1 fails")
-        return ValidationResult(tuple(violations), tuple(notes)), xsets
-
-    # P3 would spell out O(d) missing fixed angles: refuse a degree that
-    # cannot be valid by parse_portrait's rule instead
-    if fault := _capacity_fault(d, p.sets):
-        raise CapacityError(fault)
-
-    # a shift-0 set has d*a = a, so each of its angles is a fixed angle
-    # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
-    fixed_members = [(i, rs) for i, rs in enumerate(classified, start=1)
-                     if rs.is_fixed]
-    covered = {a.numerator * ((d - 1) // a.denominator)
-               for _, rs in fixed_members for a in rs.angles}
-    missing = tuple(Fraction(i, d - 1) for i in range(d - 1) if i not in covered)
-    if missing:
-        violations.append(Violation(
-            "P3-missing", missing,
-            f"fixed angles {_angles_text(missing)} belong to no "
-            f"rotation-number-zero set"))
-
-    if any(v.code.startswith("P2") for v in violations):
-        notes.append("P4 skipped: separation is ill-defined while P2 fails")
     else:
-        blocks = [xsets[i - 1] for i, _ in fixed_members]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, rs in enumerate(classified, start=1):
-            if not rs.is_fixed:
-                groups.setdefault(_signature(blocks, xsets[i - 1][:1]), []).append(i)
-        for i, j in sorted(pair for group in groups.values()
-                           for pair in combinations(group, 2)):
+        # P3 would spell out O(d) missing fixed angles: refuse a degree that
+        # cannot be valid by parse_portrait's rule instead
+        if fault := _capacity_fault(d, p.sets):
+            raise CapacityError(fault)
+
+        # a shift-0 set has d*a = a, so each of its angles is a fixed angle
+        # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
+        fixed_members = [(i, rs) for i, rs in enumerate(classified, start=1)
+                         if rs.is_fixed]
+        covered = {a.numerator * ((d - 1) // a.denominator)
+                   for _, rs in fixed_members for a in rs.angles}
+        missing = tuple(Fraction(i, d - 1) for i in range(d - 1) if i not in covered)
+        if missing:
             violations.append(Violation(
-                "P4", (i, j),
-                f"rotating sets {i} and {j} are separated by no "
+                "P3-missing", missing,
+                f"fixed angles {_angles_text(missing)} belong to no "
                 f"rotation-number-zero set"))
 
-    return ValidationResult(tuple(violations), tuple(notes), tuple(classified)), xsets
+        if any(v.code.startswith("P2") for v in violations):
+            notes.append("P4 skipped: separation is ill-defined while P2 fails")
+        else:
+            blocks = [xsets[i - 1] for i, _ in fixed_members]
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, rs in enumerate(classified, start=1):
+                if not rs.is_fixed:
+                    groups.setdefault(_signature(blocks, xsets[i - 1][:1]), []).append(i)
+            for i, j in sorted(pair for group in groups.values()
+                               for pair in combinations(group, 2)):
+                violations.append(Violation(
+                    "P4", (i, j),
+                    f"rotating sets {i} and {j} are separated by no "
+                    f"rotation-number-zero set"))
+
+    found = (ValidationResult(tuple(violations), tuple(notes),
+                              None if None in classified else tuple(classified)), xsets)
+    if type(p.sets) is tuple and all(type(s) is tuple for s in p.sets):
+        _last = p, found
+    return found
 
 
 def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:

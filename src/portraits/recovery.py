@@ -6,10 +6,11 @@ exactly one landing ray.  Walking counterclockwise around the tree visits
 every sector once, in the circle order of the underlying rays.  At a fixed
 vertex a sector maps to the sector between the germs of its bounding edges,
 so the sectors there rotate by a shift read off the germs, all of them from
-one ``tree.image_germs`` forest.  Sectors of shift 0 carry the d-1 fixed
-rays and are labelled in walk order starting from the marked sector, which
-anchors ray 0.  A rotating vertex is then pinned down by its sector count, its sector
-shift, and where its sectors fall between the fixed rays along the walk.
+one survey of the tree (``tree._survey``).  Sectors of shift 0 carry the
+d-1 fixed rays and are labelled in walk order starting from the marked
+sector, which anchors ray 0.  A rotating vertex is then pinned down by its
+sector count, its sector shift, and where its sectors fall between the
+fixed rays along the walk.
 These are the set's cardinality, shift and deployment, which determine a
 rotation set, and Goldberg's closed form (*Fixed points of polynomial maps
 I*, 1992; see ``rotation``) writes its angles down directly, read off the
@@ -22,7 +23,7 @@ marked sector (``boundary_walk`` wraps them as ``Sector``s) and calls the
 closed-form kernel ``rotation._closed_form`` directly, which returns
 increasing numerators, so only the portrait's family needs sorting.  A tree
 from elsewhere (a hand edit, say) may be malformed; recovery then raises
-``InvariantViolationError`` naming the vertex or edge at fault.
+``InvariantViolationError`` naming the vertex, edge or missing entry.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .builder import ConstructedTree
 from .errors import InvariantViolationError
 from .portrait import Portrait
 from .rotation import _closed_form
-from .tree import image_germs
+from .tree import _complete, _ok, _survey, _Survey
 
 
 class Sector(NamedTuple):
@@ -96,30 +97,28 @@ def _walk(ct: ConstructedTree) -> list[tuple[str, int]]:
 
 
 def recover_portrait(ct: ConstructedTree) -> Portrait:
-    """Read the portrait back off the tree.
+    """Read the portrait back off the tree, as the module docstring says.
 
-    Recovery never consults the construction's sets: the fixed rays come
-    from the order of the walk's plain (vertex, index) pairs, and each
-    rotating set from Goldberg's closed-form kernel ``rotation._closed_form``
-    on its sector shift and its block sequence, the block of each of its
-    sectors in walk order, so nothing of size d - 1 is built per vertex.
-    None of ``generate_rotation_set``'s checks can fire on these: d >= 2
+    Each rotating set comes from ``rotation._closed_form`` on its sector
+    shift and its block sequence, so nothing of size d - 1 is built per
+    vertex, and none of ``generate_rotation_set``'s checks can fire: d >= 2
     (the fixed-sector and marked-sector checks reject d <= 1 first),
     0 < shift < n, and the blocks are sorted and in range(d - 1).
     """
+    return _recover(ct, _survey(ct.tree))
+
+
+def _recover(ct: ConstructedTree, survey: _Survey) -> Portrait:
     t = ct.tree
-    germs_at = image_germs(t)
-    d = t.total_degree()
+    tau, delta, d = _complete(t, "tau"), t.delta, t.total_degree()
     fixed_vertices: list[str] = []
     rotating: dict[str, int] = {}
     # a fixed vertex is its own cycle, which is Julia iff it is not critical
     for v in t.vertices:
-        if v not in t.tau:
-            raise InvariantViolationError(f"tau({v}) is not defined")
-        if t.tau[v] != v or t.delta[v] != 1:
+        if tau[v] != v or delta[v] != 1:
             continue
         # the sectors rotate by s iff the germs are the order rotated by s
-        order, germs = t.circular_order[v], germs_at(v)
+        germs, order = _ok(survey.germs[v]), t.circular_order[v]
         if not order:
             raise InvariantViolationError(f"the order at {v} is empty")
         s = order.index(germs[0])

@@ -3,9 +3,8 @@
 ``analyze`` runs the whole pipeline - validation, regions, tree assembly,
 dynamics, every tree check, and the recovery round trip - and keeps each
 result, so the report and the CLI's exit status are pure functions of the
-portrait.  It goes through ``construct_tree``, which validates once and
-partitions the disk once, and through the public checks and recovery; the
-reports read the classified sets and the regions the construction carries.
+portrait.  The reports read the classified sets and the regions that the
+construction carries.
 """
 
 from __future__ import annotations
@@ -16,11 +15,11 @@ from .angles import format_angle
 from .builder import ConstructedTree, Region, construct_tree
 from .fileio import format_portrait
 from .portrait import Portrait
-from .recovery import recover_portrait
+from .recovery import _recover
 from .rotation import RotationSet
-from .tree import (TreeViolation, VertexClass, check_degree_angle,
-                   check_expanding, check_julia_normalization,
-                   check_tree_axioms, classify_vertices, count_fixed_points)
+from .tree import (TreeViolation, VertexClass, _axioms, _degree_angle,
+                   _normalization, _survey, check_expanding,
+                   classify_vertices, count_fixed_points)
 
 
 class Analysis(NamedTuple):
@@ -55,20 +54,20 @@ def analyze(p: Portrait) -> Analysis:
     """Run construction, checks and recovery on a valid portrait.
 
     Raises InvalidPortraitError, carrying the violations, when the portrait
-    fails validation.
+    fails validation.  The checks and recovery read one ``tree._survey``.
     """
     ct = construct_tree(p)
-    t = ct.tree
+    t, s = ct.tree, _survey(ct.tree)
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)
-    recovered = recover_portrait(ct)
+    recovered = _recover(ct, s)
     return Analysis(
         portrait=p,
         ct=ct,
         classes=classes,
-        axiom_violations=check_tree_axioms(t),
-        degree_angle_violations=check_degree_angle(t),
-        normalization_violations=check_julia_normalization(t, classes),
+        axiom_violations=_axioms(t, s),
+        degree_angle_violations=_degree_angle(t, s),
+        normalization_violations=_normalization(t, s, classes),
         expanding=expanding,
         expanding_witness=witness,
         fixed_points=count_fixed_points(t),

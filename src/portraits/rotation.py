@@ -108,7 +108,7 @@ class RotationSet(NamedTuple):
         return self.cardinality // gcd(self.shift, self.cardinality)
 
 
-def _numerators(d: int, sets: Sequence[Sequence[Angle]]) -> tuple[int, list]:
+def _numerators(d: int, sets: Sequence[Sequence[Angle]]) -> tuple[int, tuple]:
     """(q, xsets): each set as numerators over q, the common denominator of
     the sets whose denominators all divide d**n - 1 (n the set's size).  A
     set failing that cannot be a rotation set; it gets None, and its
@@ -116,8 +116,8 @@ def _numerators(d: int, sets: Sequence[Sequence[Angle]]) -> tuple[int, list]:
     periodic = [not any((pow(d, len(s), a.denominator) - 1) % a.denominator for a in s)
                 for s in sets]
     q = lcm(*(a.denominator for s, ok in zip(sets, periodic) if ok for a in s))
-    return q, [tuple(a.numerator * (q // a.denominator) for a in s) if ok else None
-               for s, ok in zip(sets, periodic)]
+    return q, tuple(tuple(a.numerator * (q // a.denominator) for a in s) if ok else None
+                    for s, ok in zip(sets, periodic))
 
 
 def _shift(d: int, q: int, xs: Sequence[int]) -> Optional[int]:

@@ -12,25 +12,24 @@ can grow exponentially), so angles are residues mod L, and angles over
 different denominators L and M are compared by cross-multiplying.  A
 ``Fraction`` is built only by ``angle_between`` and for violation details.
 
-The image of an edge is the tree path between the images of its ends; its
-germ, the path's first step, is read off one breadth-first forest per tree
-(``image_germs``), which also gives ``check_tree_axioms`` its connectivity.
-
-Every angle is read through ``_vertex``, which refuses a vertex with no
-angle function; on the rest, the angle from slot i to slot j is
-(prefix[j] - prefix[i]) mod L.  No check is quadratic in a vertex's
-degree: the degree-angle and normalization checks compute one residue per
-edge, a vertex passes iff its residues agree, and the pairs whose
-residues differ are the violations.
+One sweep, ``_survey``, reads the maps once: one breadth-first forest, and
+each vertex's angle function and germs (the first steps of its edges'
+images), or the violation refusing them.  ``check_tree_axioms`` reports
+the refusals; the other readers raise ``InvariantViolationError`` with one
+when they reach it, or name a missing map entry (``tau(v) is not
+defined``).  ``report.analyze`` hands one survey to the checks' private
+forms.  No check is quadratic in a vertex's degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, filterfalse, permutations
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InvariantViolationError
+
+_UNDEFINED = "{}({}) is not defined"
 
 
 class AngledTree(NamedTuple):
@@ -51,16 +50,23 @@ class AngledTree(NamedTuple):
     delta: dict[str, int]
 
     def degree_of(self, v: str) -> int:
+        if v not in self.circular_order:
+            raise InvariantViolationError(_UNDEFINED.format("circular_order", v))
         return len(self.circular_order[v])
 
     def angle_between(self, v: str, a: str, b: str) -> Fraction:
         """Angle at v from the edge toward a to the edge toward b, mod 1."""
-        L, slot, prefix = _vertex(self, v)
+        L, slot, prefix = _ok(_angle_function(self, v))
+        for u in filterfalse(slot.__contains__, (a, b)):
+            raise InvariantViolationError(f"{u} is not a neighbor of {v}")
         return Fraction((prefix[slot[b]] - prefix[slot[a]]) % L, L)
 
     def total_degree(self) -> int:
         """1 + sum of (delta(v) - 1) over all vertices."""
-        return 1 + sum(self.delta[v] - 1 for v in self.vertices)
+        try:
+            return sum(map(self.delta.__getitem__, self.vertices), 1 - len(self.vertices))
+        except KeyError as e:
+            raise InvariantViolationError(_UNDEFINED.format("delta", e.args[0])) from None
 
 
 class TreeViolation(NamedTuple):
@@ -81,89 +87,129 @@ class VertexClass(NamedTuple):
         return self.preperiod == 0
 
 
-def _vertex(t: AngledTree, v: str) -> tuple[int, dict[str, int], list[int]]:
+class _Survey(NamedTuple):
+    forest: dict[str, tuple[str, int, str]]
+    angles: dict[str, tuple]     # per vertex, _angle_function's value or refusal
+    germs: dict[str, tuple]      # per vertex, _germs' value or refusal
+
+
+def _complete(t: AngledTree, name: str) -> dict:
+    """The map ``name`` of t; raises naming the first vertex it lacks."""
+    entries = getattr(t, name)
+    for v in filterfalse(entries.__contains__, t.vertices):
+        raise InvariantViolationError(_UNDEFINED.format(name, v))
+    return entries
+
+
+def _ok(entry: tuple) -> tuple:
+    """A survey entry, or InvariantViolationError with its refusal's detail."""
+    if type(entry) is TreeViolation:
+        raise InvariantViolationError(entry.detail)
+    return entry
+
+
+def _angle_function(t: AngledTree, v: str) -> tuple:
     """(L, slot, prefix): v's gap denominator, each neighbor's slot in v's
-    order, and prefix[i], the gaps before edge i.  A vertex with no angle
-    function raises InvariantViolationError with ``check_tree_axioms``'s
-    detail: a denominator <= 0, a gap count other than v's degree, a
-    repeated neighbor, or gaps not summing to a positive whole turn."""
-    L, gaps = t.gap_angles[v]
-    order = t.circular_order[v]
-    if L <= 0:
-        raise InvariantViolationError(f"gap denominator at {v} is {L} <= 0")
-    if len(gaps) != len(order):
-        raise InvariantViolationError(f"gap count at {v} differs from degree")
-    slot = {u: i for i, u in enumerate(order)}
-    if len(slot) != len(order):
-        raise InvariantViolationError(f"repeated neighbor at {v}")
-    prefix = list(accumulate(gaps, initial=0))
+    order, and the gaps before each edge, so the angle from slot i to slot j
+    is (prefix[j] - prefix[i]) mod L.  Or the violation refusing v: a missing
+    order or gaps, a denominator <= 0, a gap count other than v's degree, a
+    repeated neighbor, or gaps that are not a positive whole turn."""
+    order, entry = t.circular_order.get(v), t.gap_angles.get(v)
+    if order is None or entry is None:
+        name = "circular_order" if order is None else "gap_angles"
+        return TreeViolation("structure", _UNDEFINED.format(name, v))
+    L, gaps = entry
+    slot = dict(zip(order, range(len(order))))
+    fault = (f"gap denominator at {v} is {L} <= 0" if L <= 0
+             else f"gap count at {v} differs from degree" if len(gaps) != len(order)
+             else f"repeated neighbor at {v}" if len(slot) != len(order) else None)
+    if fault:
+        return TreeViolation("structure", fault)
+    prefix = [0, *accumulate(gaps)]
     total = prefix.pop()
     if total % L or total < L:
-        raise InvariantViolationError(
-            f"gaps at {v} sum to {Fraction(total, L)}, not a positive whole turn")
+        return TreeViolation("angle-total", f"gaps at {v} sum to {Fraction(total, L)}, "
+                                            f"not a positive whole turn")
     return L, slot, prefix
 
 
-def _forest(t: AngledTree) -> dict[str, tuple[str, int, str]]:
-    """(parent, depth, root) of each vertex in one breadth-first forest over
-    the edges listed at both ends, rooted in ``t.vertices`` order; a root is
-    its own parent."""
-    order = t.circular_order
-    forest: dict[str, tuple[str, int, str]] = {}
+def _germs(t: AngledTree, angles: dict, forest: dict, v: str) -> tuple:
+    """The germs at v, or the violation refusing them.  The germ of edge v-u
+    is the first step from x = tau(v) toward y = tau(u) in the forest: the
+    ancestor of y one level below x if its parent is x, else x's parent."""
+    tau, order = t.tau, t.circular_order
+    if v not in tau or v not in order:
+        name = "tau" if v not in tau else "circular_order"
+        return TreeViolation("germs", _UNDEFINED.format(name, v))
+    x = tau[v]
+    if x not in angles:
+        return TreeViolation("germs", f"tau({v}) = {x} not a vertex")
+    up, depth, root = forest[x]
+    germs = []
+    for u in order[v]:
+        y = tau.get(u)
+        fault = (_UNDEFINED.format("tau", u) if y is None
+                 else f"edge {v}-{u} collapses under tau" if y == x
+                 else f"tau({u}) = {y} not a vertex" if y not in angles
+                 else f"no path from {x} to {y}; tree is disconnected"
+                 if forest[y][2] != root else None)
+        if fault:
+            return TreeViolation("germs", fault)
+        for _ in range(forest[y][1] - depth - 1):
+            y = forest[y][0]
+        germs.append(y if forest[y][0] == x else up)
+    return tuple(germs)
+
+
+def _survey(t: AngledTree) -> _Survey:
+    """Each vertex's angle function, its (parent, depth, root) in one forest
+    over the edges listed at both ends, rooted in t.vertices order, and germs."""
+    angles = {v: _angle_function(t, v) for v in t.vertices}
+    order, forest = t.circular_order, {}
     for r in t.vertices:
         if r not in forest:
-            forest[r] = (r, 0, r)
-            queue = [r]
+            forest[r], queue = (r, 0, r), [r]
             for y in queue:
                 depth = forest[y][1] + 1
                 for z in order.get(y, ()):
                     if z not in forest and y in order.get(z, ()):
                         forest[z] = (y, depth, r)
                         queue.append(z)
-    return forest
+    germs = {v: _germs(t, angles, forest, v) for v in t.vertices}
+    return _Survey(forest, angles, germs)
 
 
 def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     """Verify every structural axiom, reporting each failure with a witness.
 
-    Checks: map domains agree with the vertex set, edges match the circular
-    orders, the graph is a connected tree, gap denominators are positive,
-    every gap angle is positive with integral total and no proper partial sum
-    integral (so the pairwise angle vanishes only on equal edges), tau never
-    collapses an edge, the local degrees are >= 1 with total degree >= 2, and
-    a critical vertex exists.
-
-    Every clause is one linear pass.  The orders' entries are looked up in
-    the set of edges, both ways round, and each edge in the set of neighbors
-    listed at its ends, so a hub costs no more than its degree.  Each
-    vertex's angles are one prefix walk.
+    Checks: distinct vertex labels and map domains that agree with them
+    (reported alone when they fail), edges match the circular orders, the
+    graph is a connected tree, every vertex has an angle function, every
+    gap angle is positive and no proper partial sum integral (no angle
+    vanishes), tau never collapses an edge, the local degrees are >= 1 with
+    total degree >= 2, and a critical vertex exists.
     """
-    out: list[TreeViolation] = []
-    vset = set(t.vertices)
-    if len(vset) != len(t.vertices):
-        out.append(TreeViolation("structure", "duplicate vertex labels"))
-    for name, mapping in (("circular_order", t.circular_order),
-                          ("gap_angles", t.gap_angles),
-                          ("tau", t.tau), ("delta", t.delta)):
-        if set(mapping) != vset:
-            out.append(TreeViolation("structure", f"{name} keys differ from vertices"))
-            return tuple(out)
+    return _axioms(t, _survey(t))
 
+
+def _axioms(t: AngledTree, s: _Survey) -> tuple[TreeViolation, ...]:
+    out = [TreeViolation("structure", "duplicate vertex labels")] * (
+        len(s.angles) != len(t.vertices))
+    out += [TreeViolation("structure", f"{name} keys differ from vertices")
+            for name in ("circular_order", "gap_angles", "tau", "delta")
+            if getattr(t, name).keys() != s.angles.keys()][:1]
+    if out:
+        return tuple(out)
     incident = {(a, b) for a, b in t.edges} | {(b, a) for a, b in t.edges}
-    listed: dict[str, set[str]] = {}
+    listed = {}
     for v in t.vertices:
-        order = t.circular_order[v]
-        listed[v] = set(order)
-        if len(listed[v]) != len(order):
-            out.append(TreeViolation("structure", f"repeated neighbor at {v}"))
+        entry, order = s.angles[v], t.circular_order[v]
         for u in order:
             if (v, u) not in incident:
                 out.append(TreeViolation("structure", f"order at {v} lists non-edge {u}"))
-        L, gaps = t.gap_angles[v]
-        if L <= 0:
-            out.append(TreeViolation("structure", f"gap denominator at {v} is {L} <= 0"))
-        if len(gaps) != len(order):
-            out.append(TreeViolation("structure", f"gap count at {v} differs from degree"))
+        if type(entry) is TreeViolation and entry.code == "structure":
+            out.append(entry)
+        listed[v] = entry[1] if type(entry) is tuple else set(order)
     for a, b in t.edges:
         if a == b:
             out.append(TreeViolation("structure", f"loop edge at {a}"))
@@ -175,123 +221,76 @@ def check_tree_axioms(t: AngledTree) -> tuple[TreeViolation, ...]:
     if len(t.edges) != len(t.vertices) - 1:
         out.append(TreeViolation(
             "not-a-tree", f"{len(t.vertices)} vertices but {len(t.edges)} edges"))
-    if len({r for _, _, r in _forest(t).values()}) != 1:
+    if len({r for _, _, r in s.forest.values()}) != 1:
         out.append(TreeViolation("not-connected", "the graph is disconnected"))
-
     for v in t.vertices:
-        L, nums = t.gap_angles[v]
-        for i, x in enumerate(nums):
-            if x <= 0:
-                out.append(TreeViolation("angle-gap",
-                                         f"gap {i} at {v} is {Fraction(x, L)} <= 0"))
-        total = sum(nums)
-        if total % L or total < L:
-            out.append(TreeViolation(
-                "angle-total",
-                f"gaps at {v} sum to {Fraction(total, L)}, not a positive whole turn"))
+        entry, (L, gaps) = s.angles[v], t.gap_angles[v]
+        if min(gaps, default=1) <= 0:
+            out += [TreeViolation("angle-gap", f"gap {i} at {v} is {Fraction(x, L)} <= 0")
+                    for i, x in enumerate(gaps) if x <= 0]
+        elif type(entry) is tuple and entry[2][-1] < L:
+            continue    # positive gaps within one turn: no angle vanishes
+        if type(entry) is TreeViolation:
+            out.append(entry)
             continue
-        # the angle between edges i and j is (prefix[j] - prefix[i]) mod 1,
-        # so it vanishes on a distinct pair iff two prefixes agree mod 1
-        prefix = 0
-        residues = {prefix: 0}
-        for i, x in enumerate(nums[:-1]):
-            prefix = (prefix + x) % L
-            if prefix in residues:
-                out.append(TreeViolation(
-                    "angle-zero",
-                    f"distinct edges {residues[prefix]} and {i + 1} at {v} "
-                    f"subtend angle 0"))
-            else:
-                residues[prefix] = i + 1
+        # a distinct pair subtends angle 0 iff their prefixes agree mod L
+        first: dict[int, int] = {}
+        out += [TreeViolation("angle-zero",
+                              f"distinct edges {first[r]} and {i} at {v} subtend angle 0")
+                for i, r in enumerate(x % L for x in entry[2])
+                if first.setdefault(r, i) != i]
 
-    for a, b in t.edges:
-        if t.tau[a] == t.tau[b]:
-            out.append(TreeViolation(
-                "tau-collapse", f"edge {a}-{b} has tau({a}) = tau({b}) = {t.tau[a]}"))
+    tau, delta = t.tau, t.delta
+    out += [TreeViolation("tau-collapse",
+                          f"edge {a}-{b} has tau({a}) = tau({b}) = {tau[a]}")
+            for a, b in t.edges if tau[a] == tau[b]]
     for v in t.vertices:
-        if t.tau[v] not in vset:
-            out.append(TreeViolation("tau-range", f"tau({v}) = {t.tau[v]} not a vertex"))
-        if t.delta[v] < 1:
-            out.append(TreeViolation("delta-range", f"delta({v}) = {t.delta[v]} < 1"))
-
-    total_degree = t.total_degree()
-    if total_degree < 2:
+        if tau[v] not in s.angles:
+            out.append(TreeViolation("tau-range", f"tau({v}) = {tau[v]} not a vertex"))
+        if delta[v] < 1:
+            out.append(TreeViolation("delta-range", f"delta({v}) = {delta[v]} < 1"))
+    if (total_degree := t.total_degree()) < 2:
         out.append(TreeViolation("degree-too-small", f"total degree {total_degree} < 2"))
-    if not any(t.delta[v] > 1 for v in t.vertices):
+    if not any(delta[v] > 1 for v in t.vertices):
         out.append(TreeViolation("no-critical-vertex", "every vertex has delta 1"))
     return tuple(out)
 
 
 def image_germs(t: AngledTree) -> Callable[[str], tuple[str, ...]]:
     """germs_at(v): the germ of each edge at v, in v's circular order: the
-    neighbor of tau(v) that the image of the edge leaves along.
-
-    One breadth-first forest serves every vertex.  The germ of edge v-u is
-    the first step from x = tau(v) toward y = tau(u): the ancestor of y one
-    level below x if its parent is x, else x's parent.  A collapsed or
-    disconnected edge, a tau outside the vertex set, or a neighbor of v
-    without a tau, raises ``InvariantViolationError`` when reached.
-    """
-    forest = _forest(t)
-    order, tau = t.circular_order, t.tau
-
-    def germs_at(v: str) -> tuple[str, ...]:
-        x = tau[v]
-        if x not in forest:
-            raise InvariantViolationError(f"tau({v}) = {x} not a vertex")
-        up, depth, root = forest[x]
-        germs = []
-        for u in order[v]:
-            try:
-                y = tau[u]
-            except KeyError:
-                raise InvariantViolationError(f"tau({u}) is not defined") from None
-            if y == x:
-                raise InvariantViolationError(f"edge {v}-{u} collapses under tau")
-            if y not in forest:
-                raise InvariantViolationError(f"tau({u}) = {y} not a vertex")
-            if forest[y][2] != root:
-                raise InvariantViolationError(
-                    f"no path from {x} to {y}; tree is disconnected")
-            for _ in range(forest[y][1] - depth - 1):
-                y = forest[y][0]
-            germs.append(y if forest[y][0] == x else up)
-        return tuple(germs)
-
-    return germs_at
+    neighbor of tau(v) that the image of the edge leaves along, read off the
+    survey (``_germs``); a refusal raises when reached."""
+    s = _survey(t)
+    return lambda v: _ok(s.germs[v] if v in s.germs else _germs(t, s.angles, s.forest, v))
 
 
 def check_degree_angle(t: AngledTree) -> tuple[TreeViolation, ...]:
     """Verify that tau multiplies angles at v by delta(v).
 
     The angle between two image edges is measured at tau(v) between their
-    germs (``image_germs``); distinct edges may share their germ, in which
-    case that angle is zero.  With L and M the denominators at v and at
-    tau(v), the image angle lhs/M must equal (delta * ang mod L)/L.
-
-    The angles are differences of prefix sums P at v and Q at tau(v), and
-    both sides lie in [0, L*M), so edges i and j pass iff their residues
-    Q[germ]*L - delta*P*M agree mod L*M: v passes iff its edges' residues
-    take one value, and the ordered pairs whose residues differ are the
-    violations.  ``_vertex`` reads v, then tau(v), once v's germs are read:
-    its refusals raise there, as does a tau off the tree.
+    germs (``image_germs``), zero for a shared germ.  With L and M the
+    denominators at v and at tau(v), the image angle lhs/M must equal
+    (delta * ang mod L)/L.  Both are differences of prefix sums, P at v and
+    Q at tau(v), in [0, L*M), so edges i and j pass iff their residues
+    Q[germ]*L - delta*P*M agree mod L*M.  Every vertex needs an order and a
+    delta; at v with two or more edges, a refusal of its germs, then of the
+    angle functions at v and tau(v), raises.
     """
+    return _degree_angle(t, _survey(t))
+
+
+def _degree_angle(t: AngledTree, s: _Survey) -> tuple[TreeViolation, ...]:
     out: list[TreeViolation] = []
-    order, tau, delta = t.circular_order, t.tau, t.delta
-    germs_at = image_germs(t)
-    inner = [v for v in t.vertices if len(order[v]) >= 2]
-    sums: dict[str, tuple[int, dict[str, int], list[int]]] = {}
-    for v in inner:
-        germs = germs_at(v)
-        for x in (v, tau[v]):
-            if x not in sums:
-                sums[x] = _vertex(t, x)
-        (L, _, P), (M, slot, Q) = sums[v], sums[tau[v]]
+    order, tau, delta = _complete(t, "circular_order"), t.tau, _complete(t, "delta")
+    for v in t.vertices:
+        if len(nbrs := order[v]) < 2:
+            continue
+        germs = _ok(s.germs[v])
+        (L, _, P), (M, slot, Q) = _ok(s.angles[v]), _ok(s.angles[tau[v]])
         LM, dM = L * M, delta[v] * M
         residues = [(Q[slot[g]] * L - dM * p) % LM for p, g in zip(P, germs)]
         if len(set(residues)) == 1:
             continue
-        nbrs = order[v]
         for i, j in permutations(range(len(nbrs)), 2):
             if residues[i] != residues[j]:
                 lhs = (Q[slot[germs[j]]] - Q[slot[germs[i]]]) % M
@@ -313,10 +312,10 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
     A new cycle takes the next ``cycle_id``; the walk's tail is then filled
     backwards, each vertex one step further from its cycle than its image.
     Every vertex is stepped from once, so the cost is O(|V|).  A vertex
-    whose image is not a vertex raises ``InvariantViolationError`` naming it.
+    without a tau or a delta is named, as is an image that is not a vertex.
     """
     classes: dict[str, VertexClass] = {}
-    tau, delta = t.tau, t.delta
+    tau, delta = _complete(t, "tau"), _complete(t, "delta")
     cycles = 0
     for v in t.vertices:
         position: dict[str, int] = {}
@@ -348,13 +347,11 @@ def check_expanding(t: AngledTree,
     have its endpoints pushed to tree distance > 1, that is, to distinct
     vertices that are not neighbors.  Returns (True, None) or (False, edge).
     """
-    if classes is None:
-        classes = classify_vertices(t)
-
+    classes = classify_vertices(t) if classes is None else classes
     # until it separates, a pair orbit stays among the pairs (x, x) and
     # (x, y) with y listed at x; past that many steps it has repeated a
     # pair, so it cycles without ever separating
-    order, tau = t.circular_order, t.tau
+    order, tau = _complete(t, "circular_order"), _complete(t, "tau")
     bound = len(t.vertices) + sum(map(len, order.values()))
     for a, b in t.edges:
         if classes[a].kind != "julia" or classes[b].kind != "julia":
@@ -374,24 +371,21 @@ def check_julia_normalization(t: AngledTree,
                               ) -> tuple[TreeViolation, ...]:
     """At periodic Julia vertices with m edges, angles must be multiples of 1/m.
 
-    Angles at non-periodic Julia vertices are unconstrained.
-
-    The angle from edge i to edge j is a multiple of 1/m iff the residues
-    prefix[i]*m and prefix[j]*m agree mod L.  One residue per edge decides
-    each vertex: it passes iff they take one value, and otherwise the pairs
-    whose residues differ are the violations.  ``_vertex``'s refusals at a
-    periodic Julia vertex raise, as does, without ``classes``, a tau off
-    the tree.
+    Angles at non-periodic Julia vertices are unconstrained.  The angle from
+    edge i to edge j is a multiple of 1/m iff the residues prefix[i]*m and
+    prefix[j]*m agree mod L; the pairs whose residues differ are the
+    violations.  A refusal of the angle function at such a vertex raises.
     """
-    if classes is None:
-        classes = classify_vertices(t)
+    return _normalization(t, _survey(t), classes or classify_vertices(t))
+
+
+def _normalization(t: AngledTree, s: _Survey, classes: dict) -> tuple[TreeViolation, ...]:
     out: list[TreeViolation] = []
     for v in t.vertices:
         if classes[v].kind != "julia" or not classes[v].is_periodic:
             continue
-        nbrs = t.circular_order[v]
-        m = len(nbrs)
-        L, _, prefix = _vertex(t, v)
+        L, _, prefix = _ok(s.angles[v])
+        m = len(nbrs := t.circular_order[v])
         residues = [x * m % L for x in prefix]
         if len(set(residues)) == 1:
             continue
@@ -407,4 +401,5 @@ def check_julia_normalization(t: AngledTree,
 
 def count_fixed_points(t: AngledTree) -> int:
     """Number of vertices fixed by the vertex dynamics."""
-    return sum(1 for v in t.vertices if t.tau[v] == v)
+    tau = _complete(t, "tau")
+    return sum(1 for v in t.vertices if tau[v] == v)

@@ -5,16 +5,21 @@ classifies each member set once and partitions the disk once, one
 (``construct_tree`` never does), and the reports and the command line add
 no second pass.
 
-Each public reader of germs builds one ``image_germs`` forest of the tree,
-an O(|V|) pass that answers every vertex: ``analyze`` makes exactly two,
-one in the degree-angle check and one in recovery, and ``construct_tree``
-makes none.
+The tree checks read a tree through one survey (``tree._survey``), an
+O(|V|) sweep that records its forest, each vertex's angle function and
+each vertex's germs: ``analyze`` makes exactly one and hands it to the
+checks and to recovery, ``roundtrip`` makes one in recovery, and
+``construct_tree`` makes none.
 
 Validation classifies each member set with one call of the shift kernel
 ``rotation._shift``, and nothing else calls it: recovery rebuilds its
 rotating sets by Goldberg's closed form, which needs no classification.
 Validation is counted at ``portrait._validate``, which
 ``validate_portrait``, ``construct_tree`` and ``analyze`` all go through.
+It remembers its result for the last portrait object whose family and
+sets are tuples, so ``validate_portrait(p)`` followed by ``analyze(p)``
+classifies each set once; a portrait whose sets can change in place, or
+an input that raises, is not remembered.
 
 No pass is quadratic in the number of sets or in a vertex's degree: wide
 portraits, whose one region vertex has an edge per set, go through
@@ -24,14 +29,15 @@ size.
 
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 
 import portraits.cli
 import portraits.portrait
-from portraits import (Portrait, analyze, construct_tree, enumerate_portraits,
-                       fixed_angles, render_report, render_svg, report_data,
-                       validate_portrait)
+from portraits import (MalformedSetError, Portrait, analyze, construct_tree,
+                       enumerate_portraits, fixed_angles, render_report,
+                       render_svg, report_data, validate_portrait)
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
 
@@ -61,13 +67,15 @@ def count_calls(monkeypatch, owners, name, wrap=lambda f: f):
 
 @pytest.fixture
 def counts(monkeypatch):
+    # each test starts with nothing remembered, whatever ran before it
+    monkeypatch.setattr(portraits.portrait, "_last", (None, None))
     return {
         "shift": count_calls(monkeypatch, binders("_shift"), "_shift"),
         "validate": count_calls(monkeypatch, binders("_validate"), "_validate"),
         "partition": count_calls(monkeypatch, binders("_partition"), "_partition"),
         "classify": count_calls(monkeypatch, binders("classify_vertices"),
                                 "classify_vertices"),
-        "germs": count_calls(monkeypatch, binders("image_germs"), "image_germs"),
+        "survey": count_calls(monkeypatch, binders("_survey"), "_survey"),
         "construct": count_calls(monkeypatch, binders("construct_tree"),
                                  "construct_tree"),
     }
@@ -83,7 +91,7 @@ def test_analyze_computes_each_fact_once(counts, p):
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == 1
-    assert counts["germs"] == [(an.ct.tree,)] * 2
+    assert counts["survey"] == [(an.ct.tree,)]
     assert an.regions == an.ct.regions
 
     for key in counts:
@@ -100,16 +108,16 @@ def test_construct_tree_validates_and_partitions_once(counts, p):
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert not counts["classify"]
-    assert not counts["germs"]
+    assert not counts["survey"]
     assert ct.regions == analyze(p).regions
 
 
-@pytest.mark.parametrize("command, expected, classifications, germ_passes", [
-    ("build", "round trip: ok", 1, 2),   # one analyze
-    ("roundtrip", "set 1/8 5/8", 0, 1),  # construct_tree and recovery only
+@pytest.mark.parametrize("command, expected, classifications", [
+    ("build", "round trip: ok", 1),   # one analyze
+    ("roundtrip", "set 1/8 5/8", 0),  # construct_tree and recovery only
 ], ids=["build", "roundtrip"])
 def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
-                                  classifications, germ_passes):
+                                  classifications):
     path = tmp_path / "d5.txt"
     path.write_text("degree 5\nset 0 3/4\nset 1/8 5/8\nset 1/4\nset 1/2\n")
     argv = [command, str(path)]
@@ -120,8 +128,41 @@ def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
     assert len(counts["validate"]) == 1
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == classifications
-    assert len(counts["germs"]) == germ_passes
+    assert len(counts["survey"]) == 1
     assert len(counts["shift"]) == 4
+
+
+def test_validate_then_analyze_classifies_each_set_once(counts):
+    p = Portrait.create(5, DEGREE5_SETS)
+    assert validate_portrait(p).ok
+    assert analyze(p).all_ok
+    assert len(counts["validate"]) == 2
+    assert len(counts["shift"]) == p.k
+
+
+@pytest.mark.parametrize("family", [list, tuple])
+def test_sets_that_can_change_are_validated_again(counts, family):
+    p = Portrait.create(2, BASILICA_SETS)
+    assert validate_portrait(p) == validate_portrait(p)
+    assert len(counts["shift"]) == p.k
+    # sets built by hand as lists can be edited in place
+    raw = Portrait(2, family([[F(0)], [F(1, 3), F(2, 3)]]))
+    assert validate_portrait(raw).ok
+    raw.sets[1][0] = F(1, 5)
+    assert validate_portrait(raw).codes == ("P1",)
+    assert len(counts["shift"]) == p.k + 2 + 1
+
+
+def test_an_input_that_raises_is_not_remembered():
+    p = Portrait.create(2, BASILICA_SETS)
+    assert validate_portrait(p).ok
+    bad = Portrait(2, ((F(2, 3), F(1, 3)),))
+    for _ in range(2):
+        with pytest.raises(MalformedSetError, match="not strictly increasing"):
+            validate_portrait(bad)
+        with pytest.raises(MalformedSetError, match="not strictly increasing"):
+            analyze(bad)
+    assert validate_portrait(p).ok and analyze(p).all_ok
 
 
 @pytest.mark.parametrize("n", [1000, 4000, 16000])

@@ -725,6 +725,122 @@ class TestMalformedTrees:
                 check(t)
 
 
+def seven_tree():
+    """The degree-2 tree of {0} {1/7 2/7 4/7}: v2 has the three edges to
+    w1, w2 and w3."""
+    return construct_tree(Portrait.create(2, [[F(0)], [F(1, 7), F(2, 7), F(4, 7)]]))
+
+
+EDIT_KINDS = ("tau", "delta", "circular_order", "gap_angles", "append",
+              "marked", "off")
+
+
+def edit_entries(ct, rng):
+    """(kind, ct) with one field edited at a random vertex v: v's tau,
+    delta, order or gap entry deleted, an unknown neighbor appended to v's
+    order, the marked sector moved off the tree or to any slot of v, in
+    range or not, or tau(v) sent off the tree."""
+    t = ct.tree
+    v = rng.choice(t.vertices)
+    kind = rng.choice(EDIT_KINDS)
+    if kind in ("tau", "delta", "circular_order", "gap_angles"):
+        entries = dict(getattr(t, kind))
+        del entries[v]
+        return kind, ct._replace(tree=t._replace(**{kind: entries}))
+    if kind == "append":
+        order = {**t.circular_order, v: t.circular_order[v] + ("zz",)}
+        return kind, ct._replace(tree=t._replace(circular_order=order))
+    if kind == "marked":
+        slot = rng.randrange(-1, len(t.circular_order[v]) + 1)
+        return kind, ct._replace(marked_sector=rng.choice([("zz", 0), (v, slot)]))
+    return kind, ct._replace(tree=t._replace(tau={**t.tau, v: "zz"}))
+
+
+def read_everything(ct):
+    """What every public reader of the tree, recovery and the boundary walk
+    return, or the message of the ``InvariantViolationError`` that stops
+    each; any other error propagates."""
+    t = ct.tree
+    found = [outcome(read, t) for read in (
+        check_tree_axioms, classify_vertices, check_degree_angle,
+        check_julia_normalization, check_expanding, count_fixed_points,
+        AngledTree.total_degree)]
+    if isinstance(found[1], dict):
+        found += [outcome(check_expanding, t, found[1]),
+                  outcome(check_julia_normalization, t, found[1])]
+    found += [outcome(recover_portrait, ct), outcome(boundary_walk, ct)]
+    germs_at = image_germs(t)
+    for v in t.vertices:
+        found += [outcome(germs_at, v), outcome(t.degree_of, v)]
+        if nbrs := t.circular_order.get(v):
+            found.append(outcome(t.angle_between, v, nbrs[0], nbrs[-1]))
+    return found
+
+
+class TestMissingEntries:
+    """A reader that meets a missing map entry, or a vertex or neighbor not
+    on the tree, raises ``InvariantViolationError`` naming it, never a bare
+    ``KeyError``."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("v2", "zz", "w1"), "zz is not a neighbor of v2"),
+        (("v2", "w1", "zz"), "zz is not a neighbor of v2"),
+        (("v2", "v1", "w1"), "v1 is not a neighbor of v2"),
+        (("zz", "w1", "w2"), "circular_order(zz) is not defined"),
+    ], ids=["first-off", "second-off", "a-vertex-but-no-neighbor", "vertex-off"])
+    def test_angle_between_off_the_tree(self, args, message):
+        t = seven_tree().tree
+        assert set(t.circular_order["v2"]) == {"w1", "w2", "w3"}
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            t.angle_between(*args)
+
+    def test_missing_tau_is_named(self):
+        # w3 is a vertex: its image is missing, not off the tree
+        ct = seven_tree()
+        t = ct.tree._replace(tau={v: x for v, x in ct.tree.tau.items() if v != "w3"})
+        for read in (classify_vertices, check_expanding, check_julia_normalization,
+                     check_degree_angle, count_fixed_points,
+                     lambda t: image_germs(t)("w3"),
+                     lambda t: recover_portrait(ct._replace(tree=t))):
+            with pytest.raises(InvariantViolationError,
+                               match=r"^tau\(w3\) is not defined$"):
+                read(t)
+        assert check_tree_axioms(t) == (
+            TreeViolation("structure", "tau keys differ from vertices"),)
+
+    @pytest.mark.parametrize("name", ["delta", "circular_order", "gap_angles"])
+    def test_missing_entry_is_named(self, name):
+        t = seven_tree().tree
+        t = t._replace(**{name: {v: x for v, x in getattr(t, name).items() if v != "w1"}})
+        message = f"^{name}\\(w1\\) is not defined$"
+        readers = {"delta": (AngledTree.total_degree, classify_vertices, check_degree_angle),
+                   "circular_order": (lambda t: t.degree_of("w1"), check_expanding,
+                                      check_degree_angle, lambda t: image_germs(t)("w1")),
+                   "gap_angles": (lambda t: t.angle_between("w1", "v1", "v2"),
+                                  check_degree_angle)}[name]
+        for read in readers:
+            with pytest.raises(InvariantViolationError, match=message):
+                read(t)
+
+    def test_single_field_edits_never_raise_key_error(self):
+        # 6,000 seeded edits of the census trees, each read by every public
+        # reader: each returns, or refuses the tree naming what is wrong
+        rng = random.Random(20261020)
+        trees = [ct for _, _, ct in census()]
+        shapes: dict[str, set] = {}
+        undefined = set()
+        for _ in range(6000):
+            kind, ct = edit_entries(rng.choice(trees), rng)
+            for result in read_everything(ct):
+                refused = isinstance(result, str)
+                shapes.setdefault(kind, set()).add("refused" if refused else "returned")
+                if refused and result.endswith(" is not defined"):
+                    undefined.add(kind)
+        assert shapes == dict.fromkeys(EDIT_KINDS, {"refused", "returned"})
+        # each deletion is named as such by some reader
+        assert undefined >= {"tau", "delta", "circular_order", "gap_angles"}
+
+
 class TestDegreeAngle:
     def test_constructed_trees_pass(self):
         for d in (2, 3):
