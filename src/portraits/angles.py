@@ -11,9 +11,10 @@ iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
 portrait's sets that way once (``rotation._numerators``), for its own
 classification, for P2 and P4 (their one gap lookup, in
 ``portrait._signature``, is a bisection) and for the builder's partition.
-Rotation-set generation writes numerators over d**p - 1, enumeration
-compares its pool over their lcm, the SVG renderer makes each arc midpoint
-one integer ratio, and the angled tree stores integer gaps.  Fractions are
+Rotation-set generation writes numerators over d**p - 1, portrait
+enumeration ranks its candidate sets by numerators over their lcm and
+orders families by set rank, the SVG renderer makes each arc midpoint one
+integer ratio, and the angled tree stores integer gaps.  Fractions are
 built again only where a value is reported.
 """
 
@@ -80,13 +81,23 @@ def _increasing(out: tuple) -> tuple:
     return out
 
 
+def _decimal(text: str) -> int:
+    """An optional sign and ASCII digits as an int; ValueError for anything
+    else ``int`` would take, such as underscores, spaces or other digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_angle(text: str) -> Angle:
-    """Parse an angle token: ``p/q`` (reduced modulo 1) or the literal ``0``."""
+    """Parse an angle token: ``p/q`` (reduced modulo 1) or the literal ``0``.
+    p and q are ASCII decimals, each with an optional sign."""
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            p, q = int(num), int(den)
+            p, q = _decimal(num), _decimal(den)
         except ValueError:
             raise MalformedAngleError(f"bad fraction {text!r}") from None
         return normalize_angle(p, q)

@@ -6,13 +6,14 @@ Grammar (UTF-8, lines starting with ``#`` and blank lines ignored)::
     set <frac> [<frac> ...] one line per member set, at least one line
 
 Fractions are ``p/q`` (reduced modulo 1 on input) or the literal ``0``.
+The degree, p and q are ASCII decimals, each with an optional sign.
 Printing always emits fully reduced ``p/q`` in canonical order, so
 parse -> print -> parse is the identity on normalized files.
 """
 
 from __future__ import annotations
 
-from .angles import format_angle, parse_angle
+from .angles import _decimal, format_angle, parse_angle
 from .errors import MalformedAngleError, PortraitParseError
 from .portrait import Portrait, _capacity_fault
 
@@ -35,7 +36,7 @@ def parse_portrait(text: str) -> Portrait:
             if len(tokens) != 2:
                 raise PortraitParseError(lineno, "expected: degree <int>")
             try:
-                degree = int(tokens[1])
+                degree = _decimal(tokens[1])
             except ValueError:
                 raise PortraitParseError(
                     lineno, f"degree must be an integer, got {tokens[1]!r}") from None

@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import chain, combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -273,19 +272,18 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
     joins the block of items[j] in one of items[j:].  Blocks come out
     increasing, the first item's block first.
     """
-    @cache
-    def over(lo: int, hi: int) -> list[tuple[tuple, ...]]:
-        if lo == hi:
-            return [()]
+    n = len(items)
+    over = {(lo, lo): [()] for lo in range(n + 1)}  # over[lo, hi]: those of items[lo:hi]
+    for lo in reversed(range(n)):
         head = (items[lo],)
-        out = [(head,) + rest for rest in over(lo + 1, hi)]
-        for j in range(lo + 1, hi):
-            for outer in over(j, hi):
-                joined = (head + outer[0],)
-                out.extend(joined + inner + outer[1:] for inner in over(lo + 1, j))
-        return out
-
-    return over(0, len(items))
+        for hi in range(lo + 1, n + 1) if lo else [n]:  # lo = 0 needs only hi = n
+            out = [(head,) + rest for rest in over[lo + 1, hi]]
+            for j in range(lo + 1, hi):
+                for outer in over[j, hi]:
+                    joined = (head + outer[0],)
+                    out.extend(joined + inner + outer[1:] for inner in over[lo + 1, j])
+            over[lo, hi] = out
+    return over[0, n]
 
 
 def _signature(cover: Sequence[Sequence],
@@ -331,41 +329,43 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     is grouped by the support each entry carries, and each cover tests each
     of the at most 2**(d-1) - 1 supports once.
 
-    The pool (``rotation._pool``) holds the rotating sets only, grown as
-    cliques of alternating single cycles; the covers supply the fixed sets.
-    Its angles are numerators over q = lcm(d**p - 1 : p <= max_period),
-    which every denominator involved divides; that keeps their order, so
-    the final sort compares integers.  Each cycle point becomes a
-    ``Fraction`` once, and every set holding it reuses that one.
+    The pool (``rotation._pool``) holds the rotating sets, as cliques of
+    alternating single cycles, with numerators over q = lcm(d**p - 1 : p <=
+    max_period), which keep the angles' order; the covers supply the fixed
+    sets.  Families are ordered by set rank: each candidate set (pool set
+    or block) is ranked once in numerator order, a family is the sorted
+    tuple of its sets' ranks, both sorts compare these flat integer tuples,
+    and each portrait reads its angle tuples by rank.
     """
     d = check_degree(degree)
     _check_int("max_period", max_period)  # before a str or None is multiplied
     q, pool = _pool(d, (d - 1) * max_period, max_period)
     fixed = tuple(i * (q // (d - 1)) for i in range(d - 1))
     fixed_angle = dict(zip(fixed, fixed_angles(d)))
-    angles: dict[tuple[int, ...], tuple[Angle, ...]] = {}
-    by_support: dict[frozenset[int], list] = {}
-    for _, support, s, set_angles in pool:
-        angles[s] = set_angles
-        by_support.setdefault(support, []).append(s)
+    # rank each pool set and block (every subset of the fixed angles) by numerators
+    sets = {b: tuple(map(fixed_angle.__getitem__, b))
+            for g in range(1, d) for b in combinations(fixed, g)}
+    sets.update((s, set_angles) for _, _, s, set_angles in pool)
+    rank = {s: r for r, s in enumerate(sorted(sets))}
+    angles = list(map(sets.__getitem__, rank))
+    by_support: dict[frozenset[int], list[int]] = {}
+    for _, support, s, _ in pool:
+        by_support.setdefault(support, []).append(rank[s])
     arcs = {support: [fixed[b] for b in support] for support in by_support}
 
-    found: list[tuple[tuple[int, ...], ...]] = []
+    found: list[tuple[int, ...]] = []
     for cover in _noncrossing_partitions(fixed):
-        angles.update((b, tuple(fixed_angle[x] for x in b)) for b in cover)
-        # per signature: take none of its sets (None) or one of them
+        ranks = tuple(map(rank.__getitem__, cover))
+        # per signature: none of its sets (None: rank 0 is the block {0}) or one
         by_signature: dict[tuple[int, ...], list] = {}
-        for support, sets in by_support.items():
-            sig = _signature(cover, arcs[support])
-            if sig is not None:
-                by_signature.setdefault(sig, [None]).extend(sets)
+        for support, members in by_support.items():
+            if (sig := _signature(cover, arcs[support])) is not None:
+                by_signature.setdefault(sig, [None]).extend(members)
         for choice in product(*by_signature.values()):
-            found.append(tuple(sorted(cover + tuple(filter(None, choice)))))
+            found.append(tuple(sorted(ranks + tuple(filter(None, choice)))))
 
     # families are distinct, so a stable sort by size after the full sort
-    # gives the (size, sets) order
+    # gives the (size, sets) order; canonical, they need no Portrait.create
     found.sort()
     found.sort(key=len)
-    # each family is already canonical, so Portrait.create would only
-    # re-sort and re-validate it
-    return [Portrait(d, tuple(map(angles.__getitem__, f))) for f in found]
+    return [tuple.__new__(Portrait, (d, tuple(map(angles.__getitem__, f)))) for f in found]

@@ -92,7 +92,10 @@ class TestText:
         assert parse_angle("0") == F(0)
 
     def test_parse_rejects_junk(self):
-        for bad in ("1", "3/0", "x/4", "3/-4", "", "1.5"):
+        # int() would take the last five: underscores, full-width and
+        # Arabic-Indic digits, and spaces inside the token
+        for bad in ("1", "3/0", "x/4", "3/-4", "", "1.5",
+                    "1_0/3", "1/1_0", "３/４", "٣/٤", "3 /4"):
             with pytest.raises(MalformedAngleError):
                 parse_angle(bad)
 

@@ -63,6 +63,19 @@ class TestValidate:
         assert exc.value.code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, error", [
+        ("degree ２\nset 0/1\n", "line 1: degree must be an integer, got '２'"),
+        ("degree 2\nset 1_0/3\n", "line 2: bad fraction '1_0/3'"),
+    ])
+    def test_non_ascii_decimal_exits_2(self, tmp_path, capsys, text, error):
+        path = write(tmp_path, "bad.txt", text)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {error}\n"
+
     def test_degree_beyond_the_listed_angles_exits_2(self, tmp_path, capsys):
         # validation would materialise 10**11 - 1 fixed angles; the parser
         # refuses a file that lists far fewer
@@ -260,6 +273,19 @@ class TestEnumerate:
         # enumeration printed them before the sort moved to integers
         assert main(["enumerate", "--degree", str(degree),
                      "--max-period", str(max_period)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("degree, max_period, digest", [
+        (3, 4, "54169a1890c963690034a4ed6b4aa6f7f971ffae85a935a22d02972ed87d24dd"),
+        (4, 3, "a0288cd96c12e602fc442bc622e4027bf940bbe81e42893974c5293e91f761ef"),
+        (5, 2, "807d238eaa7cb4953fefd97377ec8d8c5c1b716d42625c0d50e03d169338c8ef"),
+    ])
+    def test_portrait_listing_is_pinned(self, capsys, degree, max_period, digest):
+        # the listing's bytes, its order included, as enumeration printed
+        # them before it ordered families by set rank
+        assert main(["enumerate", "--degree", str(degree),
+                     "--max-period", str(max_period), "--portraits"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

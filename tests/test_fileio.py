@@ -41,6 +41,10 @@ class TestParse:
         ("degree", "expected: degree <int>"),
         ("degree 3 4", "expected: degree <int>"),
         ("degree three", "degree must be an integer, got 'three'"),
+        # int() takes these; the format takes ASCII decimals only
+        ("degree 1_6", "degree must be an integer, got '1_6'"),
+        ("degree ２", "degree must be an integer, got '２'"),
+        ("degree ٣", "degree must be an integer, got '٣'"),
     ])
     def test_malformed_degree_line(self, line, message):
         with pytest.raises(PortraitParseError, match=f"^line 2: {message}$"):
@@ -55,6 +59,16 @@ class TestParse:
         with pytest.raises(PortraitParseError) as exc:
             parse_portrait("degree 2\nset 0\nset x/3\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("token", ["1_0/3", "1/1_0", "３/４", "٣/٤"])
+    def test_fraction_takes_ascii_decimals_only(self, token):
+        with pytest.raises(PortraitParseError,
+                           match=f"^line 3: bad fraction '{token}'$"):
+            parse_portrait(f"degree 2\nset 0\nset {token}\n")
+
+    def test_signs_are_kept(self):
+        assert parse_portrait("degree +2\nset -1/3 +1/3\n") == Portrait.create(
+            2, [[F(1, 3), F(2, 3)]])
 
     def test_empty_set_line(self):
         with pytest.raises(PortraitParseError) as exc:

@@ -612,15 +612,18 @@ class TestEnumeratePortraits:
                         separated += 1
         assert separated
 
+    # at max_period 1 there is no pool, only the Catalan(d - 1) covers: the
+    # (8, 1), (9, 1) and (10, 1) cases check the order of many families of
+    # fixed sets alone
     @pytest.mark.parametrize("degree, max_period",
-                             [(2, 6), (3, 4), (4, 2), (5, 2)])
+                             [(2, 6), (3, 4), (4, 2), (5, 2), (8, 1), (9, 1)])
     def test_matches_fraction_backtracking(self, degree, max_period):
         assert (enumerate_portraits(degree, max_period)
                 == fraction_backtracking(degree, max_period))
 
     @pytest.mark.parametrize("degree, max_period",
                              [(2, 6), (3, 4), (4, 2), (5, 2), (6, 2),
-                              (3, 6), (4, 4), (6, 3)])
+                              (3, 6), (4, 4), (6, 3), (9, 1), (10, 1)])
     def test_matches_per_set_cover_loop(self, degree, max_period):
         assert (enumerate_portraits(degree, max_period)
                 == per_set_cover_loop(degree, max_period))
