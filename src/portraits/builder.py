@@ -164,32 +164,29 @@ def construct_tree(p: Portrait) -> ConstructedTree:
     so that is the region across gap i + m (Goldberg, *Fixed points of
     polynomial maps I*, 1992).  Every other vertex stays put.
     """
-    validation, xsets = _validate(p)
+    validation, _, xsets = _validate(p)
     sets = validation.valid_sets()
     # one pass over each set's gaps yields both its edges and, for a
     # rotating set, the images of its regions
     regions, gaps = _partition(sets, xsets)
 
-    order_at_v: dict[str, list[str]] = {}
+    vs = [f"v{j}" for j in range(len(sets) + 1)]   # each label once; 0 unused
+    ws = [f"w{r}" for r in range(len(regions) + 1)]
+    circular_order: dict[str, tuple[str, ...]] = {}
     moved: dict[str, str] = {}
-    for j, (rs, gap_regions) in enumerate(zip(sets, gaps), start=1):
-        ws = [f"w{r}" for r in gap_regions]
+    for v, rs, gap_regions in zip(vs[1:], sets, gaps):
+        circular_order[v] = nbrs = tuple(map(ws.__getitem__, gap_regions))
         if not rs.is_fixed:
-            n = rs.cardinality
-            moved.update((w, ws[(i + rs.shift) % n]) for i, w in enumerate(ws))
-        order_at_v[f"v{j}"] = ws
-    order_at_w = {f"w{r.index}": [f"v{j}" for j in r.boundary_cycle]
-                  for r in regions}
-
-    vertices = tuple(order_at_v) + tuple(order_at_w)
+            moved.update((w, nbrs[(i + rs.shift) % len(nbrs)]) for i, w in enumerate(nbrs))
     # "v" < "w", so each (vj, wr) is already in label order
-    edges = tuple(sorted((v, w) for v, ws in order_at_v.items() for w in ws))
-    circular_order = {v: tuple(nbrs)
-                      for v, nbrs in {**order_at_v, **order_at_w}.items()}
+    edges = tuple(sorted((v, w) for v, nbrs in circular_order.items() for w in nbrs))
+    circular_order.update((ws[r.index], tuple(map(vs.__getitem__, r.boundary_cycle)))
+                          for r in regions)
+
+    vertices = tuple(circular_order)
     gap_angles = {v: (len(nbrs), (1,) * len(nbrs)) for v, nbrs in circular_order.items()}
-    delta = dict.fromkeys(order_at_v, 1)
-    delta.update((f"w{r.index}", r.cc + 1) for r in regions)
-    tau = {v: moved.get(v, v) for v in vertices}
+    delta = dict.fromkeys(vs[1:], 1) | {ws[r.index]: r.cc + 1 for r in regions}
+    tau = dict(zip(vertices, vertices)) | moved
 
     tree = AngledTree(vertices, edges, circular_order, gap_angles, tau, delta)
     # P3 puts the fixed angle 0 in a set and P2 in only one; being the least

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .angles import format_angle
+from .angles import _decimal, format_angle
 from .builder import construct_tree
 from .errors import InvalidPortraitError, PortraitParseError, PortraitsError
 from .fileio import format_portrait, parse_portrait
@@ -29,6 +29,13 @@ from .recovery import recover_portrait
 from .render import render_svg
 from .report import analyze, render_report, report_data
 from .rotation import deployment_vector, enumerate_rotation_sets
+
+
+def _integer(text: str) -> int:
+    try:
+        return _decimal(text)   # ASCII decimals only, as the file's degree line
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _read_portrait(path: str):
@@ -131,10 +138,10 @@ def main(argv=None) -> int:
     r.set_defaults(func=_cmd_roundtrip)
 
     e = sub.add_parser("enumerate", help="list rotation sets or valid portraits")
-    e.add_argument("--degree", type=int, required=True)
-    e.add_argument("--max-period", type=int, required=True)
+    e.add_argument("--degree", type=_integer, required=True)
+    e.add_argument("--max-period", type=_integer, required=True)
     listing = e.add_mutually_exclusive_group()
-    listing.add_argument("--max-cardinality", type=int, default=None)
+    listing.add_argument("--max-cardinality", type=_integer, default=None)
     listing.add_argument("--portraits", action="store_true",
                          help="assemble and list every valid portrait instead")
     e.set_defaults(func=_cmd_enumerate)

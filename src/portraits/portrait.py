@@ -62,11 +62,18 @@ class Portrait(NamedTuple):
     @classmethod
     def create(cls, degree: int, sets: Iterable[Iterable[Angle]]) -> "Portrait":
         d = check_degree(degree)
-        # types first: sorting a str or None among Fractions is a TypeError
-        family = [_increasing(tuple(sorted(_typed(s)))) for s in sets]
+        family = []
+        # types first (sorting a str among Fractions is a TypeError); sort on failure
+        for s in map(_typed, sets):
+            try:
+                family.append(_increasing(s))
+            except MalformedSetError:
+                family.append(_increasing(tuple(sorted(s))))
         if not family:
             raise ValueError("a portrait needs at least one angle set")
-        family.sort()
+        least = [s[0].as_integer_ratio() for s in family]   # increasing: in order
+        if any(xn * yd >= yn * xd for (xn, xd), (yn, yd) in zip(least, least[1:])):
+            family.sort()
         return cls(d, tuple(family))
 
     @property
@@ -165,9 +172,9 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     return _validate(p)[0]
 
 
-def _validate(p: Portrait) -> tuple[ValidationResult, tuple]:
-    """``validate_portrait`` and the numerators, kept for the last portrait
-    object whose family and sets are tuples, so that it cannot change."""
+def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
+    """``validate_portrait`` and (q, numerators over q), kept for the last
+    portrait object whose family and sets are tuples, so it cannot change."""
     global _last
     if (last := _last)[0] is p:     # one read: another thread may replace it
         return last[1]
@@ -227,12 +234,10 @@ def _validate(p: Portrait) -> tuple[ValidationResult, tuple]:
         if fault := _capacity_fault(d, p.sets):
             raise CapacityError(fault)
 
-        # a shift-0 set has d*a = a, so each of its angles is a fixed angle
-        # i/(d-1), with i = a*(d-1): P3 can only find fixed angles missing
-        fixed_members = [(i, rs) for i, rs in enumerate(classified, start=1)
-                         if rs.is_fixed]
-        covered = {a.numerator * ((d - 1) // a.denominator)
-                   for _, rs in fixed_members for a in rs.angles}
+        # a shift-0 set has d*a = a, so each of its angles x/q is a fixed
+        # angle i/(d-1), i = x*(d-1)/q: P3 can only find fixed angles missing
+        fixed_members = [i for i, rs in enumerate(classified, start=1) if rs.is_fixed]
+        covered = {x * (d - 1) // q for i in fixed_members for x in xsets[i - 1]}
         missing = tuple(Fraction(i, d - 1) for i in range(d - 1) if i not in covered)
         if missing:
             violations.append(Violation(
@@ -243,7 +248,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, tuple]:
         if any(v.code.startswith("P2") for v in violations):
             notes.append("P4 skipped: separation is ill-defined while P2 fails")
         else:
-            blocks = [xsets[i - 1] for i, _ in fixed_members]
+            blocks = [xsets[i - 1] for i in fixed_members]
             groups: dict[tuple[int, ...], list[int]] = {}
             for i, rs in enumerate(classified, start=1):
                 if not rs.is_fixed:
@@ -256,10 +261,19 @@ def _validate(p: Portrait) -> tuple[ValidationResult, tuple]:
                     f"rotation-number-zero set"))
 
     found = (ValidationResult(tuple(violations), tuple(notes),
-                              None if None in classified else tuple(classified)), xsets)
+                              None if None in classified else tuple(classified)), q, xsets)
     if type(p.sets) is tuple and all(type(s) is tuple for s in p.sets):
         _last = p, found
     return found
+
+
+def _matches(p: Portrait, d: int, found: list) -> bool:
+    """True iff degree d and ``found``, sets of numerators ys over r, are p's:
+    each y*q/r is whole, and the sets it gives are p's numerators over q."""
+    last = _last
+    q, xsets = last[1][1:] if last[0] is p else _numerators(p.degree, p.sets)
+    return (d == p.degree and not any(y * q % r for r, ys in found for y in ys)
+            and sorted(tuple(y * q // r for y in ys) for r, ys in found) == list(xsets))
 
 
 def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:

@@ -21,9 +21,11 @@ its tree (with ``tau``) and its marked sector are read, never its classified
 sets or its regions.  Recovery walks plain (vertex, index) pairs from the
 marked sector (``boundary_walk`` wraps them as ``Sector``s) and calls the
 closed-form kernel ``rotation._closed_form`` directly, which returns
-increasing numerators, so only the portrait's family needs sorting.  A tree
-from elsewhere (a hand edit, say) may be malformed; recovery then raises
-``InvariantViolationError`` naming the vertex, edge or missing entry.
+increasing numerators.  Sets stay integers until ``recover_portrait``
+builds ``Fraction``s (``Analysis.recovered`` is the input when they match
+it).  A tree from elsewhere (a hand edit, say) may be malformed; recovery
+then raises ``InvariantViolationError`` naming the vertex, edge or missing
+entry.
 """
 
 from __future__ import annotations
@@ -105,10 +107,16 @@ def recover_portrait(ct: ConstructedTree) -> Portrait:
     (the fixed-sector and marked-sector checks reject d <= 1 first),
     0 < shift < n, and the blocks are sorted and in range(d - 1).
     """
-    return _recover(ct, _survey(ct.tree))
+    return _portrait(*_recover(ct, _survey(ct.tree)))
 
 
-def _recover(ct: ConstructedTree, survey: _Survey) -> Portrait:
+def _portrait(d: int, found: list[tuple[int, list[int]]]) -> Portrait:
+    """The recovered sets, numerators xs over q, as a canonical Portrait."""
+    return Portrait(d, tuple(sorted(tuple(Fraction(x, q) for x in xs) for q, xs in found)))
+
+
+def _recover(ct: ConstructedTree, survey: _Survey) -> tuple[int, list]:
+    """(d, found): the degree and each set as increasing numerators xs over q."""
     t = ct.tree
     tau, delta, d = _complete(t, "tau"), t.delta, t.total_degree()
     fixed_vertices: list[str] = []
@@ -136,33 +144,30 @@ def _recover(ct: ConstructedTree, survey: _Survey) -> Portrait:
             f"{fixed_sector_count} fixed sectors found, expected {d - 1}")
 
     walk = _walk(ct)
-    assigned: dict[str, list[Fraction]] = {v: [] for v in fixed_vertices}
-    if walk[0][0] not in assigned:
+    if walk[0][0] not in (fixed := set(fixed_vertices)):
         raise InvariantViolationError("the marked sector is not a fixed sector")
-    # each rotating vertex's block sequence, non-decreasing in walk order
-    blocks: dict[str, list[int]] = {v: [] for v in rotating}
+    # with c fixed sectors walked so far, a fixed sector holds ray c - 1 and
+    # a rotating one lies in block c - 1: a block sequence, non-decreasing
+    numbers: dict[str, list[int]] = {v: [] for v in (*fixed_vertices, *rotating)}
     counter = 0
     for v, _ in walk:
-        if v in assigned:
-            assigned[v].append(Fraction(counter, d - 1))
-            counter += 1
-        elif v in blocks:
-            blocks[v].append(counter - 1)
+        counter += v in fixed
+        if v in numbers:
+            numbers[v].append(counter - 1)
     if counter != d - 1:
         raise InvariantViolationError(
             f"walk assigned {counter} fixed rays, expected {d - 1}")
 
-    sets: list[tuple[Fraction, ...]] = [tuple(assigned[v]) for v in fixed_vertices]
+    found = [(d - 1, numbers[v]) for v in fixed_vertices]
     for v, shift in rotating.items():
-        n, bs = len(t.circular_order[v]), blocks[v]
-        found = _closed_form(d, shift, bs) if len(bs) == n else None
-        if found is None:
+        n, bs = len(t.circular_order[v]), numbers[v]
+        rotation_set = _closed_form(d, shift, bs) if len(bs) == n else None
+        if rotation_set is None:
             dep = [0] * (d - 1)
             for b in bs:
                 dep[b] += 1
             raise InvariantViolationError(
                 f"no rotation set matches shift={shift} cardinality={n} "
                 f"deployment={tuple(dep)} read off {v}")
-        q, xs = found
-        sets.append(tuple(Fraction(x, q) for x in xs))
-    return Portrait(d, tuple(sorted(sets)))
+        found.append(rotation_set)
+    return d, found

@@ -4,8 +4,8 @@ Exact combinatorics lives upstream; this module is the only place floating
 point appears.  Each angle and arc end is read once, as its integer pair
 ``as_integer_ratio()``, and enters as one correctly rounded division: a
 circle point as numerator over denominator, an arc midpoint as one integer
-ratio over twice the arcs' common denominator.  The fixed prelude is built
-once, at import.  The drawing shows the unit circle, each set's star
+ratio over twice its two ends' lcm.  The fixed prelude is built once, at
+import.  The drawing shows the unit circle, each set's star
 (dashed spokes from its circle points to their barycenter - decoration,
 not tree), the tree vertices and solid edges, local degrees, and dotted
 arrows for the moving vertices.  Output is byte-for-byte reproducible.
@@ -73,13 +73,13 @@ def render_svg(ct: ConstructedTree, regions: Sequence[Region]) -> str:
 
     # pull each region vertex off the circle: average its arc midpoints with
     # the barycenters of its boundary stars.  With s and e the arc's ends as
-    # numerators over q, its midpoint is ((2s + span) mod 2q) / 2q, span =
-    # (e - s) mod q (a whole turn when the arc is the circle minus a point).
-    q = math.lcm(*(x.denominator for r in regions for arc in r.arcs for x in arc))
+    # numerators over q, their lcm, its midpoint is ((2s + span) mod 2q) / 2q,
+    # span = (e - s) mod q (a whole turn when the arc is the circle minus a point).
     for r in regions:
         points = []
         for start, end in r.arcs:
             (sn, sd), (en, ed) = start.as_integer_ratio(), end.as_integer_ratio()
+            q = math.lcm(sd, ed)
             s = sn * (q // sd)
             span = (en * (q // ed) - s) % q or q
             turn = 2 * math.pi * ((2 * s + span) % (2 * q) / (2 * q))

@@ -4,7 +4,8 @@
 dynamics, every tree check, and the recovery round trip - and keeps each
 result, so the report and the CLI's exit status are pure functions of the
 portrait.  The reports read the classified sets and the regions that the
-construction carries.
+construction carries; a round trip that holds on integers keeps the input
+portrait as ``Analysis.recovered``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import NamedTuple, Optional
 from .angles import format_angle
 from .builder import ConstructedTree, Region, construct_tree
 from .fileio import format_portrait
-from .portrait import Portrait
-from .recovery import _recover
+from .portrait import Portrait, _matches
+from .recovery import _portrait, _recover
 from .rotation import RotationSet
 from .tree import (TreeViolation, VertexClass, _axioms, _degree_angle,
                    _normalization, _survey, check_expanding,
@@ -60,7 +61,8 @@ def analyze(p: Portrait) -> Analysis:
     t, s = ct.tree, _survey(ct.tree)
     classes = classify_vertices(t)
     expanding, witness = check_expanding(t, classes)
-    recovered = _recover(ct, s)
+    d, found = _recover(ct, s)
+    same = _matches(p, d, found)
     return Analysis(
         portrait=p,
         ct=ct,
@@ -71,8 +73,8 @@ def analyze(p: Portrait) -> Analysis:
         expanding=expanding,
         expanding_witness=witness,
         fixed_points=count_fixed_points(t),
-        recovered=recovered,
-        round_trip_ok=(recovered == p),
+        recovered=p if same else _portrait(d, found),
+        round_trip_ok=same,
     )
 
 

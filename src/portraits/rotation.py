@@ -112,12 +112,12 @@ def _numerators(d: int, sets: Sequence[Sequence[Angle]]) -> tuple[int, tuple]:
     """(q, xsets): each set as numerators over q, the common denominator of
     the sets whose denominators all divide d**n - 1 (n the set's size).  A
     set failing that cannot be a rotation set; it gets None, and its
-    denominators are never multiplied out."""
-    periodic = [not any((pow(d, len(s), a.denominator) - 1) % a.denominator for a in s)
-                for s in sets]
-    q = lcm(*(a.denominator for s, ok in zip(sets, periodic) if ok for a in s))
-    return q, tuple(tuple(a.numerator * (q // a.denominator) for a in s) if ok else None
-                    for s, ok in zip(sets, periodic))
+    denominators are never multiplied out.  Each angle's pair is read once."""
+    pairs = [[a.as_integer_ratio() for a in s] for s in sets]
+    periodic = [not any((pow(d, len(s), den) - 1) % den for _, den in s) for s in pairs]
+    q = lcm(*(den for s, ok in zip(pairs, periodic) if ok for _, den in s))
+    return q, tuple(tuple(x * (q // den) for x, den in s) if ok else None
+                    for s, ok in zip(pairs, periodic))
 
 
 def _shift(d: int, q: int, xs: Sequence[int]) -> Optional[int]:

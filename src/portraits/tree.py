@@ -119,6 +119,8 @@ def _angle_function(t: AngledTree, v: str) -> tuple:
         name = "circular_order" if order is None else "gap_angles"
         return TreeViolation("structure", _UNDEFINED.format(name, v))
     L, gaps = entry
+    if len(order) == 1 == len(gaps) and 0 < L <= gaps[0] and not gaps[0] % L:
+        return L, {order[0]: 0}, [0]        # one edge, and one whole-turn gap
     slot = dict(zip(order, range(len(order))))
     fault = (f"gap denominator at {v} is {L} <= 0" if L <= 0
              else f"gap count at {v} differs from degree" if len(gaps) != len(order)
@@ -317,7 +319,7 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
     classes: dict[str, VertexClass] = {}
     tau, delta = _complete(t, "tau"), _complete(t, "delta")
     cycles = 0
-    for v in t.vertices:
+    for v in filterfalse(classes.__contains__, t.vertices):   # not yet walked
         position: dict[str, int] = {}
         x = v
         while x not in classes and x not in position:

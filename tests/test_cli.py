@@ -254,6 +254,32 @@ class TestEnumerate:
         assert captured.out == ""
         assert captured.err == f"usage error: max_cardinality must be >= 1, got {bound}\n"
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["--degree", "３", "--max-period", "1_0"], "--degree", "３"),
+        (["--degree", "2", "--max-period", "1_0"], "--max-period", "1_0"),
+        (["--degree", "٢", "--max-period", "1", "--portraits"], "--degree", "٢"),
+        (["--degree", "3", "--max-period", "٣"], "--max-period", "٣"),
+        (["--degree", "2", "--max-period", "2", "--max-cardinality", "２"],
+         "--max-cardinality", "２"),
+        (["--degree", "2", "--max-period", " 2"], "--max-period", " 2"),
+    ], ids=["fullwidth-degree", "underscore-period", "arabic-indic-degree",
+            "arabic-indic-period", "fullwidth-cardinality", "spaced-period"])
+    def test_non_ascii_decimal_flag_is_a_usage_error(self, capsys, argv, flag, value):
+        # the flags read integers as the portrait file does: ASCII digits
+        # and an optional sign, not everything int() takes
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_signed_flags_are_read(self, capsys):
+        assert main(["enumerate", "--degree", "+2", "--max-period", "+2"]) == 0
+        assert capsys.readouterr().out.endswith("# total: 2 rotation sets\n")
+
     @pytest.mark.parametrize("listing", [[], ["--portraits"]],
                              ids=["rotation-sets", "portraits"])
     def test_zero_max_period_is_named(self, capsys, listing):

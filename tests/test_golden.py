@@ -19,6 +19,7 @@ any change to the output bytes fails here.  To regenerate after an intended chan
 import hashlib
 import json
 from fractions import Fraction as F
+from functools import cache
 from pathlib import Path
 
 from portraits import (Portrait, analyze, enumerate_portraits,
@@ -57,6 +58,12 @@ def golden_portraits() -> list[Portrait]:
     for d in (2, 3, 4):
         out.extend(enumerate_portraits(d, 3))
     return out + long_period_portraits()
+
+
+@cache
+def goldens() -> tuple[Portrait, ...]:
+    """The 457 distinct portraits of the golden file, for other tests."""
+    return tuple(dict.fromkeys(golden_portraits()))
 
 
 def digests() -> dict[str, list[str]]:

@@ -6,6 +6,8 @@ from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from portraits import (CapacityError, InvalidPortraitError, MalformedSetError,
                        Portrait, Violation, construct_tree,
@@ -20,6 +22,7 @@ import portraits.rotation
 from portraits.rotation import RotationSet
 
 from conftest import BASILICA_SETS, DEGREE5_SETS, wide_rotating
+from test_golden import goldens
 
 
 def gap_of(points, x):
@@ -536,6 +539,75 @@ class TestPortraitType:
         p = Portrait.create(5, [[F(1, 8), F(5, 8)]])
         with pytest.raises(InvalidPortraitError):
             validate_portrait(p).valid_sets()
+
+
+def sorted_create(degree, sets):
+    """Oracle: ``Portrait.create`` as plain sorts.  Each set is sorted and
+    its first fault in sorted order raised (every angle out of [0, 1) before
+    any repeat), then the family is sorted."""
+    family = []
+    for s in map(sorted, sets):
+        if not s:
+            raise MalformedSetError("angle set is empty")
+        for a in s:
+            if not 0 <= a < 1:
+                raise MalformedSetError(f"angle {a} outside [0, 1)")
+        for x, y in zip(s, s[1:]):
+            if not x < y:
+                raise MalformedSetError(
+                    f"angles must be strictly increasing, got {x} before {y}")
+        family.append(tuple(s))
+    return Portrait(check_degree(degree), tuple(sorted(family)))
+
+
+# built at import, so that no example pays for the golden enumerations
+GOLDEN_PORTRAITS = st.sampled_from(goldens())
+
+
+@st.composite
+def shuffled_goldens(draw):
+    """A golden portrait, and its sets with each set and the family shuffled."""
+    p = draw(GOLDEN_PORTRAITS)
+    return p, draw(st.permutations([draw(st.permutations(s)) for s in p.sets]))
+
+
+class TestCanonicalOrder:
+    """``Portrait.create`` checks each set's order and the family's on
+    integer pairs and sorts only what fails; the result is the sorted one."""
+
+    @given(shuffled_goldens())
+    def test_shuffled_goldens_match_the_sorted_oracle(self, case):
+        p, sets = case
+        made = Portrait.create(p.degree, sets)
+        assert made == sorted_create(p.degree, sets) == p
+        assert all(type(s) is tuple for s in made.sets)
+
+    @given(shuffled_goldens(), st.data())
+    def test_faulty_unsorted_set_raises_as_the_oracle(self, case, data):
+        p, sets = case
+        j = data.draw(st.integers(0, len(sets) - 1))
+        extra = data.draw(st.sampled_from(sets[j])          # a repeated angle
+                          | st.sampled_from([F(-1, 3), F(1), F(5, 4), 1, -1]))
+        faulty = data.draw(st.permutations([*sets[j], extra]))
+        if faulty == sorted(faulty):
+            faulty.reverse()
+        sets = [*sets[:j], faulty, *sets[j + 1:]]
+        with pytest.raises(MalformedSetError) as expected:
+            sorted_create(p.degree, sets)
+        with pytest.raises(MalformedSetError) as made:
+            Portrait.create(p.degree, sets)
+        assert str(made.value) == str(expected.value)
+
+    @pytest.mark.parametrize("sets", [
+        [[F(1, 2), 0], [F(1, 3)]],
+        [[F(1, 3)], [0, F(1, 2)]],
+        [[F(1, 3), F(2, 3)], [F(1, 3)]],
+        [[F(1, 3)], [F(1, 3)]],
+        [[0], [F(0)]],
+    ], ids=["unsorted-set", "unsorted-family", "prefix-after", "repeated-set",
+            "int-and-fraction-zero"])
+    def test_examples_match_the_sorted_oracle(self, sets):
+        assert Portrait.create(3, sets) == sorted_create(3, sets)
 
 
 class TestNoncrossingPartitions:

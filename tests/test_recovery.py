@@ -4,12 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+import portraits.recovery
+import portraits.report
 from portraits import (InvariantViolationError, Portrait, RotationSet, analyze,
                        boundary_walk, classify_rotation_set, construct_tree,
                        deployment_vector, enumerate_portraits, fixed_angles,
-                       image_germs, recover_portrait)
+                       image_germs, recover_portrait, render_report)
 
 from conftest import orbit, wide_rotating
+from test_golden import goldens
 
 
 class TestBoundaryWalk:
@@ -284,3 +287,88 @@ class TestRecoveryErrors:
         self.check(edited(ct, delta={**ct.tree.delta, "v3": 0}),
                    "no rotation set matches shift=2 cardinality=4 "
                    "deployment=(4,) read off v2")
+
+
+class TestIntegerRoundTrip:
+    """``analyze`` decides the round trip on integers: recovery hands over
+    each set as numerators over its own denominator, and they are
+    cross-multiplied against the numerators validation wrote.  A match keeps
+    the input portrait as ``recovered``; ``Fraction``s are built only on a
+    mismatch and by ``recover_portrait``."""
+
+    def test_analyze_builds_no_fraction_in_recovery(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"recovery built Fraction{args}")
+
+        monkeypatch.setattr(portraits.recovery, "Fraction", refuse)
+        assert len(goldens()) == 457
+        for p in goldens():
+            an = analyze(p)
+            assert an.round_trip_ok and an.all_ok
+            assert an.recovered is p
+
+    def test_recover_portrait_over_goldens(self):
+        for p in goldens():
+            assert recover_portrait(construct_tree(p)) == p
+
+    # the degree-5 example recovers (5, [(4, [0, 3]), (4, [1]), (4, [2]),
+    # (24, [3, 15])]): {0, 3/4}, {1/4}, {1/2} over 4 and {1/8, 5/8} over 24
+    @pytest.mark.parametrize("edit, recovered", [
+        (lambda d, f: (d, f[:3] + [(24, [3, 16])]),
+         ["set 0/1 3/4", "set 1/8 2/3", "set 1/4", "set 1/2"]),
+        (lambda d, f: (d, [(4, [0, 2])] + f[1:]),
+         ["set 0/1 1/2", "set 1/8 5/8", "set 1/4", "set 1/2"]),
+        (lambda d, f: (d, [(4, [0])] + f[1:]),
+         ["set 0/1", "set 1/8 5/8", "set 1/4", "set 1/2"]),
+        (lambda d, f: (d, f[:3] + [(24, [3, 15, 21])]),
+         ["set 0/1 3/4", "set 1/8 5/8 7/8", "set 1/4", "set 1/2"]),
+        (lambda d, f: (d, f[:2] + f[3:]),
+         ["set 0/1 3/4", "set 1/8 5/8", "set 1/4"]),
+        (lambda d, f: (d, f + [(24, [9])]),
+         ["set 0/1 3/4", "set 1/8 5/8", "set 1/4", "set 3/8", "set 1/2"]),
+        (lambda d, f: (d, f + [f[1]]),
+         ["set 0/1 3/4", "set 1/8 5/8", "set 1/4", "set 1/4", "set 1/2"]),
+        (lambda d, f: (d, [f[0], (5, [1])] + f[2:]),
+         ["set 0/1 3/4", "set 1/8 5/8", "set 1/5", "set 1/2"]),
+        # 5/16 lies between the numerators 2/8 and 3/8 of the portrait's q = 8
+        (lambda d, f: (d, [f[0], (16, [5])] + f[2:]),
+         ["set 0/1 3/4", "set 1/8 5/8", "set 5/16", "set 1/2"]),
+    ], ids=["one-numerator", "fixed-numerator", "smaller-set", "larger-set",
+            "fewer-sets", "more-sets", "repeated-set", "other-denominator",
+            "between-numerators"])
+    def test_differing_family_fails(self, monkeypatch, degree5_portrait, edit,
+                                    recovered):
+        original = portraits.report._recover
+        monkeypatch.setattr(portraits.report, "_recover",
+                            lambda ct, s: edit(*original(ct, s)))
+        an = analyze(degree5_portrait)
+        assert not an.round_trip_ok and not an.all_ok
+        lines = ["degree 5", *recovered]
+        assert an.recovered == Portrait(5, tuple(
+            tuple(map(F, line.split()[1:])) for line in lines[1:]))
+        assert render_report(an).endswith(
+            "\nround trip: FAIL\nrecovered portrait:\n"
+            + "".join(f"  {line}\n" for line in lines))
+
+    def test_differing_degree_fails(self, monkeypatch, degree5_portrait):
+        original = portraits.report._recover
+        monkeypatch.setattr(portraits.report, "_recover",
+                            lambda ct, s: (6, original(ct, s)[1]))
+        an = analyze(degree5_portrait)
+        assert not an.round_trip_ok
+        assert render_report(an).endswith(
+            "\nround trip: FAIL\nrecovered portrait:\n  degree 6\n"
+            "  set 0/1 3/4\n  set 1/8 5/8\n  set 1/4\n  set 1/2\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda d, f: (d, f[:3] + [(8, [1, 5])]),
+        lambda d, f: (d, [(8, [0, 6])] + f[1:]),
+        lambda d, f: (d, f[::-1]),
+    ], ids=["rotating-over-8", "fixed-over-8", "reversed-family"])
+    def test_equal_values_over_other_denominators_match(self, monkeypatch,
+                                                        degree5_portrait, edit):
+        original = portraits.report._recover
+        monkeypatch.setattr(portraits.report, "_recover",
+                            lambda ct, s: edit(*original(ct, s)))
+        an = analyze(degree5_portrait)
+        assert an.round_trip_ok and an.recovered is degree5_portrait

@@ -724,6 +724,57 @@ class TestMalformedTrees:
                                match="^gap count at v2 differs from degree$"):
                 check(t)
 
+    @pytest.mark.parametrize("gaps_at_v3, violations, refusal", [
+        ((0, (1,)), [("structure", "gap denominator at v3 is 0 <= 0")],
+         "gap denominator at v3 is 0 <= 0"),
+        ((-2, (-2,)), [("structure", "gap denominator at v3 is -2 <= 0")],
+         "gap denominator at v3 is -2 <= 0"),
+        ((1, (1, 0)), [("structure", "gap count at v3 differs from degree")],
+         "gap count at v3 differs from degree"),
+        ((1, ()), [("structure", "gap count at v3 differs from degree")],
+         "gap count at v3 differs from degree"),
+        ((2, (1,)), [("angle-total", "gaps at v3 sum to 1/2, not a positive whole turn")],
+         "gaps at v3 sum to 1/2, not a positive whole turn"),
+        ((3, (4,)), [("angle-total", "gaps at v3 sum to 4/3, not a positive whole turn")],
+         "gaps at v3 sum to 4/3, not a positive whole turn"),
+        ((1, (0,)), [("angle-gap", "gap 0 at v3 is 0 <= 0"),
+                     ("angle-total", "gaps at v3 sum to 0, not a positive whole turn")],
+         "gaps at v3 sum to 0, not a positive whole turn"),
+        ((2, (-2,)), [("angle-gap", "gap 0 at v3 is -1 <= 0"),
+                      ("angle-total", "gaps at v3 sum to -1, not a positive whole turn")],
+         "gaps at v3 sum to -1, not a positive whole turn"),
+        (None, [("structure", "gap_angles keys differ from vertices")],
+         "gap_angles(v3) is not defined"),
+    ], ids=["zero-denominator", "negative-denominator", "two-gaps", "no-gap",
+            "half-turn", "four-thirds", "zero-gap", "negative-turn", "missing-gaps"])
+    def test_one_edge_vertex_refusals(self, gaps_at_v3, violations, refusal):
+        # v3 is a periodic Julia vertex with one edge, to w2; its one gap
+        # takes the shortcut only when it is a positive whole turn
+        t = self.tree()
+        gap_angles = {v: g for v, g in t.gap_angles.items() if v != "v3"}
+        if gaps_at_v3 is not None:
+            gap_angles["v3"] = gaps_at_v3
+        t = t._replace(gap_angles=gap_angles)
+        assert check_tree_axioms(t) == tuple(TreeViolation(*v) for v in violations)
+        for check in (lambda t: t.angle_between("v3", "w2", "w2"),
+                      check_julia_normalization):
+            with pytest.raises(InvariantViolationError,
+                               match=f"^{re.escape(refusal)}$"):
+                check(t)
+
+    @pytest.mark.parametrize("gaps_at_v3", [(1, (1,)), (3, (3,)), (1, (2,)), (2, (6,))],
+                             ids=["one-turn", "one-turn-over-3", "two-turns", "three-turns"])
+    def test_one_edge_vertex_with_a_whole_turn(self, gaps_at_v3):
+        # any positive whole turn is an angle function at one edge, as the
+        # general rule (gaps summing to a positive whole turn) admits it
+        t = self.tree()
+        t = t._replace(gap_angles={**t.gap_angles, "v3": gaps_at_v3})
+        assert check_tree_axioms(t) == ()
+        assert t.angle_between("v3", "w2", "w2") == 0
+        assert check_julia_normalization(t) == ()
+        with pytest.raises(InvariantViolationError, match="^w1 is not a neighbor of v3$"):
+            t.angle_between("v3", "w2", "w1")
+
 
 def seven_tree():
     """The degree-2 tree of {0} {1/7 2/7 4/7}: v2 has the three edges to
