@@ -13,12 +13,12 @@ classification, for P2 and P4 (their one gap lookup, in
 ``portrait._signature``, is a bisection), for P3's fixed indices, for the
 builder's partition and for the round trip, which compares recovery's sets
 (numerators over d - 1 and d**p - 1) with them.  ``Portrait.create``
-checks each set's and the family's order on integer pairs.  Rotation-set
-generation writes numerators over d**p - 1, portrait enumeration ranks its
-candidate sets by numerators over their lcm and orders families by set
-rank, the SVG renderer makes each arc midpoint one integer ratio, and the
-angled tree stores integer gaps.  Fractions are built again only where a
-value is reported.
+checks each set's and the family's order on integer pairs.  In
+``enumeration``, rotation-set generation writes numerators over d**p - 1,
+and portrait enumeration ranks its candidate sets by numerators over their
+lcm and orders families by set rank; the SVG renderer makes each arc
+midpoint one integer ratio, and the angled tree stores integer gaps.
+Fractions are built again only where a value is reported.
 """
 
 from __future__ import annotations

@@ -12,23 +12,18 @@ Exit status: 0 pass, 1 validation or check failure, 2 parse/usage error or
 a file that cannot be read or written.  Only ``main`` maps errors to these:
 an ``InvalidPortraitError`` prints its violations, any other
 ``PortraitsError`` prints ``error: ...``, and other ``ValueError``s exit 2.
+Each subcommand imports the modules it runs, when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .angles import _decimal, format_angle
-from .builder import construct_tree
 from .errors import InvalidPortraitError, PortraitParseError, PortraitsError
 from .fileio import format_portrait, parse_portrait
-from .portrait import enumerate_portraits, validate_portrait
-from .recovery import recover_portrait
-from .render import render_svg
-from .report import analyze, render_report, report_data
-from .rotation import deployment_vector, enumerate_rotation_sets
+from .portrait import validate_portrait
 
 
 def _integer(text: str) -> int:
@@ -75,27 +70,32 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    an = analyze(_read_portrait(args.file))
-    text = render_report(an)
+    p = _read_portrait(args.file)
+    validate_portrait(p).valid_sets()   # raises before the pipeline loads
+    from . import render, report
+    an = report.analyze(p)
+    text = report.render_report(an)
     if args.report:
         _write(args.report, text)
     else:
         print(text, end="")
     if args.json:
-        _write(args.json, json.dumps(report_data(an), indent=2) + "\n")
+        _write(args.json, report._json(an))
     if args.svg:
-        _write(args.svg, render_svg(an.ct, an.regions))
+        _write(args.svg, render.render_svg(an.ct, an.regions))
     return 0 if an.all_ok else 1
 
 
 def _cmd_roundtrip(args) -> int:
+    from . import builder, recovery
     p = _read_portrait(args.file)
-    recovered = recover_portrait(construct_tree(p))
+    recovered = recovery.recover_portrait(builder.construct_tree(p))
     print(format_portrait(recovered), end="")
     return 0 if recovered == p else 1
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import deployment_vector, enumerate_portraits, enumerate_rotation_sets
     degree, period = args.degree, args.max_period
     if args.portraits:
         portraits = enumerate_portraits(degree, period)

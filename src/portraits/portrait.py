@@ -13,7 +13,8 @@ portrait satisfies four conditions, reported under these codes:
                          fixed set.
 
 The validator collects every violation it can still make sense of instead
-of stopping at the first.
+of stopping at the first.  Portrait enumeration is in ``enumeration``, and
+``portrait.enumerate_portraits`` resolves to it on first use.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (Angle, _increasing, _typed, as_angle_tuple, check_degree,
-                     fixed_angles, format_angle)
+                     format_angle)
 from .errors import CapacityError, InvalidPortraitError, MalformedSetError
-from .rotation import RotationSet, _check_int, _numerators, _pool, _shift
+from .rotation import RotationSet, _numerators, _shift
 
 # A valid degree-d portrait lists all d-1 fixed angles.  A portrait listing
 # fewer is refused outright once d-1 also exceeds this bound, before
@@ -276,30 +277,6 @@ def _matches(p: Portrait, d: int, found: list) -> bool:
             and sorted(tuple(y * q // r for y in ys) for r, ys in found) == list(xsets))
 
 
-def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
-    """Partitions of increasing ``items`` into blocks that do not cross.
-
-    Read around the circle, these are the pairwise unlinked covers; there
-    are Catalan(len(items)) of them.  The block of the first item either
-    holds it alone, or continues at some items[j]: the items in between
-    then form a noncrossing partition of their own, and the first item
-    joins the block of items[j] in one of items[j:].  Blocks come out
-    increasing, the first item's block first.
-    """
-    n = len(items)
-    over = {(lo, lo): [()] for lo in range(n + 1)}  # over[lo, hi]: those of items[lo:hi]
-    for lo in reversed(range(n)):
-        head = (items[lo],)
-        for hi in range(lo + 1, n + 1) if lo else [n]:  # lo = 0 needs only hi = n
-            out = [(head,) + rest for rest in over[lo + 1, hi]]
-            for j in range(lo + 1, hi):
-                for outer in over[j, hi]:
-                    joined = (head + outer[0],)
-                    out.extend(joined + inner + outer[1:] for inner in over[lo + 1, j])
-            over[lo, hi] = out
-    return over[0, n]
-
-
 def _signature(cover: Sequence[Sequence],
                arcs: Sequence) -> Optional[tuple[int, ...]]:
     """The gap of each block of ``cover`` holding all of the points ``arcs``,
@@ -317,69 +294,8 @@ def _signature(cover: Sequence[Sequence],
     return tuple(sig)
 
 
-def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
-    """Every valid portrait whose sets have element period <= max_period.
-
-    The family of fixed sets is an exact, pairwise-unlinked cover of the
-    fixed angles, i.e. a noncrossing set partition of them, and those are
-    generated directly.  Output is sorted by (number of sets, sets).
-    ``max_period`` must be an integer >= 1, else ValueError.
-
-    Given a cover, P4 is a test of gap signatures.  A block separates two
-    sets unlinked with it exactly when they lie in different gaps of it (a
-    singleton block has one gap and never separates).  Call the tuple of a
-    set's gap indices in the cover's blocks its signature: two rotating
-    sets are separated by some block exactly when their signatures differ.
-    Separation also implies P2 between them: sets in different gaps of a
-    block lie in disjoint arcs, so each fits in one gap of the other.  The
-    rotating sets that may join a cover are the pool sets unlinked with
-    every block, and a valid portrait takes at most one of them per
-    signature.
-
-    Both tests depend on a rotating set only through its support, the arcs
-    between consecutive fixed angles (its deployment blocks) that it
-    occupies: it holds no fixed angle, so each of its angles lies inside one
-    such arc, and a cover block's gaps are unions of whole arcs.  The pool
-    is grouped by the support each entry carries, and each cover tests each
-    of the at most 2**(d-1) - 1 supports once.
-
-    The pool (``rotation._pool``) holds the rotating sets, as cliques of
-    alternating single cycles, with numerators over q = lcm(d**p - 1 : p <=
-    max_period), which keep the angles' order; the covers supply the fixed
-    sets.  Families are ordered by set rank: each candidate set (pool set
-    or block) is ranked once in numerator order, a family is the sorted
-    tuple of its sets' ranks, both sorts compare these flat integer tuples,
-    and each portrait reads its angle tuples by rank.
-    """
-    d = check_degree(degree)
-    _check_int("max_period", max_period)  # before a str or None is multiplied
-    q, pool = _pool(d, (d - 1) * max_period, max_period)
-    fixed = tuple(i * (q // (d - 1)) for i in range(d - 1))
-    fixed_angle = dict(zip(fixed, fixed_angles(d)))
-    # rank each pool set and block (every subset of the fixed angles) by numerators
-    sets = {b: tuple(map(fixed_angle.__getitem__, b))
-            for g in range(1, d) for b in combinations(fixed, g)}
-    sets.update((s, set_angles) for _, _, s, set_angles in pool)
-    rank = {s: r for r, s in enumerate(sorted(sets))}
-    angles = list(map(sets.__getitem__, rank))
-    by_support: dict[frozenset[int], list[int]] = {}
-    for _, support, s, _ in pool:
-        by_support.setdefault(support, []).append(rank[s])
-    arcs = {support: [fixed[b] for b in support] for support in by_support}
-
-    found: list[tuple[int, ...]] = []
-    for cover in _noncrossing_partitions(fixed):
-        ranks = tuple(map(rank.__getitem__, cover))
-        # per signature: none of its sets (None: rank 0 is the block {0}) or one
-        by_signature: dict[tuple[int, ...], list] = {}
-        for support, members in by_support.items():
-            if (sig := _signature(cover, arcs[support])) is not None:
-                by_signature.setdefault(sig, [None]).extend(members)
-        for choice in product(*by_signature.values()):
-            found.append(tuple(sorted(ranks + tuple(filter(None, choice)))))
-
-    # families are distinct, so a stable sort by size after the full sort
-    # gives the (size, sets) order; canonical, they need no Portrait.create
-    found.sort()
-    found.sort(key=len)
-    return [tuple.__new__(Portrait, (d, tuple(map(angles.__getitem__, f)))) for f in found]
+def __getattr__(name: str):     # PEP 562: enumerate_portraits, from enumeration
+    if name != "enumerate_portraits":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .enumeration import enumerate_portraits
+    return enumerate_portraits

@@ -139,14 +139,15 @@ def report_data(an: Analysis) -> dict:
     """The same content as the text report, as JSON-ready data."""
     p = an.portrait
     t = an.ct.tree
+    texts = [[format_angle(a) for a in rs.angles] for rs in an.sets]
     return {
         "degree": p.degree,
         "sets": [{
             "name": f"T{j}",
-            "angles": [format_angle(a) for a in rs.angles],
+            "angles": angles,
             "shift": rs.shift,
             "cardinality": rs.cardinality,
-        } for j, rs in enumerate(an.sets, start=1)],
+        } for j, (rs, angles) in enumerate(zip(an.sets, texts), start=1)],
         "validation": {"ok": True, "codes": []},
         "regions": [{
             "name": f"R{r.index}",
@@ -171,5 +172,60 @@ def report_data(an: Analysis) -> dict:
             "expanding": an.expanding,
         },
         "round_trip_ok": an.round_trip_ok,
-        "recovered": format_portrait(an.recovered).splitlines(),
+        # the sets are p's, in p's order: format_portrait(p) without a second pass
+        "recovered": ([f"degree {p.degree}", *("set " + " ".join(a) for a in texts)]
+                      if an.recovered is p else format_portrait(an.recovered).splitlines()),
     }
+
+
+def _json(an: Analysis) -> str:
+    """``json.dumps(report_data(an), indent=2) + "\\n"``, byte for byte; ``json``
+    (whose indenting encoder is pure Python) is imported only to escape a string."""
+    out: list[str] = []
+    _emit(report_data(an), "\n", out)
+    return "".join(out) + "\n"
+
+
+def _plain(s: str) -> bool:
+    """True iff ``json`` writes ``s`` unescaped: printable ASCII, no ``"`` or ``\\``."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _string(s: str) -> str:
+    if _plain(s):
+        return f'"{s}"'
+    from json.encoder import encode_basestring_ascii    # json.dumps's escapes
+    return encode_basestring_ascii(s)
+
+
+def _emit(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` (dicts with str keys, lists, str, int, bool, None) as
+    ``json.dumps(indent=2)`` writes it; ``newline`` opens its nested lines."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif not isinstance(value, (dict, list)):   # int.__repr__ refuses a non-int
+        out.append("null" if value is None else "true" if value is True
+                   else "false" if value is False else int.__repr__(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{_string(key)}: ")
+            _emit(item, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    else:
+        inner, sep = newline + "  ", "["
+        try:
+            flat = _plain("".join(value))   # a list of plain strings: one join
+        except TypeError:                   # some item is not a string
+            flat = False
+        if flat:
+            out.append(f'[{inner}"' + f'",{inner}"'.join(value) + f'"{newline}]')
+            return
+        for item in value:
+            out.append(sep + inner)
+            _emit(item, inner, out)
+            sep = ","
+        out.append(newline + "]")

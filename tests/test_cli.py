@@ -175,14 +175,17 @@ class TestLibraryError:
     """A ``PortraitsError`` from inside the pipeline reaches ``main``, which
     prints it on stderr and exits 1; build writes no file."""
 
-    @pytest.mark.parametrize("command, stage", [("build", "analyze"),
-                                                ("roundtrip", "recover_portrait")])
+    # the command line imports each stage when it runs, from its own module
+    @pytest.mark.parametrize("command, module, stage", [
+        ("build", "report", "analyze"),
+        ("roundtrip", "recovery", "recover_portrait"),
+    ], ids=["build-analyze", "roundtrip-recover_portrait"])
     def test_error_line_and_exit_1(self, d5_file, tmp_path, capsys, monkeypatch,
-                                   command, stage):
+                                   command, module, stage):
         def fail(*args):
             raise InvariantViolationError("gap count at v1 differs from degree")
 
-        monkeypatch.setattr(portraits.cli, stage, fail)
+        monkeypatch.setattr(f"portraits.{module}.{stage}", fail)
         outputs = [tmp_path / name for name in ("r.txt", "r.json", "t.svg")]
         args = [command, d5_file]
         if command == "build":

@@ -15,10 +15,10 @@ from portraits import (CapacityError, InvalidPortraitError, MalformedSetError,
                        enumerate_rotation_sets, format_angle,
                        validate_portrait)
 from portraits.angles import Angle, check_degree, fixed_angles
-from portraits.portrait import (_DEGREE_CEILING, _noncrossing,
-                                _noncrossing_partitions)
+from portraits.enumeration import _noncrossing_partitions
+from portraits.portrait import _DEGREE_CEILING, _noncrossing
+import portraits.enumeration
 import portraits.portrait
-import portraits.rotation
 from portraits.rotation import RotationSet
 
 from conftest import BASILICA_SETS, DEGREE5_SETS, wide_rotating
@@ -705,8 +705,7 @@ class TestEnumeratePortraits:
         def refuse(*args):
             raise AssertionError("enumerate_portraits called a public rotation function")
         for name in ("generate_rotation_set", "enumerate_rotation_sets"):
-            monkeypatch.setattr(portraits.rotation, name, refuse)
-            monkeypatch.setattr(portraits.portrait, name, refuse, raising=False)
+            monkeypatch.setattr(portraits.enumeration, name, refuse)
         assert len(enumerate_portraits(4, 4)) == 1116
 
     def test_degree7_period2_count(self):

@@ -10,8 +10,10 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        as_angle_tuple, classify_rotation_set, deployment_vector,
                        enumerate_portraits, enumerate_rotation_sets,
                        fixed_angles, generate_rotation_set, validate_portrait)
+import portraits.enumeration
 import portraits.rotation
-from portraits.rotation import _CANDIDATE_CEILING, _candidate_count, _closed_form, _pool
+from portraits.enumeration import _CANDIDATE_CEILING, _candidate_count, _pool
+from portraits.rotation import _closed_form
 
 
 def classified(angles, degree):
@@ -612,7 +614,7 @@ class TestCyclePool:
             shapes_tried.append((len(blocks), m))
             return _closed_form(d, m, blocks)
 
-        monkeypatch.setattr(portraits.rotation, "_closed_form", closed_form)
+        monkeypatch.setattr(portraits.enumeration, "_closed_form", closed_form)
         sets = enumerate_rotation_sets(7, 12, 2)
         assert len(sets) == 791 + 63
         assert set(shapes_tried) == {(2, 1)}
