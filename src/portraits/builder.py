@@ -163,6 +163,10 @@ def construct_tree(p: Portrait) -> ConstructedTree:
     clockwise of d*theta'.  On a set of shift m, d*theta_i = theta_(i+m),
     so that is the region across gap i + m (Goldberg, *Fixed points of
     polynomial maps I*, 1992).  Every other vertex stays put.
+
+    ``tree.edges`` is sorted by label string, not by set or region number,
+    so ``("v10", "w1")`` comes before ``("v2", "w1")``; the text report and
+    the JSON list the edges in this order.
     """
     validation, _, xsets = _validate(p)
     sets = validation.valid_sets()

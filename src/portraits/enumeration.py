@@ -30,7 +30,7 @@ x_{i+1}.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, product, repeat
+from itertools import combinations, combinations_with_replacement, product, repeat
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
@@ -133,14 +133,17 @@ def _candidate_count(d: int, max_cardinality: int, max_period: int) -> int:
 def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     """``_pool``'s entries of rotation number r/p with at most ``most``
     cycles, grown as cliques of alternating cycles (module docstring).  A
-    single cycle is its own set; a larger clique interleaves its cycles'
-    numerators and joins their supports, each union carried down from the
-    clique it grew from."""
+    single cycle is its own set.  A clique of g cycles, in order of least
+    point, is (C_1 ... C_g)**p: cycle k fills positions k, k + g, k + 2g,
+    ..., so one strided slice assignment per cycle interleaves its
+    numerators and one its ``Fraction``s.  Each support union is carried
+    down from the clique it grew from."""
     q = d ** p - 1
     cycles = sorted((_closed_form(d, r, blocks)[1], blocks)
                     for blocks in combinations_with_replacement(range(d - 1), p))
-    xs = [tuple(x * (big // q) for x in c) for c, _ in cycles]
-    angles = [tuple(Fraction(x, q) for x in c) for c, _ in cycles]
+    scale = big // q
+    xs = [tuple([x * scale for x in c]) for c, _ in cycles]
+    angles = [tuple([Fraction(x, q) for x in c]) for c, _ in cycles]
     supports = [frozenset(blocks) for _, blocks in cycles]
     # later[i]: bitset of the cycles after cycle i (by least point) that
     # alternate with it; each sorted 2p-sequence proposes its even positions
@@ -156,15 +159,18 @@ def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     stack = [((i,), later[i], supports[i]) for i in range(len(cycles))]
     while stack:
         members, common, support = stack.pop()
-        rest = common if len(members) < most else 0
+        g = len(members) + 1
+        rest = common if g <= most else 0
         while rest:
             j = rest.bit_length() - 1
             rest ^= 1 << j
             grown = members + (j,)
             grown_support = support | supports[j]
-            found.append((len(grown) * r, grown_support,
-                          tuple(chain.from_iterable(zip(*(xs[i] for i in grown)))),
-                          tuple(chain.from_iterable(zip(*(angles[i] for i in grown))))))
+            grown_xs, grown_angles = [0] * (g * p), [0] * (g * p)
+            for k, i in enumerate(grown):
+                grown_xs[k::g] = xs[i]
+                grown_angles[k::g] = angles[i]
+            found.append((g * r, grown_support, tuple(grown_xs), tuple(grown_angles)))
             stack.append((grown, common & later[j], grown_support))
     return found
 
@@ -228,7 +234,7 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
     holds it alone, or continues at some items[j]: the items in between
     then form a noncrossing partition of their own, and the first item
     joins the block of items[j] in one of items[j:].  Blocks come out
-    increasing, the first item's block first.
+    increasing, and listed by least item, the first item's block first.
     """
     n = len(items)
     over = {(lo, lo): [()] for lo in range(n + 1)}  # over[lo, hi]: those of items[lo:hi]
@@ -267,8 +273,12 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     between consecutive fixed angles (its deployment blocks) that it
     occupies: it holds no fixed angle, so each of its angles lies inside one
     such arc, and a cover block's gaps are unions of whole arcs.  The pool
-    is grouped by the support each entry carries, and each cover tests each
-    of the at most 2**(d-1) - 1 supports once.
+    is grouped by the support each entry carries.  Each cover computes once
+    the gap vector of each arc that some support occupies, the gap of each
+    of its blocks that holds the arc: a support fits one gap of every block
+    exactly when its arcs' vectors are equal, and that vector is its
+    signature.  With no pool (max_period 1) no arc is occupied, nothing is
+    looked up, and each cover is a family on its own.
 
     The pool (``_pool``) holds the rotating sets, as cliques of
     alternating single cycles, with numerators over q = lcm(d**p - 1 : p <=
@@ -276,7 +286,10 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     sets.  Families are ordered by set rank: each candidate set (pool set
     or block) is ranked once in numerator order, a family is the sorted
     tuple of its sets' ranks, both sorts compare these flat integer tuples,
-    and each portrait reads its angle tuples by rank.
+    and each portrait reads its angle tuples by rank.  Each signature group
+    offers no set, ``()``, or one, ``(rank,)``, so a family is the cover's
+    ranks plus the concatenated choice, sorted.  A cover lists its blocks
+    by least point, so their ranks already increase.
     """
     d = check_degree(degree)
     _check_int("max_period", max_period)  # before a str or None is multiplied
@@ -289,21 +302,29 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     sets.update((s, set_angles) for _, _, s, set_angles in pool)
     rank = {s: r for r, s in enumerate(sorted(sets))}
     angles = list(map(sets.__getitem__, rank))
-    by_support: dict[frozenset[int], list[int]] = {}
+    by_support: dict[frozenset[int], list[tuple[int]]] = {}
     for _, support, s, _ in pool:
-        by_support.setdefault(support, []).append(rank[s])
-    arcs = {support: [fixed[b] for b in support] for support in by_support}
+        by_support.setdefault(support, []).append((rank[s],))
+    # per support: the starting fixed angles of its arcs, and its sets' ranks
+    groups = [([fixed[b] for b in support], members) for support, members in by_support.items()]
+    occupied = {a for arcs, _ in groups for a in arcs}
 
     found: list[tuple[int, ...]] = []
     for cover in _noncrossing_partitions(fixed):
         ranks = tuple(map(rank.__getitem__, cover))
-        # per signature: none of its sets (None: rank 0 is the block {0}) or one
-        by_signature: dict[tuple[int, ...], list] = {}
-        for support, members in by_support.items():
-            if (sig := _signature(cover, arcs[support])) is not None:
-                by_signature.setdefault(sig, [None]).extend(members)
-        for choice in product(*by_signature.values()):
-            found.append(tuple(sorted(ranks + tuple(filter(None, choice)))))
+        if not groups:  # no rotating set: the cover alone
+            found.append(ranks)
+            continue
+        # each occupied arc's gap vector: the gap of each block holding it
+        vector = {a: _signature(cover, (a,)) for a in occupied}
+        # per signature: none of its sets, (), or one, (rank,)
+        by_signature: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for arcs, members in groups:
+            signatures = {*map(vector.__getitem__, arcs)}
+            if len(signatures) == 1:
+                by_signature.setdefault(signatures.pop(), [()]).extend(members)
+        found += [tuple(sorted(ranks + sum(choice, ())))
+                  for choice in product(*by_signature.values())]
 
     # families are distinct, so a stable sort by size after the full sort
     # gives the (size, sets) order; canonical, they need no Portrait.create

@@ -282,9 +282,10 @@ def _signature(cover: Sequence[Sequence],
     """The gap of each block of ``cover`` holding all of the points ``arcs``,
     or None when some block splits them.  Blocks and points are increasing
     values of one order; gap i of a block opens at (and holds) its point i.
-    Enumeration passes fixed-angle numerators and each arc's starting fixed
-    angle, P2's naming loop one set as the block and another's points, and
-    P4 the fixed sets as the cover and a rotating set's first point."""
+    Enumeration passes a cover's fixed-angle numerators and one arc's
+    starting fixed angle (that arc's gap vector), P2's naming loop one set
+    as the block and another's points, and P4 the fixed sets as the cover
+    and a rotating set's first point."""
     sig = []
     for b in cover:
         gaps = {(bisect_right(b, a) - 1) % len(b) for a in arcs}

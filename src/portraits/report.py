@@ -136,10 +136,26 @@ def render_report(an: Analysis) -> str:
 
 
 def report_data(an: Analysis) -> dict:
-    """The same content as the text report, as JSON-ready data."""
+    """The same content as the text report, as JSON-ready data.
+
+    ``checks`` holds each check's verdict.  A failed check also carries what
+    the text report prints for it: ``<check>_violations``, each violation's
+    code and detail, or ``expanding_witness``, the edge as a list.  Those
+    keys are present only on failure, so a passing report has none.
+    """
     p = an.portrait
     t = an.ct.tree
     texts = [[format_angle(a) for a in rs.angles] for rs in an.sets]
+    checks: dict = {}
+    for name, violations in (("tree_axioms", an.axiom_violations),
+                             ("degree_angle", an.degree_angle_violations),
+                             ("julia_normalization", an.normalization_violations)):
+        checks[name] = not violations
+        if violations:
+            checks[name + "_violations"] = [v._asdict() for v in violations]
+    checks["expanding"] = an.expanding
+    if not an.expanding:
+        checks["expanding_witness"] = list(an.expanding_witness)
     return {
         "degree": p.degree,
         "sets": [{
@@ -165,12 +181,7 @@ def report_data(an: Analysis) -> dict:
         "edges": [list(e) for e in t.edges],
         "total_degree": t.total_degree(),
         "fixed_points": an.fixed_points,
-        "checks": {
-            "tree_axioms": not an.axiom_violations,
-            "degree_angle": not an.degree_angle_violations,
-            "julia_normalization": not an.normalization_violations,
-            "expanding": an.expanding,
-        },
+        "checks": checks,
         "round_trip_ok": an.round_trip_ok,
         # the sets are p's, in p's order: format_portrait(p) without a second pass
         "recovered": ([f"degree {p.degree}", *("set " + " ".join(a) for a in texts)]

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from portraits import (ElementaryArc, InvalidPortraitError, Portrait,
+from portraits import (ElementaryArc, InvalidPortraitError, Portrait, analyze,
                        check_tree_axioms, construct_tree, enumerate_portraits,
+                       fixed_angles, render_report, report_data,
                        validate_portrait)
 
 from conftest import census, orbit
@@ -200,6 +201,19 @@ class TestAssembly:
             assert tuple(from_regions) == t.edges, p
             assert check_tree_axioms(t) == (), p
             assert t.total_degree() == p.degree, p
+
+    def test_edges_sort_by_label_string(self):
+        # ten sets make a two-digit label, and v10 sorts before v2; the text
+        # report and the JSON list the edges in that order too
+        p = Portrait.create(11, [[a] for a in fixed_angles(11)])
+        an = analyze(p)
+        labels = ["v1", "v10", *(f"v{j}" for j in range(2, 10))]
+        assert an.ct.tree.edges == tuple((v, "w1") for v in labels)
+        assert report_data(an)["edges"] == [[v, "w1"] for v in labels]
+        lines = render_report(an).splitlines()
+        at = lines.index("edges: 10")
+        assert [line.split(":")[0] for line in lines[at + 1:at + 11]] == [
+            f"  {v}-w1" for v in labels]
 
     def test_edges_at_region_vertices(self, degree5_portrait):
         ct = construct_tree(degree5_portrait)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portraits import analyze, parse_portrait, report_data
+from portraits import (TreeViolation, analyze, parse_portrait, render_report,
+                       report_data)
 from portraits.report import _emit, _json
 
 from test_golden import goldens
@@ -31,12 +32,46 @@ def test_matches_json_on_every_golden_portrait():
     {"expanding": False, "expanding_witness": ("v1", "w1")},
     {"recovered": parse_portrait("degree 2\nset 0\nset 1/3 2/3\n"),
      "round_trip_ok": False},
-    {"axiom_violations": ("x",), "degree_angle_violations": ("y",),
-     "normalization_violations": ("z",)},
+    {"axiom_violations": (TreeViolation("x", "x"),),
+     "degree_angle_violations": (TreeViolation("y", "y"),),
+     "normalization_violations": (TreeViolation("z", "z"),)},
 ], ids=["expanding", "round-trip", "checks"])
 def test_matches_json_on_failing_analyses(edit):
     an = analyze(parse_portrait(DEGREE5))._replace(**edit)
     assert _json(an) == dumps(report_data(an))
+
+
+def test_failed_checks_carry_their_violations_and_witness():
+    # no valid portrait fails a check, so the analysis is edited to fail;
+    # the JSON then holds each violation's code and detail and the
+    # witness edge, as the text report prints them
+    an = analyze(parse_portrait(DEGREE5))
+    assert report_data(an)["checks"] == {
+        "tree_axioms": True, "degree_angle": True,
+        "julia_normalization": True, "expanding": True}
+    disconnected = TreeViolation("not-connected", "the graph is disconnected")
+    julia = [TreeViolation("julia-angle", f"angle 1/4 at v{j} between edges to "
+                                          "w1 and w2 is not a multiple of 1/3")
+             for j in (1, 2)]
+    failing = an._replace(axiom_violations=(disconnected,),
+                          normalization_violations=tuple(julia),
+                          expanding=False, expanding_witness=("v1", "w1"))
+    assert report_data(failing)["checks"] == {
+        "tree_axioms": False,
+        "tree_axioms_violations": [{"code": "not-connected",
+                                    "detail": "the graph is disconnected"}],
+        "degree_angle": True,
+        "julia_normalization": False,
+        "julia_normalization_violations": [{"code": v.code, "detail": v.detail}
+                                           for v in julia],
+        "expanding": False,
+        "expanding_witness": ["v1", "w1"],
+    }
+    assert _json(failing) == dumps(report_data(failing))
+    text = render_report(failing)
+    assert "\ntree axioms: FAIL not-connected: the graph is disconnected\n" in text
+    assert "; ".join(f"{v.code}: {v.detail}" for v in julia) in text
+    assert "\nexpanding: FAIL at edge ('v1', 'w1')\n" in text
 
 
 def test_recovered_lines_are_the_input_text():

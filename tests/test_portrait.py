@@ -628,6 +628,9 @@ class TestNoncrossingPartitions:
         for p in _noncrossing_partitions(list(range(6))):
             assert p[0][0] == 0
             assert all(list(b) == sorted(b) for b in p)
+            # blocks by least item, which enumerate_portraits' period-1
+            # families rely on: a cover's block ranks already increase
+            assert list(p) == sorted(p)
 
 
 class TestEnumeratePortraits:
@@ -707,6 +710,23 @@ class TestEnumeratePortraits:
         for name in ("generate_rotation_set", "enumerate_rotation_sets"):
             monkeypatch.setattr(portraits.enumeration, name, refuse)
         assert len(enumerate_portraits(4, 4)) == 1116
+
+    def test_gap_vectors_only_for_occupied_arcs(self, monkeypatch):
+        calls = []
+
+        def counting(cover, arcs):
+            calls.append(arcs)
+            return signature(cover, arcs)
+        signature = portraits.enumeration._signature
+        monkeypatch.setattr(portraits.enumeration, "_signature", counting)
+        # at max_period 1 the pool is empty, so no arc is occupied and no
+        # cover looks up a gap: the Catalan(8) covers are the portraits
+        assert len(enumerate_portraits(9, 1)) == 1430
+        assert not calls
+        # at (4, 2) each of the 3 arcs holds a cycle: each of the 5 covers
+        # takes each arc's gap vector once, not once per support holding it
+        assert len(enumerate_portraits(4, 2)) == 64
+        assert len(calls) == 3 * len(_noncrossing_partitions(range(3))) == 15
 
     def test_degree7_period2_count(self):
         # 21 cycles, 126 proposed pairs (105 alternate), 791 rotating sets,
