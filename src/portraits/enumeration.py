@@ -234,7 +234,7 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
     holds it alone, or continues at some items[j]: the items in between
     then form a noncrossing partition of their own, and the first item
     joins the block of items[j] in one of items[j:].  Blocks come out
-    increasing, and listed by least item, the first item's block first.
+    increasing, the first item's block first.
     """
     n = len(items)
     over = {(lo, lo): [()] for lo in range(n + 1)}  # over[lo, hi]: those of items[lo:hi]
@@ -277,8 +277,8 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     the gap vector of each arc that some support occupies, the gap of each
     of its blocks that holds the arc: a support fits one gap of every block
     exactly when its arcs' vectors are equal, and that vector is its
-    signature.  With no pool (max_period 1) no arc is occupied, nothing is
-    looked up, and each cover is a family on its own.
+    signature.  With no pool (max_period 1) no arc is occupied and nothing
+    is looked up.
 
     The pool (``_pool``) holds the rotating sets, as cliques of
     alternating single cycles, with numerators over q = lcm(d**p - 1 : p <=
@@ -288,8 +288,7 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     tuple of its sets' ranks, both sorts compare these flat integer tuples,
     and each portrait reads its angle tuples by rank.  Each signature group
     offers no set, ``()``, or one, ``(rank,)``, so a family is the cover's
-    ranks plus the concatenated choice, sorted.  A cover lists its blocks
-    by least point, so their ranks already increase.
+    ranks plus the concatenated choice, sorted.
     """
     d = check_degree(degree)
     _check_int("max_period", max_period)  # before a str or None is multiplied
@@ -312,19 +311,18 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     found: list[tuple[int, ...]] = []
     for cover in _noncrossing_partitions(fixed):
         ranks = tuple(map(rank.__getitem__, cover))
-        if not groups:  # no rotating set: the cover alone
-            found.append(ranks)
-            continue
         # each occupied arc's gap vector: the gap of each block holding it
-        vector = {a: _signature(cover, (a,)) for a in occupied}
+        vector = {}
+        for a in occupied:
+            vector[a] = _signature(cover, (a,))
         # per signature: none of its sets, (), or one, (rank,)
         by_signature: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for arcs, members in groups:
             signatures = {*map(vector.__getitem__, arcs)}
             if len(signatures) == 1:
                 by_signature.setdefault(signatures.pop(), [()]).extend(members)
-        found += [tuple(sorted(ranks + sum(choice, ())))
-                  for choice in product(*by_signature.values())]
+        for choice in product(*by_signature.values()):
+            found.append(tuple(sorted(ranks + sum(choice, ()))))
 
     # families are distinct, so a stable sort by size after the full sort
     # gives the (size, sets) order; canonical, they need no Portrait.create

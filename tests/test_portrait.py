@@ -628,9 +628,6 @@ class TestNoncrossingPartitions:
         for p in _noncrossing_partitions(list(range(6))):
             assert p[0][0] == 0
             assert all(list(b) == sorted(b) for b in p)
-            # blocks by least item, which enumerate_portraits' period-1
-            # families rely on: a cover's block ranks already increase
-            assert list(p) == sorted(p)
 
 
 class TestEnumeratePortraits:
