@@ -10,7 +10,7 @@ order, sums and the covering map are plain integer operations (x/q < y/q
 iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
 portrait's sets that way once (``rotation._numerators``), for its own
 classification, for P2 and P4 (their one gap lookup, in
-``portrait._signature``, is a bisection), for P3's fixed indices, for the
+``portrait._gaps``, is a bisection), for P3's fixed indices, for the
 builder's partition and for the round trip, which compares recovery's sets
 (numerators over d - 1 and d**p - 1) with them.  ``Portrait.create``
 checks each set's and the family's order on integer pairs.  In

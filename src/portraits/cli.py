@@ -22,7 +22,7 @@ import sys
 
 from .angles import _decimal, format_angle
 from .errors import InvalidPortraitError, PortraitParseError, PortraitsError
-from .fileio import format_portrait, parse_portrait
+from .fileio import _set_line, format_portrait, parse_portrait
 from .portrait import validate_portrait
 
 
@@ -99,9 +99,18 @@ def _cmd_enumerate(args) -> int:
     degree, period = args.degree, args.max_period
     if args.portraits:
         portraits = enumerate_portraits(degree, period)
+        # the enumeration shares each set tuple among its portraits, so each
+        # set's line is formatted once, keyed by the tuple's id
+        lines: dict[int, str] = {}
+        write = sys.stdout.write
         for i, p in enumerate(portraits, start=1):
-            print(f"# portrait {i}")
-            print(format_portrait(p))
+            text = [f"# portrait {i}\ndegree {degree}\n"]
+            for s in p.sets:
+                if (line := lines.get(id(s))) is None:
+                    line = lines[id(s)] = _set_line(s)
+                text.append(line)
+            text.append("\n")
+            write("".join(text))
         print(f"# total: {len(portraits)} portraits")
         return 0
     max_card = (args.max_cardinality if args.max_cardinality is not None

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .angles import check_degree, fixed_angles
 from .errors import CapacityError
-from .portrait import Portrait, _signature
+from .portrait import Portrait, _gaps
 from .rotation import RotationSet, _closed_form
 
 # Most (cardinality, shift, deployment) candidates one enumeration may try;
@@ -136,15 +136,15 @@ def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
     single cycle is its own set.  A clique of g cycles, in order of least
     point, is (C_1 ... C_g)**p: cycle k fills positions k, k + g, k + 2g,
     ..., so one strided slice assignment per cycle interleaves its
-    numerators and one its ``Fraction``s.  Each support union is carried
-    down from the clique it grew from."""
+    numerators and one its ``Fraction``s.  Each support bitmask (bit b for
+    block b) is OR-ed down from the clique it grew from."""
     q = d ** p - 1
     cycles = sorted((_closed_form(d, r, blocks)[1], blocks)
                     for blocks in combinations_with_replacement(range(d - 1), p))
     scale = big // q
     xs = [tuple([x * scale for x in c]) for c, _ in cycles]
     angles = [tuple([Fraction(x, q) for x in c]) for c, _ in cycles]
-    supports = [frozenset(blocks) for _, blocks in cycles]
+    supports = [sum({1 << b for b in blocks}) for _, blocks in cycles]
     # later[i]: bitset of the cycles after cycle i (by least point) that
     # alternate with it; each sorted 2p-sequence proposes its even positions
     # and its odd ones
@@ -181,8 +181,8 @@ def _pool(d: int, max_cardinality: int, max_period: int) -> tuple[int, list]:
     2..max_period, its angles both the numerators xs over
     big = lcm(d**p - 1 : p <= min(max_period, max_cardinality)) and
     ``Fraction``s, each built once per cycle point.  A set's support is the
-    frozenset of blocks its angles occupy.  A single-cycle set is the
-    cycle's own support and tuples, not a copy.
+    bitmask of the blocks its angles occupy, bit b for block b.  A
+    single-cycle set is the cycle's own support and tuples, not a copy.
 
     The bounds must be integers >= 1 (max_period is checked first), and a
     request whose ``_candidate_count`` passes the ceiling raises
@@ -273,12 +273,13 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     between consecutive fixed angles (its deployment blocks) that it
     occupies: it holds no fixed angle, so each of its angles lies inside one
     such arc, and a cover block's gaps are unions of whole arcs.  The pool
-    is grouped by the support each entry carries.  Each cover computes once
-    the gap vector of each arc that some support occupies, the gap of each
-    of its blocks that holds the arc: a support fits one gap of every block
-    exactly when its arcs' vectors are equal, and that vector is its
-    signature.  With no pool (max_period 1) no arc is occupied and nothing
-    is looked up.
+    is grouped by the support each entry carries, the bitmask of its arcs
+    (bit b for the arc from fixed angle b).  Each cover takes once the gap
+    vector of every arc, the gap of each of its blocks that holds the arc,
+    and for each distinct vector the mask of the arcs sharing it: a support
+    fits one gap of every block exactly when it lies inside the mask of its
+    lowest arc, and that arc's vector is its signature.  With no pool
+    (max_period 1) nothing is looked up.
 
     The pool (``_pool``) holds the rotating sets, as cliques of
     alternating single cycles, with numerators over q = lcm(d**p - 1 : p <=
@@ -301,26 +302,27 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     sets.update((s, set_angles) for _, _, s, set_angles in pool)
     rank = {s: r for r, s in enumerate(sorted(sets))}
     angles = list(map(sets.__getitem__, rank))
-    by_support: dict[frozenset[int], list[tuple[int]]] = {}
+    by_support: dict[int, list[tuple[int]]] = {}
     for _, support, s, _ in pool:
         by_support.setdefault(support, []).append((rank[s],))
-    # per support: the starting fixed angles of its arcs, and its sets' ranks
-    groups = [([fixed[b] for b in support], members) for support, members in by_support.items()]
-    occupied = {a for arcs, _ in groups for a in arcs}
+    # per support: its lowest arc, its bitmask and its sets' ranks
+    groups = [((s & -s).bit_length() - 1, s, members) for s, members in by_support.items()]
+    arcs = [*enumerate(fixed)] if groups else []   # none without a pool
+    vectors = [None] * len(arcs)    # reused: each cover rewrites every entry
 
     found: list[tuple[int, ...]] = []
     for cover in _noncrossing_partitions(fixed):
         ranks = tuple(map(rank.__getitem__, cover))
-        # each occupied arc's gap vector: the gap of each block holding it
-        vector = {}
-        for a in occupied:
-            vector[a] = _signature(cover, (a,))
-        # per signature: none of its sets, (), or one, (rank,)
-        by_signature: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for arcs, members in groups:
-            signatures = {*map(vector.__getitem__, arcs)}
-            if len(signatures) == 1:
-                by_signature.setdefault(signatures.pop(), [()]).extend(members)
+        # each arc's gap vector, and per vector the bitmask of its arcs
+        alike = {}
+        for b, a in arcs:
+            vectors[b] = v = _gaps(cover, a)
+            alike[v] = alike.get(v, 0) | 1 << b
+        # per signature, by its mask: none of its sets, (), or one, (rank,)
+        by_signature: dict[int, list[tuple[int, ...]]] = {}
+        for low, support, members in groups:
+            if not support & ~(mask := alike[vectors[low]]):
+                by_signature.setdefault(mask, [()]).extend(members)
         for choice in product(*by_signature.values()):
             found.append(tuple(sorted(ranks + sum(choice, ()))))
 

@@ -70,7 +70,9 @@ def parse_portrait(text: str) -> Portrait:
 
 def format_portrait(p: Portrait) -> str:
     """Canonical text for a portrait (sets in stored order, angles reduced)."""
-    lines = [f"degree {p.degree}"]
-    for s in p.sets:
-        lines.append("set " + " ".join(format_angle(a) for a in s))
-    return "\n".join(lines) + "\n"
+    return f"degree {p.degree}\n" + "".join(map(_set_line, p.sets))
+
+
+def _set_line(s) -> str:
+    """One set's line of the portrait text, its newline included."""
+    return "set " + " ".join(map(format_angle, s)) + "\n"

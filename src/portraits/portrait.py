@@ -222,7 +222,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
                 violations.append(Violation(
                     "P2-not-disjoint", (i, j, shared),
                     f"sets {i} and {j} share angles {_angles_text(shared)}"))
-            elif len(a) > 1 and _signature((a,), b) is None:
+            elif len(a) > 1 and len({_gaps((a,), y) for y in b}) > 1:
                 violations.append(Violation(
                     "P2-linked", (i, j),
                     f"sets {i} and {j} cross (neither lies in one gap of the other)"))
@@ -253,7 +253,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
             groups: dict[tuple[int, ...], list[int]] = {}
             for i, rs in enumerate(classified, start=1):
                 if not rs.is_fixed:
-                    groups.setdefault(_signature(blocks, xsets[i - 1][:1]), []).append(i)
+                    groups.setdefault(_gaps(blocks, xsets[i - 1][0]), []).append(i)
             for i, j in sorted(pair for group in groups.values()
                                for pair in combinations(group, 2)):
                 violations.append(Violation(
@@ -277,22 +277,14 @@ def _matches(p: Portrait, d: int, found: list) -> bool:
             and sorted(tuple(y * q // r for y in ys) for r, ys in found) == list(xsets))
 
 
-def _signature(cover: Sequence[Sequence],
-               arcs: Sequence) -> Optional[tuple[int, ...]]:
-    """The gap of each block of ``cover`` holding all of the points ``arcs``,
-    or None when some block splits them.  Blocks and points are increasing
-    values of one order; gap i of a block opens at (and holds) its point i.
-    Enumeration passes a cover's fixed-angle numerators and one arc's
-    starting fixed angle (that arc's gap vector), P2's naming loop one set
-    as the block and another's points, and P4 the fixed sets as the cover
-    and a rotating set's first point."""
-    sig = []
-    for b in cover:
-        gaps = {(bisect_right(b, a) - 1) % len(b) for a in arcs}
-        if len(gaps) > 1:
-            return None
-        sig.extend(gaps)
-    return tuple(sig)
+def _gaps(blocks: Sequence[Sequence], x) -> tuple[int, ...]:
+    """The gap of each of ``blocks`` that holds the point x.  Blocks and x
+    are values of one order, each block increasing; gap i of a block opens
+    at (and holds) its point i.  P4 passes the fixed sets and a rotating
+    set's first point (its signature), P2's naming loop one set and each
+    point of another, and enumeration a cover's fixed-angle numerators and
+    an arc's starting fixed angle (that arc's gap vector)."""
+    return tuple([(bisect_right(b, x) - 1) % len(b) for b in blocks])
 
 
 def __getattr__(name: str):     # PEP 562: enumerate_portraits, from enumeration

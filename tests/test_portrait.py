@@ -667,6 +667,29 @@ class TestEnumeratePortraits:
         assert len(emitted) == len(set(emitted))
         assert set(emitted) == valid
 
+    @pytest.mark.parametrize("degree, max_period, extensions, valid",
+                             [(3, 3, 641, 43), (4, 2, 1137, 79), (3, 4, 2641, 97)])
+    def test_one_more_pool_set_validates_iff_emitted(self, degree, max_period,
+                                                     extensions, valid):
+        # the bitmask support rule against validate_portrait: an emitted
+        # portrait plus one rotating set it lacks is valid exactly when the
+        # enumeration emits that family too
+        pool = [rs.angles for rs in enumerate_rotation_sets(
+            degree, (degree - 1) * max_period, max_period) if not rs.is_fixed]
+        emitted = enumerate_portraits(degree, max_period)
+        listed = set(emitted)
+        tried = passed = 0
+        for p in emitted:
+            for s in pool:
+                if s in p.sets:
+                    continue
+                extended = Portrait.create(degree, p.sets + (s,))
+                ok = validate_portrait(extended).ok
+                assert ok == (extended in listed), extended
+                tried += 1
+                passed += ok
+        assert (tried, passed) == (extensions, valid)
+
     @pytest.mark.parametrize("degree, max_period", [(3, 4), (4, 3)])
     def test_separated_sets_are_unlinked(self, degree, max_period):
         # why enumerate_portraits never tests two rotating sets against
@@ -708,16 +731,16 @@ class TestEnumeratePortraits:
             monkeypatch.setattr(portraits.enumeration, name, refuse)
         assert len(enumerate_portraits(4, 4)) == 1116
 
-    def test_gap_vectors_only_for_occupied_arcs(self, monkeypatch):
+    def test_gap_vectors_only_with_a_pool(self, monkeypatch):
         calls = []
 
-        def counting(cover, arcs):
-            calls.append(arcs)
-            return signature(cover, arcs)
-        signature = portraits.enumeration._signature
-        monkeypatch.setattr(portraits.enumeration, "_signature", counting)
-        # at max_period 1 the pool is empty, so no arc is occupied and no
-        # cover looks up a gap: the Catalan(8) covers are the portraits
+        def counting(blocks, x):
+            calls.append(x)
+            return gaps(blocks, x)
+        gaps = portraits.enumeration._gaps
+        monkeypatch.setattr(portraits.enumeration, "_gaps", counting)
+        # at max_period 1 the pool is empty, so no cover looks up a gap:
+        # the Catalan(8) covers are the portraits
         assert len(enumerate_portraits(9, 1)) == 1430
         assert not calls
         # at (4, 2) each of the 3 arcs holds a cycle: each of the 5 covers
