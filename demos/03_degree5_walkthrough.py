@@ -51,7 +51,7 @@ classes = classify_vertices(t)
 print("\nkinds:", {v: classes[v].kind for v in t.vertices})
 print("tree axioms:", "ok" if not check_tree_axioms(t) else "FAIL")
 print("degree-angle:", "ok" if not check_degree_angle(t) else "FAIL")
-print("expanding:", "ok" if check_expanding(t, classes)[0] else "FAIL")
+print("expanding:", "ok" if check_expanding(t)[0] else "FAIL")
 
 # step 5: the boundary walk visits all 12 sectors, the set-vertex sectors in
 # the circle order of their rays

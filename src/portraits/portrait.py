@@ -25,8 +25,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .angles import (Angle, _increasing, _typed, as_angle_tuple, check_degree,
-                     format_angle)
+from .angles import Angle, _increasing, _typed, check_degree, format_angle
 from .errors import CapacityError, InvalidPortraitError, MalformedSetError
 from .rotation import RotationSet, _numerators, _shift
 
@@ -185,17 +184,17 @@ def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
 
     # types first (a float has no denominator), then per set the canonical
     # form on the numerators, which sort as angles do (a set failing the
-    # divisor test has none), and its classification
+    # divisor test has none, so its angles are compared as they are), and
+    # its classification
     for s in p.sets:
         _typed(s)
     q, xsets = _numerators(d, p.sets)
     classified: list[Optional[RotationSet]] = []
     for idx, (s, xs) in enumerate(zip(p.sets, xsets), start=1):
-        if xs is None:
-            as_angle_tuple(s)
-        elif not xs:
+        ys, top = (s, 1) if xs is None else (xs, q)
+        if not ys:
             raise MalformedSetError(f"set {idx} is empty")
-        elif xs[0] < 0 or xs[-1] >= q or any(a >= b for a, b in zip(xs, xs[1:])):
+        if ys[0] < 0 or ys[-1] >= top or any(a >= b for a, b in zip(ys, ys[1:])):
             raise MalformedSetError(
                 f"set {idx} {_angles_text(s)} is not strictly increasing in [0, 1)")
         m = None if xs is None else _shift(d, q, xs)

@@ -18,9 +18,8 @@ from .fileio import format_portrait
 from .portrait import Portrait, _matches
 from .recovery import _portrait, _recover
 from .rotation import RotationSet
-from .tree import (TreeViolation, VertexClass, _axioms, _degree_angle,
-                   _normalization, _survey, check_expanding,
-                   classify_vertices, count_fixed_points)
+from .tree import (TreeViolation, VertexClass, _axioms, _degree_angle, _expanding,
+                   _normalization, _survey, classify_vertices, count_fixed_points)
 
 
 class Analysis(NamedTuple):
@@ -60,7 +59,7 @@ def analyze(p: Portrait) -> Analysis:
     ct = construct_tree(p)
     t, s = ct.tree, _survey(ct.tree)
     classes = classify_vertices(t)
-    expanding, witness = check_expanding(t, classes)
+    expanding, witness = _expanding(t, classes)
     d, found = _recover(ct, s)
     same = _matches(p, d, found)
     return Analysis(

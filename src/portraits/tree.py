@@ -17,8 +17,9 @@ each vertex's angle function and germs (the first steps of its edges'
 images), or the violation refusing them.  ``check_tree_axioms`` reports
 the refusals; the other readers raise ``InvariantViolationError`` with one
 when they reach it, or name a missing map entry (``tau(v) is not
-defined``).  ``report.analyze`` hands one survey to the checks' private
-forms.  No check is quadratic in a vertex's degree.
+defined``).  Every public check takes the tree alone; ``report.analyze``
+hands one survey and one ``classify_vertices`` to their private forms.  No
+check is quadratic in a vertex's degree.
 """
 
 from __future__ import annotations
@@ -342,14 +343,15 @@ def classify_vertices(t: AngledTree) -> dict[str, VertexClass]:
     return {v: classes[v] for v in t.vertices}
 
 
-def check_expanding(t: AngledTree,
-                    classes: Optional[dict[str, VertexClass]] = None
-                    ) -> tuple[bool, Optional[tuple[str, str]]]:
+def check_expanding(t: AngledTree) -> tuple[bool, Optional[tuple[str, str]]]:
     """Expansion check: every edge between Julia vertices must eventually
     have its endpoints pushed to tree distance > 1, that is, to distinct
     vertices that are not neighbors.  Returns (True, None) or (False, edge).
     """
-    classes = classify_vertices(t) if classes is None else classes
+    return _expanding(t, classify_vertices(t))
+
+
+def _expanding(t: AngledTree, classes: dict) -> tuple[bool, Optional[tuple[str, str]]]:
     # until it separates, a pair orbit stays among the pairs (x, x) and
     # (x, y) with y listed at x; past that many steps it has repeated a
     # pair, so it cycles without ever separating
@@ -368,9 +370,7 @@ def check_expanding(t: AngledTree,
     return True, None
 
 
-def check_julia_normalization(t: AngledTree,
-                              classes: Optional[dict[str, VertexClass]] = None
-                              ) -> tuple[TreeViolation, ...]:
+def check_julia_normalization(t: AngledTree) -> tuple[TreeViolation, ...]:
     """At periodic Julia vertices with m edges, angles must be multiples of 1/m.
 
     Angles at non-periodic Julia vertices are unconstrained.  The angle from
@@ -378,7 +378,7 @@ def check_julia_normalization(t: AngledTree,
     prefix[j]*m agree mod L; the pairs whose residues differ are the
     violations.  A refusal of the angle function at such a vertex raises.
     """
-    return _normalization(t, _survey(t), classes or classify_vertices(t))
+    return _normalization(t, _survey(t), classify_vertices(t))
 
 
 def _normalization(t: AngledTree, s: _Survey, classes: dict) -> tuple[TreeViolation, ...]:

@@ -82,8 +82,8 @@ def test_c2_exhaustive_small_scale_suite():
 
             assert check_tree_axioms(t) == (), p
             assert check_degree_angle(t) == (), p
-            assert check_julia_normalization(t, classes) == (), p
-            expanding, witness = check_expanding(t, classes)
+            assert check_julia_normalization(t) == (), p
+            expanding, witness = check_expanding(t)
             assert expanding, (p, witness)
 
             assert recover_portrait(ct) == p, p

@@ -502,12 +502,15 @@ class TestNonCanonicalPortrait:
         (Portrait(3, ((F(0), F(1, 2)), (F(3, 2),))),
          "set 2 {3/2} is not strictly increasing in [0, 1)"),
         (Portrait(2, ((F(0),), (F(1, 5),), (F(-1, 5),))),
-         "angle -1/5 outside [0, 1)"),
+         "set 3 {-1/5} is not strictly increasing in [0, 1)"),
+        (Portrait(2, ((F(0),), (F(2, 5), F(1, 5)))),
+         "set 2 {2/5 1/5} is not strictly increasing in [0, 1)"),
         (Portrait(2, ((0.5,),)), "angle 0.5 is neither an int nor a Fraction"),
         (Portrait(2, ((F(0),), ("1/2",))),
          "angle '1/2' is neither an int nor a Fraction"),
     ], ids=["decreasing-set", "reversed-family", "empty-set",
-            "angle-past-one", "no-numerators", "float-angle", "str-angle"])
+            "angle-past-one", "no-numerators", "decreasing-no-numerators",
+            "float-angle", "str-angle"])
     def test_malformed_sets_raise(self, p, message):
         with pytest.raises(MalformedSetError) as exc:
             validate_portrait(p)

@@ -3,7 +3,8 @@ classifies each member set once and partitions the disk once, one
 ``analyze`` constructs the tree through exactly one call of the public
 ``construct_tree`` and classifies the tree's vertices once
 (``construct_tree`` never does), and the reports and the command line add
-no second pass.
+no second pass.  ``analyze`` calls none of the four public tree checks,
+each of which would survey and classify the tree again.
 
 The tree checks read a tree through one survey (``tree._survey``), an
 O(|V|) sweep that records its forest, each vertex's angle function and
@@ -41,6 +42,8 @@ from portraits import (MalformedSetError, Portrait, analyze, construct_tree,
 
 from conftest import BASILICA_SETS, DEGREE5_SETS
 
+CHECKS = ("check_tree_axioms", "check_degree_angle", "check_julia_normalization",
+          "check_expanding")
 PORTRAITS = ([Portrait.create(5, DEGREE5_SETS), Portrait.create(2, BASILICA_SETS)]
              + enumerate_portraits(3, 2))
 
@@ -78,6 +81,7 @@ def counts(monkeypatch):
         "survey": count_calls(monkeypatch, binders("_survey"), "_survey"),
         "construct": count_calls(monkeypatch, binders("construct_tree"),
                                  "construct_tree"),
+        **{name: count_calls(monkeypatch, binders(name), name) for name in CHECKS},
     }
 
 
@@ -92,6 +96,8 @@ def test_analyze_computes_each_fact_once(counts, p):
     assert len(counts["partition"]) == 1
     assert len(counts["classify"]) == 1
     assert counts["survey"] == [(an.ct.tree,)]
+    # the checks' private forms share that survey and classification
+    assert not any(counts[name] for name in CHECKS)
     assert an.regions == an.ct.regions
 
     for key in counts:

@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import time
@@ -12,7 +13,7 @@ from portraits import (AngledTree, InvariantViolationError, Portrait,
                        check_julia_normalization, check_tree_axioms,
                        classify_vertices, construct_tree, count_fixed_points,
                        enumerate_portraits, generate_rotation_set, image_germs,
-                       recover_portrait)
+                       recover_portrait, tree)
 
 from conftest import census, path_germ, tree_path
 
@@ -237,13 +238,12 @@ def outcome(check, *args):
 def check_against_fraction_oracles(t):
     """Every integer angle check equals its Fraction oracle, details and
     refusals included.  Returns the findings, a refusal as its message."""
-    classes = classify_vertices(t)
     found = tuple(v for v in check_tree_axioms(t) if v.code.startswith("angle-"))
     assert found == fraction_angle_axioms(t)
     degree_angle = outcome(check_degree_angle, t)
     assert degree_angle == outcome(fraction_degree_angle, t)
-    normalization = outcome(check_julia_normalization, t, classes)
-    assert normalization == outcome(fraction_julia_normalization, t, classes)
+    normalization = outcome(check_julia_normalization, t)
+    assert normalization == outcome(fraction_julia_normalization, t, walked_classes(t))
     for result in (degree_angle, normalization):
         found += (result,) if isinstance(result, str) else result
     return found
@@ -641,6 +641,18 @@ class TestMalformedTrees:
                                match=r"^tau\(v1\) = zz not a vertex$"):
                 check(t)
 
+    def test_every_reader_takes_the_tree_alone(self):
+        # no reader accepts a classification, which could vouch for a tree
+        # other than the one it is given
+        functions = [f for name, f in vars(tree).items() if not name.startswith("_")
+                     and inspect.isfunction(f) and f.__module__ == tree.__name__]
+        assert len(functions) == 7
+        assert all(list(inspect.signature(f).parameters) == ["t"] for f in functions)
+        t = self.tree()
+        for check in (check_julia_normalization, check_expanding):
+            with pytest.raises(TypeError):
+                check(t, classify_vertices(t))
+
     @pytest.mark.parametrize("edit, messages", [
         (lambda ct: ct._replace(marked_sector=("zz", 0)),
          ["marked sector 0 at zz is not one of its 0 sectors"] * 2),
@@ -816,9 +828,6 @@ def read_everything(ct):
         check_tree_axioms, classify_vertices, check_degree_angle,
         check_julia_normalization, check_expanding, count_fixed_points,
         AngledTree.total_degree)]
-    if isinstance(found[1], dict):
-        found += [outcome(check_expanding, t, found[1]),
-                  outcome(check_julia_normalization, t, found[1])]
     found += [outcome(recover_portrait, ct), outcome(boundary_walk, ct)]
     germs_at = image_germs(t)
     for v in t.vertices:
