@@ -74,13 +74,14 @@ def _cmd_build(args) -> int:
     validate_portrait(p).valid_sets()   # raises before the pipeline loads
     from . import render, report
     an = report.analyze(p)
-    text = report.render_report(an)
+    data = report.report_data(an)   # the text and the JSON are written from it
+    text = report._text(data)
     if args.report:
         _write(args.report, text)
     else:
         print(text, end="")
     if args.json:
-        _write(args.json, report._json(an))
+        _write(args.json, report._json(data))
     if args.svg:
         _write(args.svg, render.render_svg(an.ct, an.regions))
     return 0 if an.all_ok else 1

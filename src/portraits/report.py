@@ -1,11 +1,10 @@
-"""Full analysis of one portrait and the line-oriented report over it.
+"""Full analysis of one portrait and the reports over it.
 
 ``analyze`` runs the whole pipeline - validation, regions, tree assembly,
 dynamics, every tree check, and the recovery round trip - and keeps each
-result, so the report and the CLI's exit status are pure functions of the
-portrait.  The reports read the classified sets and the regions that the
-construction carries; a round trip that holds on integers keeps the input
-portrait as ``Analysis.recovered``.
+result, so the reports and the CLI's exit status are pure functions of the
+portrait.  ``report_data`` reads the analysis and spells each fact once; the
+text report (``_text``) and the JSON (``_json``) are written from its dict.
 """
 
 from __future__ import annotations
@@ -23,6 +22,13 @@ from .tree import (TreeViolation, VertexClass, _axioms, _degree_angle, _expandin
 
 
 class Analysis(NamedTuple):
+    """What ``analyze`` found, every field read by ``report_data``: the
+    construction ``ct`` and its tree's ``classes``, the tree checks'
+    ``*_violations`` (empty when a check holds), ``expanding`` and its
+    ``expanding_witness`` (a Julia edge never stretched, None when it holds),
+    ``fixed_points`` under ``tau``, and ``recovered``, the portrait read back
+    from the tree alone (``portrait`` itself when ``round_trip_ok``)."""
+
     portrait: Portrait
     ct: ConstructedTree
     classes: dict[str, VertexClass]
@@ -78,64 +84,55 @@ def analyze(p: Portrait) -> Analysis:
 
 
 def render_report(an: Analysis) -> str:
-    """Human-readable report; line-oriented with stable ordering."""
-    p = an.portrait
-    t = an.ct.tree
-    lines = [f"degree: {p.degree}", f"sets: {p.k}"]
-    for j, rs in enumerate(an.sets, start=1):
-        angles = " ".join([format_angle(a) for a in rs.angles])
-        lines.append(f"  T{j}: {angles} | rotation {rs.shift}/{rs.cardinality}")
-    lines.append("validation: ok")
+    """The human-readable report: ``report_data(an)`` as stably ordered lines."""
+    return _text(report_data(an))
 
-    lines.append(f"regions: {len(an.regions)}")
-    for r in an.regions:
-        arcs = " ".join([f"({format_angle(a.start)},{format_angle(a.end)})"
-                         for a in r.arcs])
-        boundary = " ".join([f"T{j}" for j in r.boundary_sets])
-        lines.append(f"  R{r.index}: arcs {arcs} | boundary {boundary} | cc {r.cc}")
-    caps = [r.cc for r in an.regions]
-    lines.append(f"capacity sum: {sum(caps)} (degree - 1 = {p.degree - 1})")
 
-    order, delta, tau = t.circular_order, t.delta, t.tau
-    kinds = {v: an.classes[v].kind for v in t.vertices}
-    julia = [v for v, kind in kinds.items() if kind == "julia"]
-    fatou = [v for v, kind in kinds.items() if kind == "fatou"]
-    lines.append(f"vertices: {len(t.vertices)} ({len(julia)} julia, {len(fatou)} fatou)")
-    lines += [f"  {v}: {kinds[v]} delta {delta[v]} tau {tau[v]} "
-              f"| order [{' '.join(order[v])}] | step 1/{len(order[v])}"
-              for v in t.vertices]
-    lines.append(f"edges: {len(t.edges)}")
+def _text(data: dict) -> str:
+    """The text report of ``report_data``'s dict, read from the dict alone."""
+    degree, regions, vertices = data["degree"], data["regions"], data["vertices"]
+    lines = [f"degree: {degree}", f"sets: {len(data['sets'])}"]
+    lines += [f"  {s['name']}: {' '.join(s['angles'])} "
+              f"| rotation {s['shift']}/{s['cardinality']}" for s in data["sets"]]
+    lines += ["validation: ok", f"regions: {len(regions)}"]
+    lines += [f"  {r['name']}: arcs {' '.join([f'({a},{b})' for a, b in r['arcs']])} "
+              f"| boundary {' '.join(r['boundary_sets'])} | cc {r['cc']}" for r in regions]
+    lines.append(f"capacity sum: {sum([r['cc'] for r in regions])} "
+                 f"(degree - 1 = {degree - 1})")
+    kinds = [v["kind"] for v in vertices]
+    lines.append(f"vertices: {len(vertices)} "
+                 f"({kinds.count('julia')} julia, {kinds.count('fatou')} fatou)")
+    lines += [f"  {v['name']}: {v['kind']} delta {v['delta']} tau {v['tau']} "
+              f"| order [{' '.join(v['order'])}] | step 1/{len(v['order'])}"
+              for v in vertices]
+    lines.append(f"edges: {len(data['edges'])}")
     # one position map per vertex: an index into a hub's order per edge
     # would cost O(degree) each
+    order = {v["name"]: v["order"] for v in vertices}
     slot = {v: dict(zip(nbrs, range(len(nbrs)))) for v, nbrs in order.items()}
     lines += [f"  {a}-{b}: slot {slot[a][b]} of {len(order[a])} at {a}, "
-              f"slot {slot[b][a]} of {len(order[b])} at {b}" for a, b in t.edges]
-    lines.append(f"total degree: {t.total_degree()}")
-    fixed_julia = len([v for v in julia if tau[v] == v])
-    fixed_fatou = len([v for v in fatou if tau[v] == v])
-    lines.append(
-        f"fixed points: {an.fixed_points} (julia {fixed_julia}, fatou {fixed_fatou})")
-
-    def verdict(violations) -> str:
-        return "ok" if not violations else "FAIL " + "; ".join(
-            f"{v.code}: {v.detail}" for v in violations)
-
-    lines.append(f"tree axioms: {verdict(an.axiom_violations)}")
-    lines.append(f"degree-angle: {verdict(an.degree_angle_violations)}")
-    lines.append(f"julia normalization: {verdict(an.normalization_violations)}")
-    if an.expanding:
-        lines.append("expanding: ok")
-    else:
-        lines.append(f"expanding: FAIL at edge {an.expanding_witness}")
-    lines.append(f"round trip: {'ok' if an.round_trip_ok else 'FAIL'}")
-    if not an.round_trip_ok:
+              f"slot {slot[b][a]} of {len(order[b])} at {b}" for a, b in data["edges"]]
+    lines.append(f"total degree: {data['total_degree']}")
+    fixed = [v["kind"] for v in vertices if v["tau"] == v["name"]]
+    lines.append(f"fixed points: {data['fixed_points']} "
+                 f"(julia {fixed.count('julia')}, fatou {fixed.count('fatou')})")
+    checks = data["checks"]
+    for label, key in (("tree axioms", "tree_axioms"), ("degree-angle", "degree_angle"),
+                       ("julia normalization", "julia_normalization")):
+        lines.append(f"{label}: " + ("ok" if checks[key] else "FAIL " + "; ".join(
+            [f"{v['code']}: {v['detail']}" for v in checks[key + "_violations"]])))
+    lines.append("expanding: ok" if checks["expanding"]
+                 else f"expanding: FAIL at edge {tuple(checks['expanding_witness'])}")
+    lines.append(f"round trip: {'ok' if data['round_trip_ok'] else 'FAIL'}")
+    if not data["round_trip_ok"]:
         lines.append("recovered portrait:")
-        lines.extend("  " + s for s in format_portrait(an.recovered).splitlines())
+        lines += ["  " + s for s in data["recovered"]]
     return "\n".join(lines) + "\n"
 
 
 def report_data(an: Analysis) -> dict:
-    """The same content as the text report, as JSON-ready data.
+    """The facts of one analysis as JSON-ready data, each spelled once: the
+    text report and the JSON are both written from this dict.
 
     ``checks`` holds each check's verdict.  A failed check also carries what
     the text report prints for it: ``<check>_violations``, each violation's
@@ -188,11 +185,12 @@ def report_data(an: Analysis) -> dict:
     }
 
 
-def _json(an: Analysis) -> str:
-    """``json.dumps(report_data(an), indent=2) + "\\n"``, byte for byte; ``json``
-    (whose indenting encoder is pure Python) is imported only to escape a string."""
+def _json(data: dict) -> str:
+    """The JSON report of ``report_data``'s dict: ``json.dumps(data, indent=2) +
+    "\\n"``, byte for byte; ``json`` (whose indenting encoder is pure Python)
+    is imported only to escape a string."""
     out: list[str] = []
-    _emit(report_data(an), "\n", out)
+    _emit(data, "\n", out)
     return "".join(out) + "\n"
 
 

@@ -71,6 +71,10 @@ class AngledTree(NamedTuple):
 
 
 class TreeViolation(NamedTuple):
+    """One failed tree condition: ``code`` names the condition (for example
+    ``structure``, ``not-connected`` or ``julia-angle``) and ``detail`` says
+    where it fails, naming the vertices, edges or angles at fault."""
+
     code: str
     detail: str
 

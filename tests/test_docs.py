@@ -1,6 +1,7 @@
-"""The README's Python examples run, and ``__all__`` is pinned and names only
-real objects."""
+"""The README's Python examples run, and ``__all__`` is pinned, names only
+real objects, and documents each of its classes and functions."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -43,3 +44,17 @@ def test_public_api_is_pinned():
         "normalize_angle", "parse_angle", "parse_portrait", "recover_portrait",
         "render_report", "render_svg", "report_data", "validate_portrait",
     ]
+
+
+def test_every_public_class_and_function_has_its_own_docstring():
+    # a class's docstring is read from its own namespace, not inherited; a
+    # NamedTuple without one gets a generated "Name(field, ...)"
+    import portraits
+    undocumented = []
+    for name in portraits.__all__:
+        obj = getattr(portraits, name)
+        assert inspect.isclass(obj) or inspect.isfunction(obj), name
+        doc = vars(obj).get("__doc__") if inspect.isclass(obj) else obj.__doc__
+        if not doc or doc.startswith(obj.__name__ + "("):
+            undocumented.append(name)
+    assert not undocumented

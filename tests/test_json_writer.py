@@ -1,7 +1,9 @@
 """``report._json`` writes the bytes of ``json.dumps(report_data(an),
 indent=2) + "\\n"`` without loading ``json``.  The standard library is the
 oracle: on every golden portrait, on analyses edited to fail, and on
-arbitrary nested data whose strings need every kind of escape."""
+arbitrary nested data whose strings need every kind of escape.  The text
+report is written from the same dict alone, so the JSON read back gives
+the text report again."""
 
 import json
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from portraits import (TreeViolation, analyze, parse_portrait, render_report,
                        report_data)
-from portraits.report import _emit, _json
+from portraits.report import _emit, _json, _text
 
 from test_golden import goldens
 
@@ -22,10 +24,15 @@ def dumps(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def check(an):
+    data = report_data(an)
+    assert _json(data) == dumps(data)
+    assert _text(json.loads(_json(data))) == render_report(an)
+
+
 def test_matches_json_on_every_golden_portrait():
     for p in goldens():
-        an = analyze(p)
-        assert _json(an) == dumps(report_data(an)), p
+        check(analyze(p))
 
 
 @pytest.mark.parametrize("edit", [
@@ -37,8 +44,7 @@ def test_matches_json_on_every_golden_portrait():
      "normalization_violations": (TreeViolation("z", "z"),)},
 ], ids=["expanding", "round-trip", "checks"])
 def test_matches_json_on_failing_analyses(edit):
-    an = analyze(parse_portrait(DEGREE5))._replace(**edit)
-    assert _json(an) == dumps(report_data(an))
+    check(analyze(parse_portrait(DEGREE5))._replace(**edit))
 
 
 def test_failed_checks_carry_their_violations_and_witness():
@@ -67,7 +73,7 @@ def test_failed_checks_carry_their_violations_and_witness():
         "expanding": False,
         "expanding_witness": ["v1", "w1"],
     }
-    assert _json(failing) == dumps(report_data(failing))
+    check(failing)
     text = render_report(failing)
     assert "\ntree axioms: FAIL not-connected: the graph is disconnected\n" in text
     assert "; ".join(f"{v.code}: {v.detail}" for v in julia) in text

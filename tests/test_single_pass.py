@@ -3,8 +3,10 @@ classifies each member set once and partitions the disk once, one
 ``analyze`` constructs the tree through exactly one call of the public
 ``construct_tree`` and classifies the tree's vertices once
 (``construct_tree`` never does), and the reports and the command line add
-no second pass.  ``analyze`` calls none of the four public tree checks,
-each of which would survey and classify the tree again.
+no second pass: ``build`` writes its text and JSON reports from one
+``report_data``, which spells each angle once.  ``analyze`` calls none of
+the four public tree checks, each of which would survey and classify the
+tree again.
 
 The tree checks read a tree through one survey (``tree._survey``), an
 O(|V|) sweep that records its forest, each vertex's angle function and
@@ -139,6 +141,21 @@ def test_cli_build_validates_once(counts, tmp_path, capsys, command, expected,
     assert len(counts["classify"]) == classifications
     assert len(counts["survey"]) == 1
     assert len(counts["shift"]) == 4
+
+
+def test_cli_build_formats_each_fact_once(monkeypatch, tmp_path):
+    # the text report and the JSON are written from one report_data, which
+    # spells the degree-5 portrait's 6 angles and its 6 arcs' 12 ends once;
+    # the SVG spells none
+    angles = count_calls(monkeypatch, binders("format_angle"), "format_angle")
+    data = count_calls(monkeypatch, binders("report_data"), "report_data")
+    path = tmp_path / "d5.txt"
+    path.write_text("degree 5\nset 0 3/4\nset 1/8 5/8\nset 1/4\nset 1/2\n")
+    assert portraits.cli.main(["build", str(path), *(
+        f"--{kind}={tmp_path / kind}" for kind in ("report", "json", "svg"))]) == 0
+    assert "round trip: ok" in (tmp_path / "report").read_text()
+    assert len(data) == 1
+    assert len(angles) == 6 + 12
 
 
 def test_validate_then_analyze_classifies_each_set_once(counts):
