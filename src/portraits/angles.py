@@ -9,15 +9,16 @@ an angle x/q is the numerator x over a common denominator q, on which
 order, sums and the covering map are plain integer operations (x/q < y/q
 iff x < y, and d*(x/q) mod 1 is (d*x mod q)/q).  Validation writes a
 portrait's sets that way once (``rotation._numerators``), for its own
-classification, for P2 and P4 (their one gap lookup, in
-``portrait._gaps``, is a bisection), for P3's fixed indices, for the
-builder's partition and for the round trip, which compares recovery's sets
-(numerators over d - 1 and d**p - 1) with them.  ``Portrait.create``
-checks each set's and the family's order on integer pairs.  In
-``enumeration``, rotation-set generation writes numerators over d**p - 1,
-and portrait enumeration ranks its candidate sets by numerators over their
-lcm and orders families by set rank; the SVG renderer makes each arc
-midpoint one integer ratio, and the angled tree stores integer gaps.
+classification, for P2 and P4 (one walk around the circle over the merged
+numerators), for P3's fixed indices, for the builder's partition and for
+the round trip, which compares recovery's sets (numerators over d - 1 and
+d**p - 1) with them.  ``Portrait.create`` checks each set's and the
+family's order on integer pairs.  In ``enumeration``, rotation-set
+generation writes numerators over d**p - 1, and portrait enumeration ranks
+its candidate sets by numerators over their lcm, orders families by set
+rank and finds each arc's gap vector by bisection (``enumeration._gaps``);
+the SVG renderer makes each arc midpoint one integer ratio, and the angled
+tree stores integer gaps.
 Fractions are built again only where a value is reported.
 """
 

@@ -29,6 +29,7 @@ x_{i+1}.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product, repeat
 from math import comb, gcd, lcm
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 from .angles import check_degree, fixed_angles
 from .errors import CapacityError
-from .portrait import Portrait, _gaps
+from .portrait import Portrait
 from .rotation import RotationSet, _closed_form
 
 # Most (cardinality, shift, deployment) candidates one enumeration may try;
@@ -248,6 +249,15 @@ def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
                     out.extend(joined + inner + outer[1:] for inner in over[lo + 1, j])
             over[lo, hi] = out
     return over[0, n]
+
+
+def _gaps(blocks: Sequence[Sequence], x) -> tuple[int, ...]:
+    """The gap of each of ``blocks`` that holds the point x.  Blocks and x
+    are values of one order, each block increasing; gap i of a block opens
+    at (and holds) its point i.  ``enumerate_portraits`` passes a cover's
+    fixed-angle numerators and an arc's starting fixed angle: that arc's
+    gap vector."""
+    return tuple([(bisect_right(b, x) - 1) % len(b) for b in blocks])
 
 
 def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:

@@ -19,7 +19,7 @@ of stopping at the first.  Portrait enumeration is in ``enumeration``, and
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
@@ -118,31 +118,40 @@ class ValidationResult(NamedTuple):
         return self.sets
 
 
-def _noncrossing(keys: Sequence[Sequence]) -> bool:
-    """True iff the strictly increasing tuples ``keys`` are pairwise unlinked
-    (disjoint, each inside one gap of the other), in one walk of the circle.
+def _noncrossing(keys: Sequence[Sequence], fixed: Sequence[bool]) -> Optional[list]:
+    """Each set's region of the fixed sets (``fixed[j]`` marks set j) if the
+    strictly increasing tuples ``keys`` are pairwise unlinked (disjoint, each
+    inside one gap of the other), else None, in one walk of the circle.
 
     Merged and sorted, a repeated value is an angle two sets share.  The walk
     keeps a stack of the sets it has entered and not yet left (a set is left
     at its last point).  Two disjoint sets cross iff their points alternate
     a..b..a..b, and that is iff the walk reaches a point of a set that it
     has entered before, while that set lies below the top of the stack.
+    Entering set j, the walk finds j in the current gap of every set on the
+    stack and in the outer gap of every other set, so j's gap in every fixed
+    set is named by the top fixed set t and its points still to come,
+    ``(t, left[t])``, or is None when no fixed set is open: j inherits the
+    region of the top set, or takes that gap when the top set is fixed.
     """
     left = list(map(len, keys))
+    region: list = [None] * len(keys)
     stack: list[int] = []
     previous = None
     for x, j in sorted((x, j) for j, xs in enumerate(keys) for x in xs):
         if x == previous:
-            return False
+            return None
         previous = x
         if not stack or stack[-1] != j:
             if left[j] < len(keys[j]):
-                return False
+                return None
+            if stack:
+                region[j] = (t, left[t]) if fixed[t := stack[-1]] else region[t]
             stack.append(j)
         left[j] -= 1
         if not left[j]:
             stack.pop()
-    return True
+    return region
 
 
 def validate_portrait(p: Portrait) -> ValidationResult:
@@ -163,11 +172,13 @@ def validate_portrait(p: Portrait) -> ValidationResult:
     only after it has found a shared angle or a crossing, to name the
     offending pairs, and only over the sets that share a point or hold two
     or more.  Once P2 holds, a fixed set separates two rotating sets
-    exactly when they lie in different gaps of it, so P4 groups the rotating
-    sets by gap signature (their gap in every fixed set) and visits only the
-    pairs within a group, each a P4 failure.  Once P1 holds, a degree whose
-    d-1 fixed angles outnumber both the listed angles and 2**16 raises
-    CapacityError before P3 would list the missing ones.
+    exactly when they lie in different gaps of it.  The same walk names each
+    set's region of the fixed sets, the region that the rotation-number-zero
+    sets cut and that holds it, so P4 groups the rotating sets by region and
+    visits only the pairs within a group, each a P4 failure; it has no pass
+    of its own.  Once P1 holds, a degree whose d-1 fixed angles outnumber
+    both the listed angles and 2**16 raises CapacityError before P3 would
+    list the missing ones.
     """
     return _validate(p)[0]
 
@@ -208,11 +219,13 @@ def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
     if any(a > b for a, b in zip(keys, keys[1:])):
         raise MalformedSetError("the portrait's sets are not in sorted order")
 
-    # one walk around the circle decides P2; a failure is named pair by pair
-    # among the sets that can fail: those sharing a point, and those of two
-    # or more points, as a disjoint pair crosses unless b lies in one gap of
-    # a (a singleton's one gap is the whole circle but its point)
-    if not _noncrossing(keys):
+    # one walk around the circle decides P2 and finds each set's region of
+    # the fixed sets; a failure is named pair by pair among the sets that can
+    # fail: those sharing a point, and those of two or more points, as a
+    # disjoint pair crosses iff each has a point strictly between the other's
+    # first and last (a singleton has none)
+    regions = _noncrossing(keys, [rs is not None and rs.is_fixed for rs in classified])
+    if regions is None:
         held = Counter(chain.from_iterable(keys))
         suspects = [(i, a) for i, a in enumerate(keys, 1) if len(a) > 1 or held[a[0]] > 1]
         for (i, a), (j, b) in combinations(suspects, 2):
@@ -221,7 +234,7 @@ def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
                 violations.append(Violation(
                     "P2-not-disjoint", (i, j, shared),
                     f"sets {i} and {j} share angles {_angles_text(shared)}"))
-            elif len(a) > 1 and len({_gaps((a,), y) for y in b}) > 1:
+            elif bisect(a, b[0]) < bisect(a, b[-1]) and bisect(b, a[0]) < bisect(b, a[-1]):
                 violations.append(Violation(
                     "P2-linked", (i, j),
                     f"sets {i} and {j} cross (neither lies in one gap of the other)"))
@@ -245,14 +258,16 @@ def _validate(p: Portrait) -> tuple[ValidationResult, int, tuple]:
                 f"fixed angles {_angles_text(missing)} belong to no "
                 f"rotation-number-zero set"))
 
-        if any(v.code.startswith("P2") for v in violations):
+        # the walk fails iff P2 does; two rotating sets share a region iff
+        # they lie in the same gap of every fixed set, so each group's pairs
+        # are the P4 failures
+        if regions is None:
             notes.append("P4 skipped: separation is ill-defined while P2 fails")
         else:
-            blocks = [xsets[i - 1] for i in fixed_members]
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[Optional[tuple[int, int]], list[int]] = {}
             for i, rs in enumerate(classified, start=1):
                 if not rs.is_fixed:
-                    groups.setdefault(_gaps(blocks, xsets[i - 1][0]), []).append(i)
+                    groups.setdefault(regions[i - 1], []).append(i)
             for i, j in sorted(pair for group in groups.values()
                                for pair in combinations(group, 2)):
                 violations.append(Violation(
@@ -274,16 +289,6 @@ def _matches(p: Portrait, d: int, found: list) -> bool:
     q, xsets = last[1][1:] if last[0] is p else _numerators(p.degree, p.sets)
     return (d == p.degree and not any(y * q % r for r, ys in found for y in ys)
             and sorted(tuple(y * q // r for y in ys) for r, ys in found) == list(xsets))
-
-
-def _gaps(blocks: Sequence[Sequence], x) -> tuple[int, ...]:
-    """The gap of each of ``blocks`` that holds the point x.  Blocks and x
-    are values of one order, each block increasing; gap i of a block opens
-    at (and holds) its point i.  P4 passes the fixed sets and a rotating
-    set's first point (its signature), P2's naming loop one set and each
-    point of another, and enumeration a cover's fixed-angle numerators and
-    an arc's starting fixed angle (that arc's gap vector)."""
-    return tuple([(bisect_right(b, x) - 1) % len(b) for b in blocks])
 
 
 def __getattr__(name: str):     # PEP 562: enumerate_portraits, from enumeration

@@ -142,6 +142,8 @@ def report_data(an: Analysis) -> dict:
     p = an.portrait
     t = an.ct.tree
     texts = [[format_angle(a) for a in rs.angles] for rs in an.sets]
+    # each arc end is one of the sets' own angle objects (builder._partition)
+    spelled = {id(a): x for rs, xs in zip(an.sets, texts) for a, x in zip(rs.angles, xs)}
     checks: dict = {}
     for name, violations in (("tree_axioms", an.axiom_violations),
                              ("degree_angle", an.degree_angle_violations),
@@ -163,7 +165,7 @@ def report_data(an: Analysis) -> dict:
         "validation": {"ok": True, "codes": []},
         "regions": [{
             "name": f"R{r.index}",
-            "arcs": [[format_angle(a.start), format_angle(a.end)] for a in r.arcs],
+            "arcs": [[spelled[id(a.start)], spelled[id(a.end)]] for a in r.arcs],
             "boundary_sets": [f"T{j}" for j in r.boundary_sets],
             "cc": r.cc,
         } for r in an.regions],

@@ -359,36 +359,52 @@ def random_family(rng, pools) -> Portrait:
 
 
 class TestP2Walk:
-    """The walk around the circle (``_noncrossing``) decides P2, and the
-    pairwise loop names the pairs only after it has found a fault."""
+    """The walk around the circle (``_noncrossing``) decides P2 and places
+    each set in a region of the fixed sets, which decides P4; the pairwise
+    loop names the P2 pairs only after the walk has found a fault."""
 
     def test_walk_matches_every_pair(self):
+        # where P2 holds, two sets not marked fixed share a region iff they
+        # lie in the same gap of every set marked fixed
         rng = random.Random(20261019)
-        outcomes = set()
+        outcomes, together = set(), set()
         for _ in range(20000):
             keys = [tuple(sorted(rng.sample(range(12), rng.randint(1, 4))))
                     for _ in range(rng.randint(1, 5))]
+            fixed = [rng.random() < 0.5 for _ in keys]
             expected = all(unlinked(a, b) for a, b in combinations(keys, 2))
-            assert _noncrossing(keys) == expected
+            regions = _noncrossing(keys, fixed)
+            assert (regions is not None) == expected
             outcomes.add(expected)
-        assert outcomes == {True, False}
+            if not expected:
+                continue
+            blocks = [a for a, f in zip(keys, fixed) if f]
+            rotating = [(i, a) for i, a in enumerate(keys) if not fixed[i]]
+            for (i, a), (j, b) in combinations(rotating, 2):
+                same = all(gap_of(c, a[0]) == gap_of(c, b[0]) for c in blocks)
+                assert (regions[i] == regions[j]) == same, (keys, fixed)
+                together.add(same)
+        assert outcomes == together == {True, False}
 
     def test_random_families_match_pairwise_oracle(self, monkeypatch):
         rng = random.Random(20261019)
         pools = {d: enumerate_rotation_sets(d, 4, 2) for d in range(2, 6)}
         families = [random_family(rng, pools) for _ in range(3000)]
         found = [validate_portrait(p) for p in families]
-        # with the walk always reporting a fault, every pair is named
-        # pairwise, as validation ran before the walk
-        monkeypatch.setattr(portraits.portrait, "_noncrossing", lambda keys: False)
         codes = {}
         for p, result in zip(families, found):
-            assert result == validate_portrait(p)
-            p2 = [v for v in result.violations if v.code.startswith("P2")]
-            assert p2 == pairwise_p2(p)
             assert p2_p4(p) == fraction_p2_p4(p)
             for code in {v.code for v in result.violations} or {"ok"}:
                 codes[code] = codes.get(code, 0) + 1
+        # with the walk always reporting a fault, every pair is named
+        # pairwise; P4, which reads the walk's regions, is then skipped
+        monkeypatch.setattr(portraits.portrait, "_last", (None, None))
+        monkeypatch.setattr(portraits.portrait, "_noncrossing", lambda keys, fixed: None)
+        for p, result in zip(families, found):
+            p2 = [v for v in result.violations if v.code.startswith("P2")]
+            assert p2 == pairwise_p2(p)
+            assert p2 == [v for v in validate_portrait(p).violations
+                          if v.code.startswith("P2")]
         assert set(codes) == {"ok", "P1", "P2-not-disjoint", "P2-linked",
                               "P3-missing", "P4"}
         assert codes["P2-not-disjoint"] + codes["P2-linked"] > len(families) // 2

@@ -1021,6 +1021,21 @@ class TestExpanding:
         assert check_expanding(t) == (False, ("x0", "x1"))
         assert time.perf_counter() - started < 0.5
 
+    def test_edge_separating_at_the_second_step_expands(self):
+        # the path a-b-c-d-e, nothing critical, tau a->b->c->e->d->a: edge
+        # a-b goes to b-c, still adjacent, and only then to c-e, which is
+        # not; a step bound of one would call this tree non-expanding
+        vertices = "abcde"
+        order = {v: [u for u in vertices[max(i - 1, 0):i + 2] if u != v]
+                 for i, v in enumerate(vertices)}
+        tau = dict(zip("abcde", "bceda"))
+        t = make_tree(vertices, list(zip(vertices, vertices[1:])), order,
+                      {v: [F(1, len(nbrs))] * len(nbrs) for v, nbrs in order.items()},
+                      tau, {v: 1 for v in vertices})
+        assert {c.kind for c in classify_vertices(t).values()} == {"julia"}
+        assert tau["b"] in order[tau["a"]] and tau[tau["b"]] not in order[tau[tau["a"]]]
+        assert check_expanding(t) == (True, None)
+
     def test_components_count_as_separated(self):
         # tau sends the Julia edge c-d to b and d, which lie in different
         # components: separated, with no path to measure
