@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product, repeat
-from math import comb, gcd, lcm
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
+from math import comb, gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .angles import check_degree, fixed_angles
@@ -40,8 +40,8 @@ from .errors import CapacityError
 from .portrait import Portrait
 from .rotation import RotationSet, _closed_form
 
-# Most (cardinality, shift, deployment) candidates one enumeration may try;
-# larger requests fail at once instead of silently consuming hours.
+# Most sets, proposed pairs, cover steps or portraits one enumeration may
+# make; larger requests fail at once instead of silently consuming hours.
 _CANDIDATE_CEILING = 4_000_000
 
 
@@ -50,6 +50,12 @@ def _check_int(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _check_count(what: str, count: int) -> None:
+    """Raise CapacityError, naming ``what`` and its count, past the ceiling."""
+    if count > _CANDIDATE_CEILING:
+        raise CapacityError(f"{what} {count}, over the ceiling of {_CANDIDATE_CEILING}")
 
 
 def deployment_vector(rs: RotationSet) -> tuple[int, ...]:
@@ -115,17 +121,40 @@ def _totient(n: int) -> int:
     return phi - phi // rest if rest > 1 else phi
 
 
-def _candidate_count(d: int, max_cardinality: int, max_period: int) -> int:
-    """phi(p) * C(gp+d-2, d-2) summed over each period p and g <= d-1 with
-    gp <= max_cardinality, which bounds an enumeration's work: per rotation
-    number, the cycles (g = 1), the proposed pairs (g = 2) and the g-cycle
-    sets, whose deployments differ; for p = 1, the fixed sets and the
-    Catalan(d-1) covers.  Counting stops once the total passes the ceiling."""
+def _cycle_sets(d: int, p: int, g: int) -> int:
+    """N(d, p, g): how many degree-d rotating sets of g cycles one rotation
+    number r/p (gcd(r, p) = 1) has; at p = 1, the C(d-1, g) fixed sets.
+
+    Such a set is read off its sorted gp-sequence s of blocks, and its
+    cycles are the strided subsequences s[i::g] (module docstring), which
+    differ pairwise.  Conversely, any two s[i::g] and s[j::g], i < j,
+    interleave into a sorted 2p-sequence, a proposed pair, so they
+    alternate when they differ.  The sets are thus the sorted gp-sequences
+    whose g strided subsequences differ pairwise.  As s is sorted, s[i::g]
+    <= s[i+1::g] termwise, so they differ pairwise iff the g-1 neighbours
+    do.  Forcing k chosen neighbour pairs equal leaves g-k runs of equal
+    subsequences, and keeping only the first of each run maps such s one
+    to one onto the sorted (g-k)p-sequences (repeating each kept
+    subsequence over its run maps back, sorted), of which there are
+    C((g-k)p + d-2, d-2).  By inclusion-exclusion over the forced pairs,
+
+        N(d, p, g) = sum over k < g of (-1)**k C(g-1, k) C((g-k)p + d-2, d-2).
+    """
+    return sum((-1) ** k * comb(g - 1, k) * comb((g - k) * p + d - 2, d - 2) for k in range(g))
+
+
+def _pool_count(d: int, max_cardinality: int, max_period: int) -> int:
+    """What ``_pool`` makes: its sets, phi(p) N(d, p, g) per period p and
+    g <= min(d-1, max_cardinality / p) (p = 1 gives the fixed sets), and
+    the phi(p) C(2p + d-2, d-2) pairs it proposes at each period p >= 2
+    where two cycles fit.  Counting stops once the total passes the
+    ceiling."""
     count = 0
     for p in range(1, min(max_period, max_cardinality) + 1):
-        phi = _totient(p)
-        for g in range(1, min(d - 1, max_cardinality // p) + 1):
-            count += phi * comb(g * p + d - 2, d - 2)
+        phi, most = _totient(p), min(d - 1, max_cardinality // p)
+        count += (p > 1 and most > 1) * phi * comb(2 * p + d - 2, d - 2)  # proposals
+        for g in range(1, most + 1):
+            count += phi * _cycle_sets(d, p, g)
             if count > _CANDIDATE_CEILING:
                 return count
     return count
@@ -178,53 +207,55 @@ def _cliques(d: int, p: int, r: int, most: int, big: int) -> list:
 
 def _pool(d: int, max_cardinality: int, max_period: int) -> tuple[int, list]:
     """(big, entries): the (shift, support, xs, angles) of every degree-d
-    rotating set with cardinality <= max_cardinality and period
-    2..max_period, its angles both the numerators xs over
-    big = lcm(d**p - 1 : p <= min(max_period, max_cardinality)) and
-    ``Fraction``s, each built once per cycle point.  A set's support is the
-    bitmask of the blocks its angles occupy, bit b for block b.  A
-    single-cycle set is the cycle's own support and tuples, not a copy.
+    rotation set with cardinality <= max_cardinality and period <=
+    max_period, sorted once by xs, the angles as numerators over
+    big = lcm(d**p - 1 : p <= min(max_period, max_cardinality)).  Both
+    enumerations read this one list: a set's position in it is its rank.
+
+    The fixed sets, with shift 0 and support None, are the nonempty sets of
+    at most max_cardinality of the d-1 fixed angles.  The rotating sets are
+    ``_cliques``' entries, their angles built once per cycle point, and
+    their support the bitmask of the blocks their angles occupy, bit b for
+    block b.  A single-cycle set is the cycle's own support and tuples, not
+    a copy.
 
     The bounds must be integers >= 1 (max_period is checked first), and a
-    request whose ``_candidate_count`` passes the ceiling raises
-    CapacityError before any set is built.
+    request whose ``_pool_count`` passes the ceiling raises CapacityError
+    before any set is built.
     """
     if _check_int("max_period", max_period) < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     if _check_int("max_cardinality", max_cardinality) < 1:
         raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
-    if _candidate_count(d, max_cardinality, max_period) > _CANDIDATE_CEILING:
-        raise CapacityError(
-            f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
-            f"period <= {max_period} need over {_CANDIDATE_CEILING} candidates")
+    _check_count(f"degree-{d} rotation sets with cardinality <= {max_cardinality} and "
+                 f"period <= {max_period}, with their proposed pairs, number at least",
+                 _pool_count(d, max_cardinality, max_period))
     top = min(max_period, max_cardinality)
     big = lcm(*(d ** p - 1 for p in range(1, top + 1)))
-    return big, [entry for p in range(2, top + 1) for r in range(1, p)
-                 if gcd(r, p) == 1
-                 for entry in _cliques(d, p, r, min(d - 1, max_cardinality // p), big)]
+    fixed = [*zip(range(0, big, big // (d - 1)), fixed_angles(d))]
+    pool = [(0, None, *zip(*c)) for g in range(1, min(d - 1, max_cardinality) + 1)
+            for c in combinations(fixed, g)]
+    pool += [entry for p in range(2, top + 1) for r in range(1, p) if gcd(r, p) == 1
+             for entry in _cliques(d, p, r, min(d - 1, max_cardinality // p), big)]
+    return big, sorted(pool, key=lambda entry: entry[2])
 
 
 def enumerate_rotation_sets(degree: int, max_cardinality: int, max_period: int) -> list[RotationSet]:
     """Every degree-d rotation set with cardinality and element period bounded.
 
     The fixed sets are the nonempty subsets of the d-1 fixed angles with at
-    most max_cardinality elements.  The rotating sets come from ``_pool``,
-    as the cliques of pairwise alternating single cycles of one rotation
-    number (module docstring).  The work is bounded first; a bound past the
-    ceiling raises CapacityError before any set is built.  Both bounds must
-    be integers >= 1, else ValueError.
+    most max_cardinality elements.  The rotating sets are the cliques of
+    pairwise alternating single cycles of one rotation number (module
+    docstring).  Both come from ``_pool``, which first counts the sets and
+    the pairs it will propose, exactly, and raises CapacityError before any
+    set is built when that count passes the ceiling.  Both bounds must be
+    integers >= 1, else ValueError.
 
     The result is sorted lexicographically by angle tuple, compared as
     integer numerators over lcm(d**p - 1) of the periods p involved.
     """
-    d = check_degree(degree)
-    big, pool = _pool(d, max_cardinality, max_period)
-    fixed = fixed_angles(d)
-    pool += [(0, None, tuple(i * (big // (d - 1)) for i in c), tuple(fixed[i] for i in c))
-             for g in range(1, min(d - 1, max_cardinality) + 1)
-             for c in combinations(range(d - 1), g)]
-    pool.sort(key=lambda entry: entry[2])
-    return [RotationSet(d, angles, m) for m, _, _, angles in pool]
+    return [RotationSet(degree, angles, m) for m, _, _, angles
+            in _pool(check_degree(degree), max_cardinality, max_period)[1]]
 
 
 def _noncrossing_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
@@ -286,58 +317,70 @@ def enumerate_portraits(degree: int, max_period: int) -> list[Portrait]:
     is grouped by the support each entry carries, the bitmask of its arcs
     (bit b for the arc from fixed angle b).  Each cover takes once the gap
     vector of every arc, the gap of each of its blocks that holds the arc,
-    and for each distinct vector the mask of the arcs sharing it: a support
+    and for each arc the mask of the arcs sharing its vector: a support
     fits one gap of every block exactly when it lies inside the mask of its
     lowest arc, and that arc's vector is its signature.  With no pool
     (max_period 1) nothing is looked up.
 
-    The pool (``_pool``) holds the rotating sets, as cliques of
-    alternating single cycles, with numerators over q = lcm(d**p - 1 : p <=
-    max_period), which keep the angles' order; the covers supply the fixed
-    sets.  Families are ordered by set rank: each candidate set (pool set
-    or block) is ranked once in numerator order, a family is the sorted
-    tuple of its sets' ranks, both sorts compare these flat integer tuples,
-    and each portrait reads its angle tuples by rank.  Each signature group
-    offers no set, ``()``, or one, ``(rank,)``, so a family is the cover's
-    ranks plus the concatenated choice, sorted.
+    Families are ordered by set rank, a set's position in ``_pool``'s one
+    sorted list of rotating and fixed sets: a family is the sorted tuple of
+    its sets' ranks, both sorts compare these flat integer tuples, and each
+    portrait reads its angle tuples by rank.  A first pass records each
+    cover's ranks and signature classes; a cover with classes of sizes
+    c_1, ..., c_k makes (1 + c_1) ... (1 + c_k) portraits, one per choice
+    of no set or one from each class.  The second pass builds each family
+    once, as the list of the cover's ranks and the chosen ranks, sorted.
+
+    Three counts are checked against the ceiling, each raising
+    CapacityError that names it: before the pool is built, Catalan(d-1)
+    covers times d-1 gap vectors plus, with a pool, at most one class per
+    each of the 2**(d-1) - 1 supports; ``_pool``'s own count; and, before
+    any family is built, the number of portraits.
     """
     d = check_degree(degree)
     _check_int("max_period", max_period)  # before a str or None is multiplied
+    # the cover bound grows with n = d-1, and Catalan(n) >= 2**n from n = 7
+    # on, so n capped at the ceiling's bit length refuses what the uncapped
+    # bound would, without computing a huge Catalan number
+    n = min(d - 1, _CANDIDATE_CEILING.bit_length())
+    _check_count(f"degree-{d} portraits with period <= {max_period} have a cover bound of "
+                 f"at least", comb(2 * n, n) // (n + 1) * (n + (2 ** n - 1) * (max_period > 1)))
     q, pool = _pool(d, (d - 1) * max_period, max_period)
-    fixed = tuple(i * (q // (d - 1)) for i in range(d - 1))
-    fixed_angle = dict(zip(fixed, fixed_angles(d)))
-    # rank each pool set and block (every subset of the fixed angles) by numerators
-    sets = {b: tuple(map(fixed_angle.__getitem__, b))
-            for g in range(1, d) for b in combinations(fixed, g)}
-    sets.update((s, set_angles) for _, _, s, set_angles in pool)
-    rank = {s: r for r, s in enumerate(sorted(sets))}
-    angles = list(map(sets.__getitem__, rank))
-    by_support: dict[int, list[tuple[int]]] = {}
-    for _, support, s, _ in pool:
-        by_support.setdefault(support, []).append((rank[s],))
+    fixed = tuple(range(0, q, q // (d - 1)))
+    by_support: dict[Optional[int], list[int]] = {}
+    for r, (_, support, _, _) in enumerate(pool):
+        by_support.setdefault(support, []).append(r)
+    rank = {pool[r][2]: r for r in by_support.pop(None)}  # the fixed sets, support None
     # per support: its lowest arc, its bitmask and its sets' ranks
     groups = [((s & -s).bit_length() - 1, s, members) for s, members in by_support.items()]
-    arcs = [*enumerate(fixed)] if groups else []   # none without a pool
-    vectors = [None] * len(arcs)    # reused: each cover rewrites every entry
+    arcs = fixed if groups else ()   # none without a pool
 
-    found: list[tuple[int, ...]] = []
+    covers = []
     for cover in _noncrossing_partitions(fixed):
-        ranks = tuple(map(rank.__getitem__, cover))
-        # each arc's gap vector, and per vector the bitmask of its arcs
-        alike = {}
-        for b, a in arcs:
-            vectors[b] = v = _gaps(cover, a)
-            alike[v] = alike.get(v, 0) | 1 << b
-        # per signature, by its mask: none of its sets, (), or one, (rank,)
-        by_signature: dict[int, list[tuple[int, ...]]] = {}
+        # each arc's gap vector, and per arc the bitmask of the arcs sharing it
+        vectors = [_gaps(cover, a) for a in arcs]
+        masks = [sum(1 << b for b, w in enumerate(vectors) if w == v) for v in vectors]
+        # per signature, by its mask: the ranks of its sets
+        by_signature: dict[int, list[int]] = {}
         for low, support, members in groups:
-            if not support & ~(mask := alike[vectors[low]]):
-                by_signature.setdefault(mask, [()]).extend(members)
-        for choice in product(*by_signature.values()):
-            found.append(tuple(sorted(ranks + sum(choice, ()))))
+            if not support & ~(mask := masks[low]):
+                by_signature.setdefault(mask, []).extend(members)
+        covers.append(([*map(rank.__getitem__, cover)], [*by_signature.values()]))
+    _check_count(f"degree-{d} portraits with period <= {max_period} number",
+                 sum(prod(len(c) + 1 for c in classes) for _, classes in covers))
+
+    # each family once: the cover's ranks and one rank from each chosen class
+    found: list[tuple[int, ...]] = []
+    for ranks, classes in covers:
+        for some in chain.from_iterable(combinations(classes, k) for k in range(len(classes) + 1)):
+            for choice in product(*some):
+                family = [*ranks, *choice]
+                family.sort()
+                found.append(tuple(family))
 
     # families are distinct, so a stable sort by size after the full sort
     # gives the (size, sets) order; canonical, they need no Portrait.create
     found.sort()
     found.sort(key=len)
+    angles = [entry[3] for entry in pool]
     return [tuple.__new__(Portrait, (d, tuple(map(angles.__getitem__, f)))) for f in found]

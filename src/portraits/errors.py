@@ -14,8 +14,10 @@ class MalformedSetError(PortraitsError, ValueError):
 
 
 class CapacityError(PortraitsError):
-    """A request passes a size ceiling: an enumeration's candidate count, or a
-    portrait's d-1 fixed angles outnumbering both its listed angles and 2**16."""
+    """A request passes a size ceiling: one of an enumeration's counts (its
+    rotation sets with the pairs proposed for them, its cover bound, or its
+    portraits), named with its value, or a portrait's d-1 fixed angles
+    outnumbering both its listed angles and 2**16."""
 
 
 class InvariantViolationError(PortraitsError):

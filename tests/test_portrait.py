@@ -767,6 +767,69 @@ class TestEnumeratePortraits:
         assert len(enumerate_portraits(4, 2)) == 64
         assert len(calls) == 3 * len(_noncrossing_partitions(range(3))) == 15
 
+    @staticmethod
+    def counted(monkeypatch, degree, max_period, stop=None):
+        """The counts ``enumerate_portraits`` checks against the ceiling,
+        by their text, and its portraits; it stops, returning None for
+        them, at the first count whose text ends with ``stop``."""
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def record(what, count):
+            seen[what] = count
+            if stop and what.endswith(stop):
+                raise Stop
+            check(what, count)
+        check = portraits.enumeration._check_count
+        monkeypatch.setattr(portraits.enumeration, "_check_count", record)
+        try:
+            found = enumerate_portraits(degree, max_period)
+        except Stop:
+            found = None
+        return seen, found
+
+    @pytest.mark.parametrize("degree, max_period",
+                             [(2, 6), (3, 4), (4, 3), (3, 6), (4, 4), (5, 2)])
+    def test_portrait_count_is_exact(self, monkeypatch, degree, max_period):
+        # the product over each cover's signature classes of (1 + class size)
+        seen, found = self.counted(monkeypatch, degree, max_period)
+        assert seen[f"degree-{degree} portraits with period <= {max_period} number"] == len(found)
+
+    def test_degree9_period2_is_admitted(self, monkeypatch):
+        # 2,044,784 portraits, under the ceiling, counted without building them
+        seen, found = self.counted(monkeypatch, 9, 2, stop=" number")
+        assert found is None
+        assert seen["degree-9 portraits with period <= 2 number"] == 2044784
+        assert seen["degree-9 portraits with period <= 2 have a cover bound of at least"] == (
+            1430 * (8 + 255))
+
+    @pytest.mark.parametrize("degree, max_period, message", [
+        # the portrait count, after the covers and before any family
+        (8, 3, "degree-8 portraits with period <= 3 number 12874450"),
+        (10, 2, "degree-10 portraits with period <= 2 number 17858272"),
+        # the cover bound, before the pool: Catalan(d-1) covers times d-1
+        # gap vectors plus, with a pool, a class per support
+        (11, 2, "degree-11 portraits with period <= 2 have a cover bound of at least 17350268"),
+        (12, 2, "degree-12 portraits with period <= 2 have a cover bound of at least 120981588"),
+        (14, 1, "degree-14 portraits with period <= 1 have a cover bound of at least 9657700"),
+        (10**6, 1, "degree-1000000 portraits with period <= 1 have a cover bound of at least "
+                   "2012616400080")])
+    def test_oversized_enumeration_refused_fast(self, degree, max_period, message):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"^{message}, over the ceiling of 4000000$"):
+            enumerate_portraits(degree, max_period)
+        assert time.perf_counter() - start < 1
+
+    def test_degree13_period1_cover_bound_admitted(self, monkeypatch):
+        # d = 13 is the largest degree the cover bound admits at period 1
+        # (d = 14 is refused above); CI lists its 208,012 portraits
+        seen, found = self.counted(monkeypatch, 13, 1, stop="at least")
+        assert found is None
+        assert seen == {"degree-13 portraits with period <= 1 have a cover bound of at least":
+                        208012 * 12}
+
     def test_degree7_period2_count(self):
         # 21 cycles, 126 proposed pairs (105 alternate), 791 rotating sets,
         # 63 supports and 132 covers

@@ -12,7 +12,8 @@ from portraits import (CapacityError, MalformedSetError, Portrait, RotationSet,
                        fixed_angles, generate_rotation_set, validate_portrait)
 import portraits.enumeration
 import portraits.rotation
-from portraits.enumeration import _CANDIDATE_CEILING, _candidate_count, _pool
+from portraits.enumeration import (_CANDIDATE_CEILING, _cycle_sets, _pool, _pool_count,
+                                   _totient)
 from portraits.rotation import _closed_form
 
 
@@ -91,16 +92,14 @@ def proposed_pairs(d, p):
         yield s[::2], s[1::2]
 
 
-def shape_walk_count(degree, max_cardinality, max_period):
-    """Oracle: the candidate count taken shift by shift over ``shapes``,
-    as ``enumerate_rotation_sets`` counted before it used Euler's phi.
-    Stops once past the ceiling, as the enumeration's refusal does."""
-    count = 0
-    for n, _ in shapes(degree, max_cardinality, max_period):
-        count += math.comb(n + degree - 2, degree - 2)
-        if count > _CANDIDATE_CEILING:
-            break
-    return count
+def proposal_count(d, max_cardinality, max_period):
+    """Oracle: the pairs ``_pool`` proposes, walked per rotation number: at
+    each period p with room for two cycles of d-1 > 1 blocks, one per
+    sorted 2p-sequence of blocks."""
+    return sum(sum(1 for _ in proposed_pairs(d, p))
+               for p in range(2, min(max_cardinality, max_period) + 1)
+               if min(d - 1, max_cardinality // p) > 1
+               for r in range(1, p) if math.gcd(r, p) == 1)
 
 
 def fraction_classify(angles, degree):
@@ -407,22 +406,39 @@ class TestEnumerate:
         assert sum(rs.is_fixed for rs in sets) == 2 ** 8 - 1
 
     def test_oversized_request_fails_fast(self):
-        # about 2e11 candidate triples: refused before any set is built
-        with pytest.raises(CapacityError):
+        # the count passes the ceiling within periods 1 and 2: refused
+        # before any set is built, the partial count named
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=(
+                "^degree-10 rotation sets with cardinality <= 90 and period <= 10, with "
+                "their proposed pairs, number at least 6083179, over the ceiling of 4000000$")):
             enumerate_rotation_sets(10, 90, 10)
+        assert time.perf_counter() - start < 0.5
+
+    def test_degree11_period2_is_listed(self):
+        # the count the enumeration once used to bound its work read
+        # 8,148,138 here and refused it; the exact count admits it
+        sets = enumerate_rotation_sets(11, 20, 2)
+        assert len(sets) == 108638
+        assert sum(rs.is_fixed for rs in sets) == 2 ** 10 - 1
 
     @pytest.mark.parametrize("degree", range(2, 8))
-    def test_candidate_count_matches_shape_walk(self, degree):
+    def test_pool_count_is_exact(self, degree):
         # 64 (max_cardinality, max_period) pairs per degree, on both sides
-        # of the ceiling
+        # of the ceiling: the count is the listed sets plus the pairs
+        # proposed for them, and a count past the ceiling is refused fast
         for max_cardinality in (1, 2, 3, 5, 8, 20, 60, 400):
             for max_period in (1, 2, 3, 4, 7, 12, 50, 10**4):
-                expected = shape_walk_count(degree, max_cardinality, max_period)
-                count = _candidate_count(degree, max_cardinality, max_period)
-                if expected > _CANDIDATE_CEILING:
-                    assert count > _CANDIDATE_CEILING
-                else:
-                    assert count == expected
+                count = _pool_count(degree, max_cardinality, max_period)
+                start = time.perf_counter()
+                if count > _CANDIDATE_CEILING:
+                    with pytest.raises(CapacityError):
+                        enumerate_rotation_sets(degree, max_cardinality, max_period)
+                    assert time.perf_counter() - start < 0.5
+                elif count <= 20_000:
+                    sets = enumerate_rotation_sets(degree, max_cardinality, max_period)
+                    assert count == len(sets) + proposal_count(
+                        degree, max_cardinality, max_period)
 
     def test_huge_degree2_bounds_refused_fast(self):
         # about 3600 periods pass before the count clears the ceiling
@@ -560,7 +576,13 @@ class TestCyclePool:
         assert big == math.lcm(*(d ** k - 1 for k in range(1, p + 1)))
         for _, _, xs, angles in pool:
             assert angles == tuple(F(x, big) for x in xs)
-        ours = sorted((m, support_blocks(support), xs) for m, support, xs, _ in pool)
+        # one list, sorted by numerators: every fixed subset, with support
+        # None, and the rotating sets the deployment walk finds
+        assert pool == sorted(pool, key=lambda entry: entry[2])
+        assert [angles for m, support, _, angles in pool if support is None] == sorted(
+            tuple(F(i, d - 1) for i in c) for g in range(1, d)
+            for c in combinations(range(d - 1), g))
+        ours = sorted((m, support_blocks(support), xs) for m, support, xs, _ in pool if m)
         assert ours == walked_pool(d, (d - 1) * p, p, big)
 
     @pytest.mark.parametrize("d,p", [(d, p) for d in range(2, 7) for p in range(1, 5)]
@@ -581,7 +603,7 @@ class TestCyclePool:
     def test_cardinality_bound_limits_the_cliques(self):
         for max_cardinality in range(1, 13):
             big, pool = _pool(5, max_cardinality, 3)
-            ours = sorted((m, support_blocks(support), xs) for m, support, xs, _ in pool)
+            ours = sorted((m, support_blocks(support), xs) for m, support, xs, _ in pool if m)
             assert ours == walked_pool(5, max_cardinality, 3, big)
 
     @pytest.mark.parametrize("d", range(2, 7))
@@ -601,6 +623,18 @@ class TestCyclePool:
                     both += rotates
         assert (both > 0) == (d > 2)  # degree 2 has one cycle per rotation number
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_cycle_set_counts_are_realised(self, d):
+        # N(d, p, g), the inclusion-exclusion of _cycle_sets, against the
+        # deployments the closed form realises, for each rotation number r/p
+        # with p <= 4 and each g <= d-1; at p = 1, the C(d-1, g) fixed sets
+        for p in range(1, 5):
+            assert _totient(p) == sum(math.gcd(r, p) == 1 for r in range(p))
+            for r in range(p):
+                if math.gcd(r, p) == 1:
+                    for g in range(1, d):
+                        assert _cycle_sets(d, p, g) == realised(d, g * p, g * r), (p, r, g)
+
     def test_pinned_two_cycle_rows(self):
         # g-cycle sets of rotation number 1/2: g = 1 gives C(d, 2) and
         # g = d-1 gives 2**(d-2)
@@ -608,7 +642,7 @@ class TestCyclePool:
         assert [realised(7, 2 * g, g) for g in range(1, 7)] == [21, 105, 231, 258, 144, 32]
         for d, row in ((6, [15, 55, 85, 60, 16]), (7, [21, 105, 231, 258, 144, 32])):
             _, pool = _pool(d, 2 * (d - 1), 2)
-            counts = Counter(m for m, _, _, _ in pool)
+            counts = Counter(m for m, _, _, _ in pool if m)
             assert [counts[g] for g in range(1, d)] == row
 
     def test_no_fixed_set_in_the_pool(self, monkeypatch):
